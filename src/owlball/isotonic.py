@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-__all__ = ["ConeProjection", "project_cone", "active_set"]
+__all__ = ["ConeProjection", "project_cone", "reduce_spans", "active_set"]
 
 
 class ConeProjection:
@@ -90,14 +90,21 @@ def project_cone(d) -> ConeProjection:
         raise ValueError("d must not be empty")
 
     res = isotonic_regression(d, increasing=False)
-    starts = np.asarray(res.blocks[:-1], dtype=np.intp)
-    values = np.asarray(res.x, dtype=np.float64)[starts].copy()
+    bounds = np.asarray(res.blocks, dtype=np.intp)
+    starts = bounds[:-1]
+    values = np.asarray(res.x, dtype=np.float64)[starts]
 
     # Repair pooled runs of identical entries to the exact common value.
-    mn = np.minimum.reduceat(d, starts)
-    mx = np.maximum.reduceat(d, starts)
-    tied = mn == mx
-    values[tied] = d[starts[tied]]
+    # Singletons are exact already, and a pooled block whose end points
+    # differ is no such run, so only the remaining candidates are checked.
+    pooled = np.flatnonzero(np.diff(bounds) > 1)
+    first, stop = bounds[pooled], bounds[pooled + 1]
+    cand = d[first] == d[stop - 1]
+    if cand.any():
+        pooled, first, stop = pooled[cand], first[cand], stop[cand]
+        tied = (reduce_spans(np.minimum, d, first, stop)
+                == reduce_spans(np.maximum, d, first, stop))
+        values[pooled[tied]] = d[first[tied]]
 
     np.maximum(values, 0.0, out=values)
 
@@ -113,6 +120,23 @@ def project_cone(d) -> ConeProjection:
     lengths = np.diff(np.append(starts, d.size))
     x = np.repeat(values, lengths)
     return ConeProjection(x, starts, values)
+
+
+def reduce_spans(ufunc, v, starts, stops) -> np.ndarray:
+    """``ufunc.reduce(v[s:t])`` for each span ``[s, t)`` of ``starts, stops``.
+
+    The spans must be nonempty, ascending and disjoint, and there must be
+    at least one.  One ``reduceat`` over the interleaved bounds does the
+    work: its even slots are the spans, its odd slots the gaps between
+    them, which are discarded.  Unlike a ``reduceat`` over every block,
+    the gaps cost no per-slot overhead however many singletons they hold.
+    A stop equal to ``v.size`` is dropped, since ``reduceat`` rejects it
+    and the last slot runs to the end of ``v`` anyway.
+    """
+    bounds = np.column_stack((starts, stops)).ravel()
+    if bounds[-1] == v.size:
+        bounds = bounds[:-1]
+    return ufunc.reduceat(v, bounds)[::2]
 
 
 def active_set(p: ConeProjection) -> np.ndarray:

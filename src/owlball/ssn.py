@@ -13,7 +13,8 @@ affine and semismooth, with a unique root ``y*``; the primal solution is
 ``x* = Pi_C(y* lam + w)``.
 
 Each iteration projects once onto the cone, reads the curvature
-``M = lam.T H lam`` off the resulting block structure for free, takes a
+``M = lam.T H lam`` off the resulting blocks (see
+:func:`block_curvature`; no Jacobian is built), takes a
 Newton step ``-phi'/M`` (or a plain gradient step ``-phi'`` on the flat
 piece where the projection vanishes and ``M = 0``), and backtracks with
 an Armijo test.  Near the root the active piece is identified and a
@@ -28,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Weights
-from .isotonic import ConeProjection, project_cone
-from .jacobian import cone_jacobian, curvature
+from .isotonic import ConeProjection, project_cone, reduce_spans
 
 __all__ = [
     "SsnParams",
@@ -37,6 +37,7 @@ __all__ = [
     "SsnReport",
     "dual_value",
     "dual_gradient",
+    "block_curvature",
     "solve",
 ]
 
@@ -136,6 +137,32 @@ def dual_gradient(y: float, w, weights: Weights, tau: float):
     return float(np.dot(p.x, weights.values)) - tau, p
 
 
+def block_curvature(p: ConeProjection, lam) -> float:
+    """Curvature ``M = lam.T H lam`` at ``p``, read off its blocks.
+
+    ``H``, the cone projector's Jacobian on the piece of ``p``, averages
+    each block with a positive value and zeroes the zero block, so
+
+        M = sum over blocks with value > 0 of (sum of lam over block)**2 / length.
+
+    Canonical blocks strictly decrease, so only the last one can be the
+    zero block.  A singleton's sum is its own weight; only pooled blocks
+    are summed, by one ``add.reduceat``, and each term enters the dot as
+    ``sum / sqrt(length)``.  O(n).  Equals
+    ``jacobian.curvature(cone_jacobian(p), lam)`` up to roundoff, and is
+    exactly ``0.0`` when ``p.x`` is all zero.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    live = p.num_blocks - int(p.block_values[-1] == 0.0)
+    starts, lengths = p.block_starts[:live], p.block_lengths[:live]
+    terms = lam[starts]
+    pooled = np.flatnonzero(lengths > 1)
+    if pooled.size:
+        first, size = starts[pooled], lengths[pooled]
+        terms[pooled] = reduce_spans(np.add, lam, first, first + size) / np.sqrt(size)
+    return float(np.dot(terms, terms))
+
+
 def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> SsnReport:
     """Drive ``phi'`` to zero; return the dual root and primal point.
 
@@ -169,7 +196,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     iterations = 0
 
     while eta > params.eps and iterations < params.max_iter:
-        m = curvature(cone_jacobian(p), weights)
+        m = block_curvature(p, lam)
         # M = 0 iff the projection is zero (lam[0] > 0 forces the leading
         # coordinate into a live block otherwise); fall back to the plain
         # gradient step there, as the Newton direction is undefined.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from owlball import Instance, SignedSort, Weights, is_trivial, owl_norm, signed_sort
 from owlball.core import INSIDE_RTOL
@@ -55,6 +57,26 @@ class TestInstance:
             Instance([np.inf, 1.0], Weights([1.0, 1.0]), 2.0)
 
 
+@st.composite
+def tie_heavy_vectors(draw):
+    """Vectors whose magnitudes repeat: all equal, 1-6 distinct values
+    (0 among them, so +0.0 and -0.0 mix), or rounded to 2 decimals.
+    Positions and signs come from a drawn seed, so n can reach
+    thousands without drawing every entry."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+    kind = draw(st.sampled_from(["equal", "few", "rounded"]))
+    if kind == "equal":
+        mags = np.full(n, draw(magnitude))
+    elif kind == "few":
+        pool = draw(st.lists(magnitude, min_size=1, max_size=6))
+        mags = rng.choice(pool, n)
+    else:
+        mags = np.round(rng.uniform(0.0, 3.0, n), 2)
+    return np.where(rng.random(n) < 0.5, -mags, mags)
+
+
 class TestSignedSort:
     def test_basic_example(self):
         sort, w = signed_sort(np.array([-3.0, 1.0, 2.0]))
@@ -72,11 +94,36 @@ class TestSignedSort:
         assert np.array_equal(sort.perm, [0, 1])
         assert np.array_equal(sort.signs, [1.0, -1.0])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    @example(None)
+    def test_matches_stable_argsort_on_tie_heavy_input(self, data):
+        b = np.array([-0.0]) if data is None else data.draw(tie_heavy_vectors())
+        sort, w = signed_sort(b)
+        perm = np.argsort(-np.abs(b), kind="stable")
+        signs = np.sign(b[perm])
+        signs[signs == 0.0] = 1.0
+        assert np.array_equal(sort.perm, perm)
+        assert np.array_equal(sort.signs, signs)
+        assert w.tobytes() == sort.apply(b).tobytes()
+
     def test_zero_entries_get_positive_sign(self):
         sort, w = signed_sort(np.array([0.0, -1.0]))
         assert np.array_equal(w, [1.0, 0.0])
         assert sort.signs[np.flatnonzero(sort.perm == 0)[0]] == 1.0
         assert np.array_equal(sort.apply_inverse(w), [0.0, -1.0])
+
+    @pytest.mark.parametrize("b", [[2.0, -1.0, 3.0], [2.0, -2.0, 0.0, 2.0]])
+    def test_result_arrays_match_constructor_guarantees(self, b):
+        # signed_sort builds its SignedSort without the constructor's copy
+        # and checks; the result must still look like a constructed one.
+        sort, w = signed_sort(np.array(b))
+        built = SignedSort(sort.perm, sort.signs)
+        for got, want in ((sort.perm, built.perm), (sort.signs, built.signs)):
+            assert got.dtype == want.dtype
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+        assert w.flags.writeable
 
     def test_round_trip_is_bitwise_identity(self):
         # P is a signed permutation, so apply followed by apply_inverse

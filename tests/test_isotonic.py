@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from owlball import ConeProjection, active_set, project_cone
+from owlball.isotonic import reduce_spans
 from owlball.oracle import oracle_cone
 
 
@@ -40,6 +41,43 @@ def test_idempotence_with_ties_and_zeros():
     x[2] = x[0]  # bitwise-identical run across a would-be block edge
     p = project_cone(x)
     assert np.array_equal(p.x, x)
+
+
+@pytest.mark.parametrize("tail", [[], [0.0, 0.0]])
+def test_identity_with_alternating_pooled_and_singleton_runs(tail):
+    # Each run of 6 x 2.2, 6 x 1.1, 3 x 0.7 and 3 x 0.1 pools into one
+    # block whose PAVA mean is off by an ulp, with singletons between
+    # them.  Without the zero tail the last pooled run ends at n.
+    x = np.array([2.2] * 6 + [1.5] + [1.1] * 6 + [0.9] + [0.7] * 3
+                 + [0.5] + [0.1] * 3 + tail)
+    p = project_cone(x)
+    assert x.tobytes() == p.x.tobytes()
+    pooled = [(s, e) for s, e, _ in p.blocks if e - s > 1]
+    assert pooled[:4] == [(0, 6), (7, 13), (14, 17), (18, 21)]
+
+
+def test_reduce_spans_matches_slices():
+    # Adjacent spans, a span ending at n and long gaps between spans.
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        cuts = np.unique(rng.integers(0, n + 1, rng.integers(2, 12)))
+        if cuts.size < 2:
+            continue
+        starts, stops = cuts[:-1], cuts[1:]
+        keep = rng.random(starts.size) < 0.6
+        keep[-1] |= rng.random() < 0.5
+        if not keep.any():
+            continue
+        starts, stops = starts[keep], stops[keep]
+        v = rng.standard_normal(n)
+        for ufunc in (np.minimum, np.maximum):
+            expected = [ufunc.reduce(v[s:t]) for s, t in zip(starts, stops)]
+            assert np.array_equal(reduce_spans(ufunc, v, starts, stops), expected)
+        # reduce sums pairwise and reduceat left to right
+        sums = [np.sum(v[s:t]) for s, t in zip(starts, stops)]
+        assert reduce_spans(np.add, v, starts, stops) == pytest.approx(
+            sums, rel=1e-13, abs=1e-13)
 
 
 def test_nonexpansiveness():

@@ -13,7 +13,7 @@ from owlball import (
     project_cone,
 )
 from owlball.oracle import ball_certificate
-from owlball.ssn import _PHI_SLACK, solve
+from owlball.ssn import _PHI_SLACK, block_curvature, solve
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -93,6 +93,71 @@ class TestDualGradient:
             ys = np.sort(rng.uniform(-5.0, 5.0, size=30))
             grads = [dual_gradient(float(y), w, weights, tau)[0] for y in ys]
             assert np.all(np.diff(grads) >= -1e-12)
+
+
+class TestBlockCurvature:
+    """``block_curvature`` against the Jacobian route it replaces in ``solve``."""
+
+    @staticmethod
+    def assert_matches_jacobian(d, weights):
+        p = project_cone(d)
+        reference = curvature(cone_jacobian(p), weights)
+        m = block_curvature(p, weights.values)
+        assert reference > 0.0
+        assert abs(m - reference) <= 1e-13 * reference
+
+    @staticmethod
+    def random_weights(rng, n):
+        lam = np.sort(np.abs(rng.standard_normal(n)))[::-1]
+        lam[0] += 0.01
+        lam[rng.integers(1, n + 1):] = 0.0      # sometimes a zero tail
+        return Weights(lam)
+
+    def test_random_projections(self):
+        rng = np.random.default_rng(60)
+        for _ in range(300):
+            n = int(rng.integers(1, 2000))
+            self.assert_matches_jacobian(rng.standard_normal(n) + 0.5,
+                                         self.random_weights(rng, n))
+
+    def test_tied_projections(self):
+        # Long runs of identical entries pool into blocks whose values the
+        # tie repair restores exactly; plateau weights tie lam as well.
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            n = int(rng.integers(1, 2000))
+            d = np.round(rng.standard_normal(n), 1) + 0.5
+            lam = np.repeat(rng.uniform(0.1, 2.0, 3), [1, n // 2, n - 1 - n // 2])
+            self.assert_matches_jacobian(d, Weights(np.sort(lam)[::-1]))
+
+    def test_zero_tail_projections(self):
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            n = int(rng.integers(2, 2000))
+            d = np.sort(rng.standard_normal(n))[::-1] - rng.uniform(0.0, 1.0)
+            d[0] = abs(d[0]) + 0.1
+            d[-1] = -abs(d[-1]) - 0.1
+            p = project_cone(d)
+            assert p.block_values[-1] == 0.0
+            self.assert_matches_jacobian(d, self.random_weights(rng, n))
+
+    def test_singleton_only_projections(self):
+        rng = np.random.default_rng(63)
+        for _ in range(200):
+            n = int(rng.integers(1, 2000))
+            d = np.cumsum(rng.uniform(0.01, 1.0, n))[::-1]
+            assert project_cone(d).num_blocks == n
+            self.assert_matches_jacobian(d, self.random_weights(rng, n))
+
+    def test_zero_projection_is_exactly_zero(self):
+        # solve branches on m > 0.0, so roundoff must not leave a residue.
+        rng = np.random.default_rng(64)
+        for n in (1, 2, 17, 1000):
+            weights = self.random_weights(rng, n)
+            p = project_cone(-np.abs(rng.standard_normal(n)))
+            assert not p.x.any()
+            assert block_curvature(p, weights.values) == 0.0
+            assert curvature(cone_jacobian(p), weights) == 0.0
 
 
 class TestSolveBasics:
