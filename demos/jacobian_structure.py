@@ -15,13 +15,13 @@ import numpy as np
 from owlball import (
     Instance,
     Weights,
-    active_set,
     apply_ball_jacobian,
     ball_jacobian,
     project_ball,
     project_cone,
-    signed_sort,
 )
+from owlball.core import signed_sort
+from owlball.isotonic import active_set
 
 
 def main():

@@ -27,7 +27,6 @@ def main():
         seed=7,
         solvers=("ssn", "rootfind"),
         eps=1e-12,
-        threads=1,
     )
     cells = run_experiment(cfg)
     print(render_markdown(cells))

@@ -15,30 +15,19 @@ Typical use::
     w = Weights(np.linspace(2.0, 1.0, 5))
     inst = Instance(np.random.randn(5), w, tau=1.5)
     x = project_ball(inst).x
+
+Everything else (signed sorts, active sets, the dual objective, the
+oracles) stays importable from its submodule.
 """
 
-from .core import (
-    INSIDE_RTOL,
-    Instance,
-    SignedSort,
-    Weights,
-    is_trivial,
-    owl_norm,
-    signed_sort,
-)
-from .isotonic import ConeProjection, active_set, project_cone
+from .core import Instance, Weights, owl_norm
+from .isotonic import ConeProjection, project_cone
 from .jacobian import (
     BallJacobian,
-    BlockPartition,
-    ConeJacobian,
     apply_ball_jacobian,
     apply_cone_jacobian,
     ball_jacobian,
     cone_jacobian,
-    curvature,
-    dense_cone_jacobian,
-    difference_matrix,
-    partition_from_active_set,
 )
 from .projector import ProjectionResult, project_ball, prox_owl
 from .rootfind import (
@@ -48,46 +37,32 @@ from .rootfind import (
     dual_norm,
     solve_root,
 )
-from .ssn import SsnParams, SsnReport, StepRecord, dual_gradient, dual_value
+from .ssn import SsnParams, SsnReport
 from .ssn import solve as ssn_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INSIDE_RTOL",
-    "Instance",
-    "SignedSort",
     "Weights",
-    "is_trivial",
+    "Instance",
     "owl_norm",
-    "signed_sort",
-    "ConeProjection",
-    "active_set",
-    "project_cone",
-    "BallJacobian",
-    "BlockPartition",
-    "ConeJacobian",
-    "apply_ball_jacobian",
-    "apply_cone_jacobian",
-    "ball_jacobian",
-    "cone_jacobian",
-    "curvature",
-    "dense_cone_jacobian",
-    "difference_matrix",
-    "partition_from_active_set",
-    "ProjectionResult",
+    "dual_norm",
     "project_ball",
+    "ProjectionResult",
     "prox_owl",
+    "solve_root",
+    "RootfindReport",
     "BracketError",
     "NonConvergenceError",
-    "RootfindReport",
-    "dual_norm",
-    "solve_root",
     "SsnParams",
     "SsnReport",
-    "StepRecord",
-    "dual_gradient",
-    "dual_value",
     "ssn_solve",
+    "project_cone",
+    "ConeProjection",
+    "ball_jacobian",
+    "apply_ball_jacobian",
+    "BallJacobian",
+    "cone_jacobian",
+    "apply_cone_jacobian",
     "__version__",
 ]

@@ -3,10 +3,11 @@
 Instance generation is deterministic by construction, not by luck: each
 (beta, n, sigma, rep) cell draws from its own counter-based stream,
 ``Philox`` keyed by ``SeedSequence(seed, spawn_key=(i_beta, i_n,
-i_sigma, rep))``.  Streams are independent of execution order and
-thread count, so a run with ``threads=8`` produces bit-for-bit the same
-instances (and hence the same non-timing columns) as a serial run.
-Gaussians come from numpy's standard normal on that stream.
+i_sigma, rep))``.  Streams are independent of execution order, so any
+subset of a grid sees bit-for-bit the same instances (and hence the
+same non-timing columns) as the full grid.  Gaussians come from
+numpy's standard normal on that stream.  Cells run one after another,
+so their timings are comparable.
 
 Both solvers are driven to the same relative radius-residual target
 (``eps``), so their objectives are comparable and the timing race is
@@ -17,7 +18,6 @@ concede accuracy for speed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +63,6 @@ class ExperimentConfig:
     seed: int = 0
     solvers: tuple = SOLVERS
     eps: float = 1e-12
-    threads: int = 1
     output: str | None = None
 
     def __post_init__(self):
@@ -87,8 +86,6 @@ class ExperimentConfig:
             raise ValueError("solvers must not repeat")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -231,16 +228,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     Non-convergence, by contrast, is recorded on the cell and left to
     the caller.
     """
-    keys = [(ib, inn, isg)
+    return [_run_cell(cfg, ib, inn, isg)
             for ib in range(len(cfg.beta_list))
             for inn in range(len(cfg.n_list))
             for isg in range(len(cfg.sigma_list))]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            cells = list(pool.map(lambda k: _run_cell(cfg, *k), keys))
-    else:
-        cells = [_run_cell(cfg, *k) for k in keys]
-    return cells
 
 
 def render_csv(cells) -> str:

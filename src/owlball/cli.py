@@ -4,7 +4,7 @@ Two subcommands::
 
     owlball bench --n 10000,100000 --sigma 1e-3,1,1e3 --beta 0.1,0.5 \
         --reps 3 --seed 0 --solvers ssn,rootfind --eps 1e-12 \
-        --format csv --out results.csv --threads 1
+        --format csv --out results.csv
 
     owlball project --input b.f64 --lambda lam.f64 --tau 2.5 --out x.f64
 
@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output format (default: csv)")
     b.add_argument("--out", default=None, metavar="PATH",
                    help="output file (default: stdout)")
-    b.add_argument("--threads", type=int, default=1,
-                   help="worker threads across grid cells (default: 1)")
     b.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("project", help="project one vector onto one ball")
@@ -101,7 +99,7 @@ def _cmd_bench(args) -> int:
     cfg = bench_mod.ExperimentConfig(
         n_list=args.n, sigma_list=args.sigma, beta_list=args.beta,
         reps=args.reps, seed=args.seed, solvers=args.solvers,
-        eps=args.eps, threads=args.threads, output=args.out)
+        eps=args.eps, output=args.out)
     cells = bench_mod.run_experiment(cfg)
     render = bench_mod.render_csv if args.format == "csv" else bench_mod.render_markdown
     text = render(cells)

@@ -1,26 +1,23 @@
 """Generalized Jacobians of the cone and ball projectors as O(n) operators.
 
-The projector onto the monotone nonnegative cone is piecewise linear;
-on the piece selected by a tight-constraint set ``G`` its Jacobian is
-the orthogonal projector ``H = I - B_G.T (B_G B_G.T)^-1 B_G`` onto the
-nullspace of the tight rows of the difference operator ``B``.  ``H``
-never needs to be formed: grouping consecutive tight constraints into
-maximal runs shows it acts as
+The projector onto the monotone nonnegative cone is piecewise linear,
+and on the piece of a projection ``p`` its Jacobian ``H`` is fixed by
+the constant blocks of ``p``, in the form :func:`project_cone` returns
+them (``block_starts`` plus whether the last block is pinned at zero):
 
-* the group mean replicated over a span of ``L+1`` coordinates for each
-  tight run of ``L`` constraints that stops short of the last one
-  (a rank-one averaging block, ``D = 0`` there),
-* zero on the trailing coordinates covered by a tight run that includes
-  the last constraint (those coordinates are pinned at the value 0),
-* the identity everywhere else.
+* a pooled block (two or more coordinates) with a positive value maps
+  the input to its mean, replicated over the block;
+* the zero block, which can only be the last one, maps to zero;
+* a singleton block with a positive value passes its coordinate through.
 
-So ``H = D + U U.T`` with ``D`` a 0/1 diagonal and one column of ``U``
-per averaging group holding ``1/sqrt(L+1)`` on its span.  The ball
+So ``H = D + U U.T`` with ``D`` a 0/1 diagonal (the positive singletons)
+and one column of ``U`` per positive pooled block of length ``L``,
+holding ``1/sqrt(L)`` on it.  ``H`` is never formed.  The ball
 projector's Jacobian is the same ``H`` conjugated by the signed sort and
 corrected by a rank-one term along ``H @ lam``.
 
-Dense reference constructions (direct linear solves) are provided for
-validation at small n; everything else is implicit and O(n).
+The dense reference ``I - B_G.T (B_G B_G.T)^-1 B_G`` for a tight set
+``G`` lives in :mod:`owlball.oracle`, which also maps ``G`` to blocks.
 """
 
 from __future__ import annotations
@@ -29,127 +26,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignedSort, Weights, signed_sort
-from .isotonic import ConeProjection, active_set, project_cone
+from .core import SignedSort, signed_sort
+from .isotonic import ConeProjection, project_cone
 
 __all__ = [
-    "BlockPartition",
     "ConeJacobian",
     "BallJacobian",
-    "partition_from_active_set",
     "cone_jacobian",
     "apply_cone_jacobian",
-    "curvature",
     "ball_jacobian",
     "apply_ball_jacobian",
-    "dense_cone_jacobian",
 ]
-
-# Dense reference forms are O(n^3) test oracles; refuse silly sizes.
-DENSE_CAP = 200
-
-
-class BlockPartition:
-    """Maximal runs of constraints sharing tight/slack status.
-
-    The n cone constraints (0-based: ``i < n-1`` is ``x[i] >= x[i+1]``,
-    ``n-1`` is ``x[n-1] >= 0``) are covered by alternating runs.  Run j
-    spans ``run_lengths[j]`` consecutive constraints and is tight
-    (``run_tight[j]``, all constraints in the tight set) or slack (none
-    are).
-
-    Attributes
-    ----------
-    run_lengths : ndarray of int
-    run_tight : ndarray of bool
-    n : int
-        Total number of constraints (= the dimension).
-    """
-
-    def __init__(self, run_lengths, run_tight, n):
-        self.run_lengths = np.asarray(run_lengths, dtype=np.intp)
-        self.run_tight = np.asarray(run_tight, dtype=bool)
-        self.n = int(n)
-        if self.run_lengths.size != self.run_tight.size:
-            raise ValueError("run_lengths and run_tight must have equal length")
-        if self.run_lengths.size:
-            if int(self.run_lengths.sum()) != self.n:
-                raise ValueError("run lengths must sum to n")
-            if np.any(self.run_lengths < 1):
-                raise ValueError("runs must be nonempty")
-            if np.any(self.run_tight[1:] == self.run_tight[:-1]):
-                raise ValueError("consecutive runs must alternate status")
-        elif self.n != 0:
-            raise ValueError("run lengths must sum to n")
-
-    @property
-    def num_runs(self) -> int:
-        return self.run_lengths.size
-
-    @property
-    def tight_runs(self) -> np.ndarray:
-        """Indices of the tight runs."""
-        return np.flatnonzero(self.run_tight)
-
-
-def partition_from_active_set(gamma, n: int) -> BlockPartition:
-    """Group a tight-constraint index set into alternating runs."""
-    flags = np.zeros(n, dtype=bool)
-    gamma = np.asarray(gamma, dtype=np.intp)
-    if gamma.size and (gamma.min() < 0 or gamma.max() >= n):
-        raise ValueError("constraint indices must lie in [0, n)")
-    flags[gamma] = True
-    starts = np.concatenate(([0], np.flatnonzero(flags[1:] != flags[:-1]) + 1))
-    lengths = np.diff(np.append(starts, n))
-    return BlockPartition(lengths, flags[starts], n)
 
 
 class ConeJacobian:
-    """Implicit projector Jacobian ``H = D + U U.T`` for one tight set.
+    """Implicit projector Jacobian ``H = D + U U.T`` on one piece.
 
-    Built from a :class:`BlockPartition`; see the module docstring for
-    the coordinate layout.  ``apply_cone_jacobian`` is the matvec.
+    ``apply_cone_jacobian`` is the matvec; see the module docstring for
+    the layout.
 
     Attributes
     ----------
-    partition : BlockPartition
-    avg_starts, avg_stops : ndarray of int
-        Half-open coordinate spans of the averaging groups (the U
-        columns); span ``[s, t)`` gets the mean of the input over it.
-    zero_start : int or None
-        First coordinate of the zeroed suffix, when the tight set
-        includes the last constraint.
+    block_starts : ndarray of int
+        First index of each block; blocks partition ``range(n)``.
+    zero_tail : bool
+        The last block is pinned at zero (``block_values[-1] == 0``).
+    n : int
+    avg_starts, avg_stops, avg_sizes : ndarray of int
+        Half-open spans ``[s, t)`` of the pooled blocks off the zero
+        tail (the U columns) and their lengths.
+    avg_coords : ndarray of int
+        All coordinates of those spans, ascending.
+    zero_start : int
+        First coordinate of the zero tail, ``n`` when there is none.
     """
 
-    def __init__(self, partition: BlockPartition):
-        self.partition = partition
-        n = partition.n
-        run_starts = np.concatenate(([0], np.cumsum(partition.run_lengths)[:-1]))
-        tight = partition.run_tight
-        starts = run_starts[tight]
-        lengths = partition.run_lengths[tight]
-
-        # A tight run of L constraints pools L+1 coordinates, except a
-        # run reaching the last constraint, which pins its own L
-        # coordinates at zero (there is no coordinate after the end).
-        reaches_end = starts + lengths == n
-        self.zero_start = int(starts[reaches_end][0]) if reaches_end.any() else None
-        self.avg_starts = starts[~reaches_end]
-        self.avg_stops = (starts + lengths + 1)[~reaches_end]
+    def __init__(self, block_starts, zero_tail: bool, n: int):
+        self.block_starts = np.asarray(block_starts, dtype=np.intp)
+        self.zero_tail = bool(zero_tail)
+        self.n = int(n)
+        starts = self.block_starts
+        stops = np.append(starts[1:], self.n)
+        if self.zero_tail:
+            starts, stops = starts[:-1], stops[:-1]
+        pooled = stops - starts > 1
+        self.avg_starts, self.avg_stops = starts[pooled], stops[pooled]
         self.avg_sizes = self.avg_stops - self.avg_starts
-        self._avg_coords: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
-
-    def avg_coords(self) -> np.ndarray:
-        """All coordinates covered by averaging groups, ascending."""
-        if self._avg_coords is None:
-            offsets = np.concatenate(([0], np.cumsum(self.avg_sizes)[:-1]))
-            base = np.repeat(self.avg_starts - offsets, self.avg_sizes)
-            self._avg_coords = base + np.arange(base.size)
-        return self._avg_coords
+        offsets = np.cumsum(self.avg_sizes) - self.avg_sizes
+        base = np.repeat(self.avg_starts - offsets, self.avg_sizes)
+        self.avg_coords = base + np.arange(base.size)
+        self.zero_start = int(self.block_starts[-1]) if self.zero_tail else self.n
 
 
 @dataclass(frozen=True)
@@ -176,14 +102,14 @@ class BallJacobian:
 def cone_jacobian(p: ConeProjection) -> ConeJacobian:
     """Jacobian of the cone projector on the piece selected by ``p``.
 
-    Uses the canonical maximal tight set read off the block structure of
-    ``p``; O(n).
+    Read off the canonical blocks of ``p``, so the tight set is the
+    maximal one; O(n).
     """
-    return ConeJacobian(partition_from_active_set(active_set(p), p.n))
+    return ConeJacobian(p.block_starts, p.block_values[-1] == 0.0, p.n)
 
 
 def apply_cone_jacobian(h: ConeJacobian, v) -> np.ndarray:
-    """Matvec ``H v`` in O(n): copy, average each group, zero the tail."""
+    """Matvec ``H v`` in O(n): copy, average each pooled span, zero the tail."""
     v = np.asarray(v, dtype=np.float64)
     if v.size != h.n:
         raise ValueError(f"expected length {h.n}, got {v.size}")
@@ -191,22 +117,9 @@ def apply_cone_jacobian(h: ConeJacobian, v) -> np.ndarray:
     if h.avg_starts.size:
         csum = np.concatenate(([0.0], np.cumsum(v)))
         means = (csum[h.avg_stops] - csum[h.avg_starts]) / h.avg_sizes
-        out[h.avg_coords()] = np.repeat(means, h.avg_sizes)
-    if h.zero_start is not None:
-        out[h.zero_start:] = 0.0
+        out[h.avg_coords] = np.repeat(means, h.avg_sizes)
+    out[h.zero_start:] = 0.0
     return out
-
-
-def curvature(h: ConeJacobian, weights: Weights) -> float:
-    """Scalar curvature ``lam.T H lam`` of the dual objective.
-
-    Always nonnegative; strictly positive whenever the underlying cone
-    projection is nonzero (the leading coordinate then sits in an
-    identity or averaging part of ``H`` and the leading weight is
-    positive); exactly zero when ``H`` annihilates everything.
-    """
-    lam = weights.values if isinstance(weights, Weights) else np.asarray(weights)
-    return float(np.dot(lam, apply_cone_jacobian(h, lam)))
 
 
 def ball_jacobian(inst, solution) -> BallJacobian:
@@ -241,24 +154,3 @@ def apply_ball_jacobian(s: BallJacobian, v) -> np.ndarray:
     t = apply_cone_jacobian(s.cone, u)
     t -= s.unit * float(np.dot(s.unit, u))
     return s.sort.apply_inverse(t)
-
-
-def difference_matrix(n: int) -> np.ndarray:
-    """Dense constraint matrix: rows ``x[i] - x[i+1]`` and last row ``x[n-1]``."""
-    return np.eye(n) - np.eye(n, k=1)
-
-
-def dense_cone_jacobian(gamma, n: int) -> np.ndarray:
-    """Dense reference ``H = I - B_G.T (B_G B_G.T)^-1 B_G`` (test oracle).
-
-    Direct linear solve, O(n^3); capped at ``DENSE_CAP``.
-    """
-    if n > DENSE_CAP:
-        raise ValueError(f"dense reference capped at n = {DENSE_CAP}, got {n}")
-    gamma = np.unique(np.asarray(gamma, dtype=np.intp))
-    if gamma.size == 0:
-        return np.eye(n)
-    if gamma.min() < 0 or gamma.max() >= n:
-        raise ValueError("constraint indices must lie in [0, n)")
-    bg = difference_matrix(n)[gamma]
-    return np.eye(n) - bg.T @ np.linalg.solve(bg @ bg.T, bg)

@@ -8,6 +8,10 @@ no Newton iteration, no bracketing); only the basic vocabulary types
 are reused.  Costs are exponential in n and the entry points enforce
 small-n caps.
 
+The dense reference for the cone projector's Jacobian on a tight set
+also lives here, with the map from a tight set to the block form that
+the implicit Jacobian in :mod:`owlball.jacobian` is built from.
+
 Certificates report a worst-case KKT violation measured relative to the
 data scale (values are divided by ``1 + max(|data|, tau)``), so the
 acceptance threshold means the same thing for inputs of magnitude 1e-3
@@ -25,6 +29,9 @@ from .core import Instance, Weights, owl_norm, signed_sort
 
 __all__ = [
     "KktCertificate",
+    "difference_matrix",
+    "dense_cone_jacobian",
+    "tight_set_blocks",
     "oracle_cone",
     "cone_certificate",
     "oracle_ball",
@@ -34,6 +41,9 @@ __all__ = [
 
 MAX_N_CONE = 12
 MAX_N_BALL = 10
+
+# Dense reference forms are O(n^3) test oracles; refuse silly sizes.
+DENSE_CAP = 200
 
 # A candidate tight set is accepted when its scaled KKT violation is
 # below this; the true tight set lands around machine epsilon, so the
@@ -67,10 +77,43 @@ class KktCertificate:
         return self.y, self.z
 
 
-def _difference_rows(n: int) -> np.ndarray:
-    """Constraint rows: x[i] - x[i+1] for i < n-1, then x[n-1]."""
-    rows = np.eye(n) - np.eye(n, k=1)
-    return rows
+def difference_matrix(n: int) -> np.ndarray:
+    """Dense constraint matrix: rows ``x[i] - x[i+1]`` and last row ``x[n-1]``."""
+    return np.eye(n) - np.eye(n, k=1)
+
+
+def _check_tight_set(gamma, n: int) -> np.ndarray:
+    gamma = np.asarray(gamma, dtype=np.intp)
+    if gamma.size and (gamma.min() < 0 or gamma.max() >= n):
+        raise ValueError("constraint indices must lie in [0, n)")
+    return gamma
+
+
+def dense_cone_jacobian(gamma, n: int) -> np.ndarray:
+    """Dense reference ``H = I - B_G.T (B_G B_G.T)^-1 B_G`` (test oracle).
+
+    Direct linear solve, O(n^3); capped at ``DENSE_CAP``.
+    """
+    if n > DENSE_CAP:
+        raise ValueError(f"dense reference capped at n = {DENSE_CAP}, got {n}")
+    gamma = np.unique(_check_tight_set(gamma, n))
+    if gamma.size == 0:
+        return np.eye(n)
+    bg = difference_matrix(n)[gamma]
+    return np.eye(n) - bg.T @ np.linalg.solve(bg @ bg.T, bg)
+
+
+def tight_set_blocks(gamma, n: int) -> tuple[np.ndarray, bool]:
+    """Block form ``(block_starts, zero_tail)`` of the tight set ``gamma``.
+
+    A block starts at 0 and after each slack constraint ``i < n-1``; the
+    last block is pinned at zero iff the sign constraint ``n-1`` is
+    tight.  ``ConeJacobian(block_starts, zero_tail, n)`` is then the
+    implicit form of ``dense_cone_jacobian(gamma, n)``.
+    """
+    slack = np.ones(n, dtype=bool)
+    slack[_check_tight_set(gamma, n)] = False
+    return np.flatnonzero(np.append(True, slack[:-1])), not slack[-1]
 
 
 def _subsets(n: int):
@@ -94,7 +137,7 @@ def cone_certificate(d) -> KktCertificate:
         raise ValueError("d must be a nonempty vector")
     if n > MAX_N_CONE:
         raise ValueError(f"cone oracle capped at n = {MAX_N_CONE}, got {n}")
-    big = _difference_rows(n)
+    big = difference_matrix(n)
     scale = 1.0 + float(np.max(np.abs(d)))
     best = None
     for gamma in _subsets(n):
@@ -157,7 +200,7 @@ def ball_certificate(inst: Instance) -> KktCertificate:
                               max_violation=0.0)
 
     sort, w = signed_sort(b)
-    big = _difference_rows(n)
+    big = difference_matrix(n)
     scale = 1.0 + max(float(np.max(np.abs(b))), tau)
     best = None
     for gamma in _subsets(n):

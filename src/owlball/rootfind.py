@@ -78,8 +78,12 @@ def dual_norm(y, weights: Weights) -> float:
         weights = Weights(weights)
     if y.ndim != 1 or y.size != weights.n:
         raise ValueError(f"y must be a vector of length {weights.n}")
-    mags = np.sort(np.abs(y))[::-1]
-    return float(np.max(np.cumsum(mags) / np.cumsum(weights.values)))
+    return _sorted_dual_norm(np.sort(np.abs(y))[::-1], weights.values)
+
+
+def _sorted_dual_norm(mags, lam) -> float:
+    """:func:`dual_norm` of magnitudes already sorted nonincreasingly."""
+    return float(np.max(np.cumsum(mags) / np.cumsum(lam)))
 
 
 def solve_root(inst: Instance, tol: float = 1e-9,
@@ -107,7 +111,7 @@ def solve_root(inst: Instance, tol: float = 1e-9,
             "owl_norm(b) <= tau: b is already feasible and the radius "
             "equation has no root; call project_ball instead")
 
-    hi = float(np.max(np.cumsum(w) / np.cumsum(lam)))  # dual norm; w = |b| sorted
+    hi = _sorted_dual_norm(w, lam)
     evals = 0
 
     def g(mu: float):

@@ -53,6 +53,7 @@ _MAX_BACKTRACKS = 60
 # of a few ulps of the evaluated terms; above the noise scale it is the
 # plain Armijo inequality.
 _PHI_SLACK = 16.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,23 @@ class SsnReport:
     step_trace: list[StepRecord] = field(repr=False)
 
 
+def _phi(x, y: float, tau: float, half_wsq: float) -> tuple[float, float]:
+    """phi(y) from ``x = Pi_C(y lam + w)`` and ``half_wsq = 0.5 ||w||^2``.
+
+    Also returns the cancellation noise of the evaluation: a few ulps of
+    its three terms (see ``_PHI_SLACK``).
+    """
+    half_xsq = 0.5 * float(np.dot(x, x))
+    phi = half_xsq - y * tau - half_wsq
+    noise = _PHI_SLACK * _EPS * (half_xsq + abs(y * tau) + half_wsq)
+    return phi, noise
+
+
 def dual_value(y: float, w, weights: Weights, tau: float) -> float:
     """phi(y) = 0.5 ||Pi_C(y lam + w)||^2 - y tau - 0.5 ||w||^2."""
     w = np.asarray(w, dtype=np.float64)
     p = project_cone(y * weights.values + w)
-    return float(0.5 * np.dot(p.x, p.x) - y * tau - 0.5 * np.dot(w, w))
+    return _phi(p.x, y, tau, 0.5 * float(np.dot(w, w)))[0]
 
 
 def dual_gradient(y: float, w, weights: Weights, tau: float):
@@ -149,8 +162,8 @@ def block_curvature(p: ConeProjection, lam) -> float:
     zero block.  A singleton's sum is its own weight; only pooled blocks
     are summed, by one ``add.reduceat``, and each term enters the dot as
     ``sum / sqrt(length)``.  O(n).  Equals
-    ``jacobian.curvature(cone_jacobian(p), lam)`` up to roundoff, and is
-    exactly ``0.0`` when ``p.x`` is all zero.
+    ``lam @ apply_cone_jacobian(cone_jacobian(p), lam)`` up to roundoff,
+    and is exactly ``0.0`` when ``p.x`` is all zero.
     """
     lam = np.asarray(lam, dtype=np.float64)
     live = p.num_blocks - int(p.block_values[-1] == 0.0)
@@ -186,7 +199,6 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     lam = weights.values
     half_wsq = 0.5 * float(np.dot(w, w))
     inv_scale = 1.0 / (1.0 + tau)
-    eps_mach = float(np.finfo(np.float64).eps)
 
     y = float(params.y0)
     p = project_cone(y * lam + w)
@@ -201,17 +213,14 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         # coordinate into a live block otherwise); fall back to the plain
         # gradient step there, as the Newton direction is undefined.
         d = -grad / m if m > 0.0 else -grad
-        phi = 0.5 * float(np.dot(p.x, p.x)) - y * tau - half_wsq
+        phi, _ = _phi(p.x, y, tau, half_wsq)
         slope = params.mu * grad * d
 
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             y_trial = y + alpha * d
             p_trial = project_cone(y_trial * lam + w)
-            half_xsq = 0.5 * float(np.dot(p_trial.x, p_trial.x))
-            phi_trial = half_xsq - y_trial * tau - half_wsq
-            noise = _PHI_SLACK * eps_mach * (half_xsq + abs(y_trial * tau)
-                                             + half_wsq)
+            phi_trial, noise = _phi(p_trial.x, y_trial, tau, half_wsq)
             if phi_trial <= phi + alpha * slope + noise:
                 break
             alpha *= params.delta

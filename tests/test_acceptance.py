@@ -15,27 +15,27 @@ import numpy as np
 import pytest
 
 from owlball import (
-    ConeJacobian,
     Instance,
     SsnParams,
-    Weights,
-    active_set,
     apply_ball_jacobian,
     apply_cone_jacobian,
     ball_jacobian,
-    cone_jacobian,
-    curvature,
-    dense_cone_jacobian,
-    difference_matrix,
-    partition_from_active_set,
     project_ball,
     project_cone,
-    signed_sort,
     solve_root,
 )
 from owlball.bench import ExperimentConfig, cell_rng, generate_instance, run_experiment
-from owlball.oracle import oracle_ball, oracle_cone
-from owlball.ssn import dual_gradient
+from owlball.core import signed_sort
+from owlball.isotonic import active_set
+from owlball.jacobian import ConeJacobian
+from owlball.oracle import (
+    dense_cone_jacobian,
+    difference_matrix,
+    oracle_ball,
+    oracle_cone,
+    tight_set_blocks,
+)
+from owlball.ssn import block_curvature, dual_gradient
 
 pytestmark = pytest.mark.acceptance
 
@@ -71,7 +71,7 @@ def million_batch():
             assert report is not None and report.converged
             sort, w = signed_sort(inst.b)
             grad, p = dual_gradient(report.y_star, w, inst.weights, inst.tau)
-            m = curvature(cone_jacobian(p), inst.weights)
+            m = block_curvature(p, inst.weights.values)
             assert m > 0.0
             records.append({
                 "beta": beta,
@@ -186,7 +186,7 @@ class TestAcceptance:
         for k in range(500):
             n = int(rng.integers(2, 51))
             gamma = np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9))
-            h = ConeJacobian(partition_from_active_set(gamma, n))
+            h = ConeJacobian(*tight_set_blocks(gamma, n), n)
             eye = np.eye(n)
             Hi = np.column_stack([apply_cone_jacobian(h, e) for e in eye])
             Hd = dense_cone_jacobian(gamma, n)
@@ -303,8 +303,7 @@ class TestAcceptance:
         gc.collect()
         cfg = ExperimentConfig(
             n_list=(1_000_000,), sigma_list=SIGMAS, beta_list=BETAS,
-            reps=3, seed=83, solvers=("ssn", "rootfind"), eps=1e-12,
-            threads=1)
+            reps=3, seed=83, solvers=("ssn", "rootfind"), eps=1e-12)
         cells = run_experiment(cfg)
         wins = 0
         for cell in cells:
@@ -326,7 +325,7 @@ class TestAcceptance:
         cfg = ExperimentConfig(
             n_list=(100_000, 1_000_000), sigma_list=SIGMAS,
             beta_list=BETAS, reps=1, seed=91, solvers=("ssn",),
-            eps=1e-12, threads=1)
+            eps=1e-12)
         cells = run_experiment(cfg)
         times = {100_000: [], 1_000_000: []}
         for cell in cells:

@@ -70,7 +70,7 @@ class TestConfig:
         {"beta_list": (0.5, 1.0)}, {"beta_list": (0.0,)},
         {"sigma_list": (0.0,)}, {"n_list": (0,)},
         {"reps": 0}, {"solvers": ()}, {"solvers": ("ssn", "ssn")},
-        {"solvers": ("newton",)}, {"eps": 0.0}, {"threads": 0},
+        {"solvers": ("newton",)}, {"eps": 0.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -110,15 +110,6 @@ class TestRunExperiment:
 
         assert strip_times(run_experiment(cfg)) == strip_times(run_experiment(cfg))
 
-    def test_threaded_run_matches_serial(self):
-        serial = run_experiment(ExperimentConfig(**SMALL_CFG))
-        threaded = run_experiment(ExperimentConfig(threads=4, **SMALL_CFG))
-        for a, b in zip(serial, threaded):
-            assert (a.beta, a.n, a.sigma) == (b.beta, b.n, b.sigma)
-            for ra, rb in zip(a.records, b.records):
-                assert ra.objective == rb.objective
-                assert ra.iters_or_evals == rb.iters_or_evals
-
 
 class TestRendering:
     def test_csv_header_and_shape(self):
@@ -148,7 +139,6 @@ def test_newton_beats_baseline_with_slack():
     # Hard assertion with 2x slack; the strict ordering claim lives in
     # the acceptance suite at full size.
     cfg = ExperimentConfig(n_list=(100_000,), sigma_list=(1e-3, 1.0, 1e3),
-                           beta_list=(1e-3, 1e-1, 0.8), reps=1, seed=9,
-                           threads=1)
+                           beta_list=(1e-3, 1e-1, 0.8), reps=1, seed=9)
     for cell in run_experiment(cfg):
         assert cell.mean_time("ssn") <= 2.0 * cell.mean_time("rootfind")

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from owlball import Instance, SignedSort, Weights, is_trivial, owl_norm, signed_sort
-from owlball.core import INSIDE_RTOL
+from owlball import Instance, Weights, owl_norm
+from owlball.core import INSIDE_RTOL, SignedSort, is_trivial, signed_sort
 
 
 class TestWeights:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from owlball import ConeProjection, active_set, project_cone
-from owlball.isotonic import reduce_spans
+from owlball import ConeProjection, project_cone
+from owlball.isotonic import active_set, reduce_spans
 from owlball.oracle import oracle_cone
 
 

@@ -3,24 +3,25 @@ import pytest
 
 from owlball import (
     BallJacobian,
-    BlockPartition,
-    ConeJacobian,
     Instance,
     Weights,
-    active_set,
     apply_ball_jacobian,
     apply_cone_jacobian,
     ball_jacobian,
     cone_jacobian,
-    curvature,
-    dense_cone_jacobian,
-    difference_matrix,
     owl_norm,
-    partition_from_active_set,
     project_ball,
     project_cone,
 )
-from owlball.jacobian import DENSE_CAP
+from owlball.isotonic import active_set
+from owlball.jacobian import ConeJacobian
+from owlball.oracle import (
+    DENSE_CAP,
+    dense_cone_jacobian,
+    difference_matrix,
+    tight_set_blocks,
+)
+from owlball.ssn import block_curvature
 
 
 def implicit_dense(h: ConeJacobian) -> np.ndarray:
@@ -85,7 +86,7 @@ class TestConeJacobian:
         for _ in range(500):
             n = int(rng.integers(2, 51))
             gamma = random_tight_set(rng, n)
-            h = ConeJacobian(partition_from_active_set(gamma, n))
+            h = ConeJacobian(*tight_set_blocks(gamma, n), n)
             Hd = dense_cone_jacobian(gamma, n)
             v = rng.standard_normal(n)
             assert np.max(np.abs(apply_cone_jacobian(h, v) - Hd @ v)) <= 1e-12
@@ -101,33 +102,44 @@ class TestConeJacobian:
         with pytest.raises(ValueError):
             apply_cone_jacobian(h, np.ones(4))
 
-    def test_partition_validates_indices(self):
+    def test_tight_set_blocks_validates_indices(self):
         with pytest.raises(ValueError):
-            partition_from_active_set([5], 3)
+            tight_set_blocks([5], 3)
         with pytest.raises(ValueError):
-            partition_from_active_set([-1], 3)
+            tight_set_blocks([-1], 3)
 
-    def test_partition_must_alternate(self):
-        with pytest.raises(ValueError):
-            BlockPartition([2, 3], [True, True], 5)
-        with pytest.raises(ValueError):
-            BlockPartition([2, 3], [True, False], 6)
+    def test_tight_set_route_matches_projection_blocks(self):
+        # The two routes to a ConeJacobian: the blocks of a canonical
+        # projection, and the block form of its maximal tight set.
+        rng = np.random.default_rng(36)
+        zero = zero_tail = 0
+        for k in range(600):
+            n = int(rng.integers(1, 41))
+            d = rng.standard_normal(n) + (0.0, 0.5, -0.5)[k % 3]
+            if k % 7 == 0:
+                d = np.round(d, 1)      # tied runs pool into blocks
+            p = project_cone(d)
+            starts, tail = tight_set_blocks(active_set(p), n)
+            assert np.array_equal(starts, p.block_starts)
+            assert tail == (p.block_values[-1] == 0.0)
+            zero += not p.x.any()
+            zero_tail += bool(tail) and bool(p.x.any())
+        assert zero >= 20 and zero_tail >= 100
 
 
 class TestCurvature:
     def test_identity_gives_squared_norm(self):
-        h = cone_jacobian(project_cone(np.array([5.0, 3.0, 1.0])))
-        w = Weights([2.0, 1.0, 0.5])
-        assert curvature(h, w) == pytest.approx(4.0 + 1.0 + 0.25, rel=1e-15)
+        p = project_cone(np.array([5.0, 3.0, 1.0]))
+        lam = np.array([2.0, 1.0, 0.5])
+        assert block_curvature(p, lam) == pytest.approx(4.0 + 1.0 + 0.25, rel=1e-15)
 
     def test_zero_projection_gives_zero(self):
-        h = cone_jacobian(project_cone(np.array([-1.0, -2.0, 3.0])))
-        assert curvature(h, Weights([1.0, 1.0, 1.0])) == 0.0
+        p = project_cone(np.array([-1.0, -2.0, 3.0]))
+        assert block_curvature(p, np.ones(3)) == 0.0
 
     def test_pooled_example(self):
-        h = cone_jacobian(project_cone(np.array([1.0, 3.0, 2.0])))
-        assert curvature(h, Weights([1.0, 1.0, 1.0])) == pytest.approx(
-            3.0, rel=1e-14)
+        p = project_cone(np.array([1.0, 3.0, 2.0]))
+        assert block_curvature(p, np.ones(3)) == pytest.approx(3.0, rel=1e-14)
 
     def test_nonnegative_and_positive_off_zero(self):
         rng = np.random.default_rng(32)
@@ -137,7 +149,7 @@ class TestCurvature:
             p = project_cone(d)
             lam = np.sort(np.abs(rng.standard_normal(n)))[::-1]
             lam[0] += 0.1
-            m = curvature(cone_jacobian(p), Weights(lam))
+            m = block_curvature(p, lam)
             assert m >= 0.0
             if np.any(p.x != 0.0):
                 assert m > 0.0

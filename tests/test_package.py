@@ -1,0 +1,43 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import owlball
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+PUBLIC = [
+    "Weights", "Instance", "owl_norm", "dual_norm",
+    "project_ball", "ProjectionResult", "prox_owl",
+    "solve_root", "RootfindReport", "BracketError", "NonConvergenceError",
+    "SsnParams", "SsnReport", "ssn_solve",
+    "project_cone", "ConeProjection",
+    "ball_jacobian", "apply_ball_jacobian", "BallJacobian",
+    "cone_jacobian", "apply_cone_jacobian",
+    "__version__",
+]
+
+
+def test_public_surface_is_the_user_facing_calls():
+    assert sorted(owlball.__all__) == sorted(PUBLIC)
+    assert len(owlball.__all__) == len(set(owlball.__all__))
+    for name in owlball.__all__:
+        assert getattr(owlball, name) is not None
+
+
+def test_demos_found():
+    assert len(DEMOS) == 3
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

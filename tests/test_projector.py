@@ -8,8 +8,8 @@ from owlball import (
     owl_norm,
     project_ball,
     prox_owl,
-    signed_sort,
 )
+from owlball.core import signed_sort
 from owlball.oracle import oracle_ball
 from owlball.rootfind import dual_norm
 
