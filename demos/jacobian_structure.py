@@ -18,9 +18,7 @@ from owlball import (
     apply_ball_jacobian,
     ball_jacobian,
     project_ball,
-    project_cone,
 )
-from owlball.core import signed_sort
 from owlball.isotonic import active_set
 
 
@@ -39,9 +37,7 @@ def main():
 
     # The combinatorial state at the solution: which sorted-difference
     # constraints are tight decides the affine piece we are on.
-    sort, wsorted = signed_sort(b)
-    p = project_cone(res.report.y_star * lam + wsorted)
-    print(f"tight constraint set: {active_set(p).tolist()}")
+    print(f"tight constraint set: {active_set(res.report.cone).tolist()}")
 
     s = ball_jacobian(inst, res.report)
     dense = np.column_stack([apply_ball_jacobian(s, e) for e in np.eye(n)])
@@ -58,7 +54,7 @@ def main():
     # The rank-one correction exists to kill exactly one direction: the
     # weight vector pulled back through the signed sort.  Moving b that
     # way only slides the solution along the ball's face constraint.
-    pulled_back = s.sort.apply_inverse(lam)
+    pulled_back = res.sort.apply_inverse(lam)
     print(f"\n||S (P^T lam)|| = "
           f"{np.linalg.norm(apply_ball_jacobian(s, pulled_back)):.3e}  "
           f"(annihilated by construction)")

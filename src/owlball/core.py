@@ -18,6 +18,7 @@ __all__ = [
     "SignedSort",
     "owl_norm",
     "signed_sort",
+    "sign_or_one",
     "is_trivial",
 ]
 
@@ -245,9 +246,16 @@ def _gather_signed(b: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.nda
     """``(signs * b[order], signs)`` with ``signs = sign(b[order])``, zeros
     counted as ``+1``; the product is formed in place of the gather."""
     sorted_b = b[order]
-    signs = np.sign(sorted_b)
-    signs[signs == 0.0] = 1.0
+    signs = sign_or_one(sorted_b)
     return np.multiply(signs, sorted_b, out=sorted_b), signs
+
+
+def sign_or_one(x: np.ndarray) -> np.ndarray:
+    """``sign(x)`` with zeros counted as ``+1``, the convention of
+    :class:`SignedSort`."""
+    signs = np.sign(x)
+    signs[signs == 0.0] = 1.0
+    return signs
 
 
 def is_trivial(inst: Instance) -> bool:

@@ -3,7 +3,8 @@
 Two formats, chosen by file extension:
 
 * ``.csv``: text, one value per line, read/written at full precision.
-* ``.f64``: raw little-endian float64, no header.
+* ``.f64``: raw little-endian float64, no header; a file whose size
+  is not a multiple of 8 bytes is rejected rather than truncated.
 
 These exist for the CLI only; library callers pass arrays directly.
 """
@@ -23,6 +24,10 @@ def read_vector(path) -> np.ndarray:
     if suffix == ".csv":
         return np.loadtxt(path, dtype=np.float64, ndmin=1)
     if suffix == ".f64":
+        size = path.stat().st_size
+        if size % 8:
+            raise ValueError(f"{path}: size {size} bytes is not a multiple of 8, "
+                             "so it is not a float64 vector")
         return np.fromfile(path, dtype="<f8")
     raise ValueError(f"unsupported vector format {suffix!r} (use .csv or .f64)")
 

@@ -12,7 +12,7 @@ of solved for, so it needs no iteration at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,12 +51,13 @@ def project_ball(inst: Instance, params: SsnParams | None = None) -> ProjectionR
     rather than solved, matching ``is_trivial``.
 
     A non-converged solve is not raised here; it is visible on the
-    returned report and left to the caller's policy.
+    returned report and left to the caller's policy.  The report carries
+    the sort, so :func:`owlball.ball_jacobian` can reuse it.
     """
     sort, w = signed_sort(inst.b)
     if float(np.dot(w, inst.weights.values)) <= inst.tau * (1.0 + INSIDE_RTOL):
         return ProjectionResult(x=inst.b.copy(), report=None, sort=sort)
-    report = solve(w, inst.weights, inst.tau, params)
+    report = replace(solve(w, inst.weights, inst.tau, params), sort=sort)
     return ProjectionResult(x=sort.apply_inverse(report.x_star),
                             report=report, sort=sort)
 

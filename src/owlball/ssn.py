@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Weights
+from .core import SignedSort, Weights
 from .isotonic import ConeProjection, project_cone, reduce_spans
 
 __all__ = [
@@ -102,19 +102,27 @@ class StepRecord:
 class SsnReport:
     """Solve outcome.
 
-    ``x_star`` is the primal point at ``y_star``: exactly nonincreasing
-    and nonnegative by construction (it comes out of the cone
-    projector), feasible for the hyperplane only up to ``residual_eta``.
+    ``cone`` is the cone projection at ``y_star`` and ``x_star`` its
+    point: exactly nonincreasing and nonnegative by construction,
+    feasible for the hyperplane only up to ``residual_eta``.
     ``converged`` is False when the iteration cap was hit; callers decide
-    whether that is fatal.
+    whether that is fatal.  ``sort`` is the signed sort that produced
+    ``w``; :func:`owlball.project_ball` fills it in, a bare :func:`solve`
+    leaves it None.  Together with ``cone`` it is all that
+    :func:`owlball.ball_jacobian` needs.
     """
 
     y_star: float
-    x_star: np.ndarray
+    cone: ConeProjection = field(repr=False)
     iterations: int
     residual_eta: float
     converged: bool
     step_trace: list[StepRecord] = field(repr=False)
+    sort: SignedSort | None = field(default=None, repr=False)
+
+    @property
+    def x_star(self) -> np.ndarray:
+        return self.cone.x
 
 
 def _phi(x, y: float, tau: float, half_wsq: float) -> tuple[float, float]:
@@ -233,6 +241,6 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         eta = abs(grad) * inv_scale
         iterations += 1
 
-    return SsnReport(y_star=y, x_star=p.x, iterations=iterations,
+    return SsnReport(y_star=y, cone=p, iterations=iterations,
                      residual_eta=eta, converged=eta <= params.eps,
                      step_trace=trace)

@@ -25,6 +25,12 @@ class TestVectorIO:
         assert got.shape == (1,)
         assert got[0] == 42.0
 
+    def test_f64_size_not_multiple_of_8_rejected(self, tmp_path):
+        path = tmp_path / "v.f64"
+        path.write_bytes(bytes(11))
+        with pytest.raises(ValueError, match="multiple of 8"):
+            read_vector(path)
+
     def test_unknown_extension_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_vector(tmp_path / "v.json", np.array([1.0]))
@@ -69,6 +75,23 @@ class TestProjectCommand:
     def test_invalid_weights_exit_one(self, tmp_path):
         code, _ = self.run_project(tmp_path, [3.0, 1.0], [1.0, 2.0], 2.0)
         assert code == 1
+
+    def test_truncated_f64_exits_one(self, tmp_path, capsys):
+        # 11 bytes: one float64 plus 3 stray bytes, which must not be
+        # read as a one-entry vector.
+        (tmp_path / "b.f64").write_bytes(np.array([3.0]).tobytes() + b"abc")
+        write_vector(tmp_path / "lam.f64", np.array([1.0]))
+        code = main(["project", "--input", str(tmp_path / "b.f64"),
+                     "--lambda", str(tmp_path / "lam.f64"),
+                     "--tau", "1.0", "--out", str(tmp_path / "x.f64")])
+        assert code == 1
+        assert "multiple of 8" in capsys.readouterr().err
+        assert not (tmp_path / "x.f64").exists()
+
+    def test_nan_entry_exits_one(self, tmp_path):
+        code, x = self.run_project(tmp_path, [3.0, np.nan], [1.0, 1.0], 2.0)
+        assert code == 1
+        assert x is None
 
     def test_missing_file_exits_one(self, tmp_path):
         code = main(["project", "--input", str(tmp_path / "absent.f64"),

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import owlball.jacobian
 from owlball import (
     BallJacobian,
     Instance,
@@ -12,7 +15,9 @@ from owlball import (
     owl_norm,
     project_ball,
     project_cone,
+    ssn_solve,
 )
+from owlball.core import signed_sort
 from owlball.isotonic import active_set
 from owlball.jacobian import ConeJacobian
 from owlball.oracle import (
@@ -270,3 +275,118 @@ class TestBallJacobian:
             assert np.max(np.abs(S - S.T)) <= 1e-12
             assert np.linalg.eigvalsh(S).min() >= -1e-10
             done += 1
+
+
+def dense_ball_reference(inst: Instance, cone) -> np.ndarray:
+    """``P.T (H - u u.T) P`` from the dense cone Jacobian of ``cone``."""
+    n = inst.n
+    sort, _ = signed_sort(inst.b)
+    P = np.zeros((n, n))
+    P[np.arange(n), sort.perm] = sort.signs
+    H = dense_cone_jacobian(active_set(cone), n)
+    hlam = H @ inst.weights.values
+    u = hlam / np.linalg.norm(hlam)
+    return P.T @ (H - np.outer(u, u)) @ P
+
+
+class TestBallJacobianFromReport:
+    """The operator built from ``project_ball``'s report, in original
+    coordinates, against the dense reference and the dual-value route."""
+
+    @staticmethod
+    def random_instance(rng, k: int) -> Instance:
+        n = int(rng.integers(1, 41))
+        b = rng.standard_normal(n)
+        if k % 4 == 1:
+            b = np.round(b, 1)                  # ties in |b|, some zeros
+        if k % 6 == 2:
+            b[rng.random(n) < 0.3] = 0.0        # explicit zeros
+        family = k % 5
+        if family == 0:
+            lam = np.ones(n)                    # L1
+        elif family == 1:
+            lam = np.zeros(n)
+            lam[0] = 1.0                        # L-inf
+        else:
+            lam = np.sort(np.abs(rng.standard_normal(n)))[::-1] + 0.01
+        w = Weights(lam)
+        beta = (0.02, 0.3, 0.7, 0.99)[k % 4]
+        return Instance(b, w, max(beta * owl_norm(b, w), 1e-3))
+
+    def test_matches_dense_reference_and_dual_value_route(self):
+        rng = np.random.default_rng(37)
+        seen = dict(ties=0, zeros=0, zero_tail=0, all_singleton=0,
+                    one_pooled=0)
+        for k in range(800):
+            inst = self.random_instance(rng, k)
+            res = project_ball(inst)
+            if res.trivial:
+                continue
+            assert res.report.converged
+            cone = res.report.cone
+            s = ball_jacobian(inst, res.report)
+            S = ball_dense(s)
+            assert np.max(np.abs(S - dense_ball_reference(inst, cone))) <= 1e-12
+            s_y = ball_jacobian(inst, res.report.y_star)
+            for v in (rng.standard_normal(inst.n), inst.b):
+                assert np.max(np.abs(apply_ball_jacobian(s, v)
+                                     - apply_ball_jacobian(s_y, v))) \
+                    <= 1e-14 * max(1.0, np.max(np.abs(v)))
+            mags = np.abs(inst.b)
+            lengths = cone.block_lengths
+            zero_tail = cone.block_values[-1] == 0.0
+            live = lengths[:cone.num_blocks - int(zero_tail)]
+            seen["ties"] += np.unique(mags).size < inst.n
+            seen["zeros"] += bool(np.any(mags == 0.0))
+            seen["zero_tail"] += bool(zero_tail)
+            seen["all_singleton"] += bool(np.all(lengths == 1))
+            seen["one_pooled"] += int(np.sum(live > 1)) == 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_bare_solver_report_falls_back_to_sorting(self):
+        rng = np.random.default_rng(38)
+        n = 12
+        b = rng.standard_normal(n)
+        w = Weights(np.sort(np.abs(rng.standard_normal(n)))[::-1])
+        inst = Instance(b, w, 0.4 * owl_norm(b, w))
+        _, sorted_b = signed_sort(b)
+        bare = ssn_solve(sorted_b, w, inst.tau)
+        assert bare.sort is None
+        s = ball_jacobian(inst, bare)
+        assert np.max(np.abs(ball_dense(s)
+                             - dense_ball_reference(inst, bare.cone))) <= 1e-12
+
+    def test_reuses_sort_and_projection_of_the_report(self, monkeypatch):
+        calls = {"signed_sort": 0, "project_cone": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(owlball.jacobian, "signed_sort",
+                            counting("signed_sort", owlball.jacobian.signed_sort))
+        monkeypatch.setattr(owlball.jacobian, "project_cone",
+                            counting("project_cone", owlball.jacobian.project_cone))
+        rng = np.random.default_rng(39)
+        b = rng.standard_normal(30)
+        w = Weights(np.sort(np.abs(rng.standard_normal(30)))[::-1])
+        inst = Instance(b, w, 0.3 * owl_norm(b, w))
+        report = project_ball(inst).report
+        ball_jacobian(inst, report)
+        assert calls == {"signed_sort": 0, "project_cone": 0}
+        ball_jacobian(inst, report.y_star)
+        assert calls == {"signed_sort": 1, "project_cone": 1}
+
+    def test_rejects_report_of_another_length(self):
+        inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 3.0)
+        other = Instance([3.0, 2.0], Weights([1.0, 1.0]), 4.0)
+        report = project_ball(inst).report
+        other_report = project_ball(other).report
+        with pytest.raises(ValueError):
+            ball_jacobian(other, report)
+        with pytest.raises(ValueError):
+            ball_jacobian(inst, replace(report, sort=other_report.sort))
+        with pytest.raises(ValueError):
+            ball_jacobian(inst, replace(report, cone=other_report.cone))

@@ -7,6 +7,7 @@ from owlball import (
     Weights,
     owl_norm,
     project_ball,
+    project_cone,
     prox_owl,
 )
 from owlball.core import signed_sort
@@ -145,6 +146,26 @@ class TestProjectBall:
         inst = random_instance(rng, 20, beta=0.3)
         res = project_ball(inst, SsnParams(max_iter=1, eps=1e-15))
         assert not res.report.converged
+
+    def test_report_carries_sort_and_final_projection(self):
+        # The report's cone projection is the one at y_star, bit for bit,
+        # and its sort is the result's: ball_jacobian reuses both.
+        rng = np.random.default_rng(70)
+        for k in range(60):
+            inst = random_instance(rng, int(rng.integers(1, 60)))
+            if k % 3 == 0:
+                inst = Instance(np.round(inst.b, 1), inst.weights, inst.tau)
+            res = project_ball(inst)
+            if res.trivial:
+                continue
+            report = res.report
+            assert report.sort is res.sort
+            assert report.x_star is report.cone.x
+            _, w = signed_sort(inst.b)
+            p = project_cone(report.y_star * inst.weights.values + w)
+            assert np.array_equal(report.cone.x, p.x)
+            assert np.array_equal(report.cone.block_starts, p.block_starts)
+            assert np.array_equal(report.cone.block_values, p.block_values)
 
 
 class TestProxOwl:
