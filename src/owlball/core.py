@@ -194,31 +194,39 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     """Sort magnitudes nonincreasing, remembering how to undo it.
 
     The permutation equals ``np.argsort(-|b|, kind="stable")`` on every
-    input, but is computed with numpy's default (unstable, SIMD) argsort
-    followed by an exact tie fix-up:
+    finite input.  ``b`` must be finite: a NaN would sort first here and
+    last there.  It is computed with one SIMD sort of packed uint64 keys:
 
-    1. ``order = argsort(-|b|)``; equal keys now form contiguous runs,
-       each in some arbitrary order.  Gather the signs and the sorted
-       magnitudes along ``order``.
-    2. If no two adjacent sorted magnitudes are equal, ``order`` is
-       already the stable permutation (an O(n) check, the whole cost on
-       tie-free input).
-    3. Otherwise number the runs, ``run = cumsum(magnitude changed)``,
-       sort the int64 key ``run * n + order``, subtract ``run * n``
-       again and gather once more.  Runs stay where they are and each
-       run comes out in increasing original position, which is the
-       stable tie-break.  The key stays below ``n**2``, so it is exact
-       for n < 3e9.
+    1. Nonnegative doubles order like their bit patterns read as
+       unsigned integers, so ``~bits(|b|)`` sorts ascending in the order
+       of nonincreasing magnitude.  Its low ``k = bit_length(n-1)`` bits
+       are replaced by the position, which makes the keys distinct and
+       breaks exact ties by position, the stable tie-break.
+    2. After ``np.sort``, ``order = key & (2**k - 1)`` is read in place
+       and ``b`` is gathered once.
+    3. Magnitudes that differ only in their low ``k`` bits collide
+       after the truncation and come out in position order, not in
+       magnitude order.  These are the only inversions there can be,
+       and each lies inside a run of equal high bits, so the gathered
+       magnitudes are nonincreasing iff ``order`` is the stable
+       permutation (an O(n) check).  Otherwise each run holding an
+       inversion is re-sorted, see :func:`_sort_collisions`.
 
-    Tie-free input costs one SIMD sort plus O(n).  Tied input pays a
-    second SIMD sort, of int64 keys, and a second gather.  The arrays
-    are built in place where possible and handed to ``SignedSort``
+    Gaussian input at n = 1e6 has a few dozen collisions, so the fix-up
+    costs well under a millisecond.  The worst case is every key
+    colliding, as with ``|b| = 1 + j * ulp``: then the fix-up sorts all
+    n entries once more, with a second packed key, or with a stable
+    argsort where that key would not fit in 64 bits.  The arrays are
+    built in place where possible and handed to ``SignedSort``
     uncopied, since each fresh n-vector costs page faults as well as a
-    pass.  At n = 1e6 on a 2-vCPU AVX-512 Xeon with numpy 2.4.6 (best
-    of 7) this function took 48 ms on Gaussian b, 74 ms on b rounded to
-    2 decimals, 50 ms with 6 distinct magnitudes and 40 ms with all
-    magnitudes equal; with the stable float sort it took 187, 129, 72
-    and 16 ms on the same inputs.
+    pass.  At n = 1e6 on a 2-vCPU AVX-512 Xeon with numpy 2.4.6 (best of
+    7) this function took 36 ms on Gaussian b, 30 ms on b rounded to 2
+    decimals, 25 ms with 6 distinct magnitudes and 26 ms with all
+    magnitudes equal; the argsort with a tie fix-up it replaces took
+    58, 90, 57 and 50 ms.  On ``1 + j * ulp`` it took 103 ms in random
+    order and 89 ms in position order, while one stable argsort of
+    ``-|b|`` took 185 ms on the former and 188 ms on Gaussian b (but
+    6 ms on the presorted latter).
 
     Returns
     -------
@@ -229,17 +237,71 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
         ``|b|`` in nonincreasing order, equal to ``sort.apply(b)``.
     """
     b = np.asarray(b, dtype=np.float64)
-    order = np.argsort(-np.abs(b))
+    n = b.size
+    k = (n - 1).bit_length()
+    low = np.uint64((1 << k) - 1)
+    key = np.abs(b).view(np.uint64)
+    np.invert(key, out=key)
+    key &= ~low
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    key &= low
+    # Positions fit in 63 bits; the cast copies only where intp is narrower.
+    order = key.view(np.int64).astype(np.intp, copy=False)
     w, signs = _gather_signed(b, order)
-    # w is +-|b| in sort order, so adjacent entries tie exactly where the keys do.
-    changed = w[1:] != w[:-1]
-    if not changed.all():
-        run = np.zeros(order.size, dtype=np.int64)
-        np.cumsum(changed, out=run[1:])
-        run *= order.size
-        order = np.sort(run + order) - run
-        w, signs = _gather_signed(b, order)
+    inverted = np.flatnonzero(w[1:] > w[:-1])
+    if inverted.size:
+        _sort_collisions(order, signs, w, k, inverted)
     return SignedSort._adopt(order, signs), w
+
+
+def _sort_collisions(order, signs, w, k: int, inverted) -> None:
+    """Put the colliding runs of a packed-key sort in stable order, in place.
+
+    ``w`` holds the gathered magnitudes, nonincreasing except at the
+    ``inverted`` positions ``i`` where ``w[i] < w[i+1]``.  A run is a
+    maximal stretch whose magnitudes share all bits above the low ``k``;
+    runs follow each other in decreasing magnitude, and inside a run the
+    entries stand in position order.  Every run holding an inversion is
+    re-sorted by magnitude, keeping position order among equal ones.
+
+    The members of those runs are sorted together by one packed key:
+    run rank, then the complemented low ``k`` bits of the magnitude,
+    then the member's index.  When the three do not fit in 64 bits (only
+    possible above n = 2**21, with over 2**(64-2k) colliding runs), a
+    stable argsort of the members' negated magnitudes does the same job.
+    """
+    # High bits of the magnitudes, constant on a run and rising across
+    # runs; shifting the sign bit out first maps -0.0 (left in w by a
+    # negative zero in b) to 0.
+    high = w.view(np.uint64) << 1
+    high >>= k + 1
+    np.invert(high, out=high)
+    runs = high[inverted]
+    runs = runs[np.append(True, runs[1:] != runs[:-1])]
+    lo = np.searchsorted(high, runs, "left")
+    sizes = np.searchsorted(high, runs, "right") - lo
+    del high
+    m = int(sizes.sum())
+    members = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(m)
+    index_bits = (m - 1).bit_length()
+    if (runs.size - 1).bit_length() + k + index_bits <= 64:
+        key = np.repeat(np.arange(runs.size, dtype=np.uint64) << (k + index_bits), sizes)
+        low = np.uint64((1 << k) - 1)
+        rest = w[members].view(np.uint64)
+        rest &= low
+        np.subtract(low, rest, out=rest)
+        rest <<= index_bits
+        key |= rest
+        key |= np.arange(m, dtype=np.uint64)
+        key.sort()
+        key &= np.uint64((1 << index_bits) - 1)
+        src = members[key.view(np.int64)]
+    else:
+        src = members[np.argsort(-w[members], kind="stable")]
+    order[members] = order[src]
+    signs[members] = signs[src]
+    w[members] = w[src]
 
 
 def _gather_signed(b: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

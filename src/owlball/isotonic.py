@@ -15,6 +15,11 @@ this stack algorithm) and keep two guarantees on top of it:
 * the reported blocks are canonical: values strictly decrease from one
   block to the next, with at most one trailing zero block, so the active
   set read off the block structure is the maximal one.
+
+A vector already in the cone (nonincreasing, last entry nonnegative) is
+its own projection and skips the PAVA pass; its blocks are its runs of
+equal entries, exactly what the PAVA route reports for it.  The dual
+solvers start from such a vector (the sorted magnitudes of the input).
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 __all__ = ["ConeProjection", "project_cone", "reduce_spans", "active_set"]
+
+# Length of the prefix that the in-cone test checks before the full pass.
+_PREFIX = 256
 
 
 class ConeProjection:
@@ -81,13 +89,26 @@ def project_cone(d) -> ConeProjection:
     -------
     ConeProjection
         Minimizer of ``0.5*||x - d||**2`` over nonincreasing nonnegative
-        ``x``, with its constant-block structure.  O(n).
+        ``x``, with its constant-block structure.  O(n); an input already
+        in the cone costs a few streaming passes and no PAVA pass.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1:
         raise ValueError(f"d must be one-dimensional, got shape {d.shape}")
     if d.size == 0:
         raise ValueError("d must not be empty")
+
+    if d[-1] >= 0.0 and _nonincreasing(d):
+        # Already in the cone: the projection is d itself, its blocks the
+        # runs of equal entries.  The clamp only turns -0.0 into +0.0,
+        # which the PAVA route below does as well.
+        x = np.maximum(d, 0.0)
+        change = np.empty(d.size, dtype=bool)
+        change[0] = True
+        np.not_equal(x[1:], x[:-1], out=change[1:])
+        starts = np.flatnonzero(change)
+        values = x if starts.size == d.size else x[starts]
+        return ConeProjection(x, starts, values)
 
     res = isotonic_regression(d, increasing=False)
     bounds = np.asarray(res.blocks, dtype=np.intp)
@@ -120,6 +141,13 @@ def project_cone(d) -> ConeProjection:
     lengths = np.diff(np.append(starts, d.size))
     x = np.repeat(values, lengths)
     return ConeProjection(x, starts, values)
+
+
+def _nonincreasing(d: np.ndarray) -> bool:
+    """True when ``d`` is nonincreasing.  A short prefix is tested first,
+    so most vectors that are not pay little more than its length."""
+    head = d[:_PREFIX]
+    return bool(np.all(head[1:] <= head[:-1])) and bool(np.all(d[1:] <= d[:-1]))
 
 
 def reduce_spans(ufunc, v, starts, stops) -> np.ndarray:

@@ -143,14 +143,17 @@ def cone_jacobian(p: ConeProjection) -> ConeJacobian:
 
 
 def apply_cone_jacobian(h: ConeJacobian, v) -> np.ndarray:
-    """Matvec ``H v`` in O(n): copy, average each pooled span, zero the tail."""
+    """Matvec ``H v`` in O(n): copy, average each pooled span, zero the tail.
+
+    Each mean is the direct sum over its span, so its error does not grow
+    with the coordinates before it.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.size != h.n:
         raise ValueError(f"expected length {h.n}, got {v.size}")
     out = v.copy()
     if h.avg_starts.size:
-        csum = np.concatenate(([0.0], np.cumsum(v)))
-        means = (csum[h.avg_stops] - csum[h.avg_starts]) / h.avg_sizes
+        means = reduce_spans(np.add, v, h.avg_starts, h.avg_stops) / h.avg_sizes
         out[h.avg_coords] = np.repeat(means, h.avg_sizes)
     out[h.zero_start:] = 0.0
     return out

@@ -66,13 +66,16 @@ def prox_owl(v, weights: Weights, mu: float) -> np.ndarray:
     """prox of ``mu * owl_norm`` at ``v``: shrink sorted magnitudes by
     ``mu * weights`` and project onto the monotone nonnegative cone.
 
-    ``mu = 0`` is the identity; negative ``mu`` is rejected.
+    ``mu = 0`` is the identity; negative ``mu`` and non-finite entries of
+    ``v`` are rejected.
     """
     v = np.asarray(v, dtype=np.float64)
     if not isinstance(weights, Weights):
         weights = Weights(weights)
     if v.ndim != 1 or v.size != weights.n:
         raise ValueError(f"v must be a vector of length {weights.n}")
+    if not np.isfinite(v).all():
+        raise ValueError("v must contain only finite values")
     mu = float(mu)
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")

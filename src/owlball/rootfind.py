@@ -11,10 +11,11 @@ costs one full prox evaluation, which is why the Newton solver on the
 dual of the constrained formulation wins: it pays the same O(n) per
 step but needs fewer steps.
 
-The bracketing endpoints are free: ``g(0)`` is the feasibility gap
-already known from the norm of ``b``, and ``g`` at the dual norm is
-``-tau`` by construction.  ``evaluations`` therefore counts the prox
-evaluations actually performed, endpoint included.
+Both bracketing endpoints are evaluated by a cone projection, and
+``evaluations`` counts them.  ``g(0)`` projects the sorted magnitudes of
+``b``, which already lie in the cone, so it costs a few streaming passes
+and no PAVA pass.  ``g`` at the dual norm costs a full projection, whose
+result is zero up to roundoff, so ``g`` is about ``-tau`` there.
 """
 
 from __future__ import annotations

@@ -169,18 +169,23 @@ def block_curvature(p: ConeProjection, lam) -> float:
     Canonical blocks strictly decrease, so only the last one can be the
     zero block.  A singleton's sum is its own weight; only pooled blocks
     are summed, by one ``add.reduceat``, and each term enters the dot as
-    ``sum / sqrt(length)``.  O(n).  Equals
-    ``lam @ apply_cone_jacobian(cone_jacobian(p), lam)`` up to roundoff,
-    and is exactly ``0.0`` when ``p.x`` is all zero.
+    ``sum / sqrt(length)``.  O(n); when every block is a singleton, as at
+    a start inside the cone, it is one dot product of ``lam`` with itself.
+    Equals ``lam @ apply_cone_jacobian(cone_jacobian(p), lam)`` up to
+    roundoff, and is exactly ``0.0`` when ``p.x`` is all zero.
     """
     lam = np.asarray(lam, dtype=np.float64)
     live = p.num_blocks - int(p.block_values[-1] == 0.0)
-    starts, lengths = p.block_starts[:live], p.block_lengths[:live]
-    terms = lam[starts]
-    pooled = np.flatnonzero(lengths > 1)
-    if pooled.size:
-        first, size = starts[pooled], lengths[pooled]
-        terms[pooled] = reduce_spans(np.add, lam, first, first + size) / np.sqrt(size)
+    if p.num_blocks == p.n:
+        # Every block a singleton: the terms are the weights themselves.
+        terms = lam[:live]
+    else:
+        starts, lengths = p.block_starts[:live], p.block_lengths[:live]
+        terms = lam[starts]
+        pooled = np.flatnonzero(lengths > 1)
+        if pooled.size:
+            first, size = starts[pooled], lengths[pooled]
+            terms[pooled] = reduce_spans(np.add, lam, first, first + size) / np.sqrt(size)
     return float(np.dot(terms, terms))
 
 

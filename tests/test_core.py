@@ -77,6 +77,30 @@ def tie_heavy_vectors(draw):
     return np.where(rng.random(n) < 0.5, -mags, mags)
 
 
+@st.composite
+def colliding_vectors(draw):
+    """Vectors whose magnitudes differ only in their low bits, so the
+    packed sort keys collide once the position replaces those bits:
+    ``1 + j*ulp``, subnormals ``j * 5e-324`` and zeros, alone or mixed,
+    with ``j`` below n (a permutation, or drawn with exact ties) and
+    random signs, so +0.0 and -0.0 mix.  n is 1, 2, or a power of two
+    or one past it, where the position field widens."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([1, 2, 2**k, 2**k + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = rng.permutation(n) if draw(st.booleans()) else rng.integers(0, n, n)
+    ulp = 1.0 + j * np.finfo(np.float64).eps
+    subnormal = j * 5e-324
+    kind = draw(st.sampled_from(["ulp", "subnormal", "mixed"]))
+    if kind == "ulp":
+        mags = ulp
+    elif kind == "subnormal":
+        mags = subnormal
+    else:
+        mags = np.choose(rng.integers(0, 3, n), [ulp, subnormal, np.zeros(n)])
+    return np.where(rng.random(n) < 0.5, -mags, mags)
+
+
 class TestSignedSort:
     def test_basic_example(self):
         sort, w = signed_sort(np.array([-3.0, 1.0, 2.0]))
@@ -94,11 +118,12 @@ class TestSignedSort:
         assert np.array_equal(sort.perm, [0, 1])
         assert np.array_equal(sort.signs, [1.0, -1.0])
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(st.data())
     @example(None)
     def test_matches_stable_argsort_on_tie_heavy_input(self, data):
-        b = np.array([-0.0]) if data is None else data.draw(tie_heavy_vectors())
+        b = (np.array([-0.0]) if data is None
+             else data.draw(st.one_of(tie_heavy_vectors(), colliding_vectors())))
         sort, w = signed_sort(b)
         perm = np.argsort(-np.abs(b), kind="stable")
         signs = np.sign(b[perm])
@@ -106,6 +131,23 @@ class TestSignedSort:
         assert np.array_equal(sort.perm, perm)
         assert np.array_equal(sort.signs, signs)
         assert w.tobytes() == sort.apply(b).tobytes()
+
+    def test_collision_fix_up_beyond_the_packed_key_budget(self):
+        # 2**20 + 1 triples (v, v + ulp, v), 2**22 ulps apart: every
+        # triple collides in its own run, holds an inversion and an exact
+        # tie.  Run rank (21 bits), low magnitude bits (22) and member
+        # index (22) need 65 bits, so the fix-up sorts the members by a
+        # stable argsort instead of a second packed key.
+        n = 3 * (2**20 + 1)
+        base = 1.0 + np.arange(n // 3) * (2.0**22 * np.finfo(np.float64).eps)
+        b = np.repeat(base, 3)
+        b[1::3] = np.nextafter(b[1::3], 2.0)
+        b[::4] *= -1.0
+        sort, w = signed_sort(b)
+        perm = np.argsort(-np.abs(b), kind="stable")
+        assert np.array_equal(sort.perm, perm)
+        assert np.array_equal(sort.signs, np.sign(b[perm]))
+        assert w.tobytes() == np.abs(b[perm]).tobytes()
 
     def test_zero_entries_get_positive_sign(self):
         sort, w = signed_sort(np.array([0.0, -1.0]))

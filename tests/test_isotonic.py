@@ -56,6 +56,45 @@ def test_identity_with_alternating_pooled_and_singleton_runs(tail):
     assert pooled[:4] == [(0, 6), (7, 13), (14, 17), (18, 21)]
 
 
+def test_cone_input_is_returned_with_its_runs_as_blocks():
+    # Nonincreasing input with a nonnegative last entry skips PAVA.  The
+    # result must still be the canonical one: a fresh x equal to
+    # max(d, 0) bit for bit (-0.0 becomes +0.0), one block per run of
+    # equal entries, values strictly decreasing with zero only last.
+    rng = np.random.default_rng(23)
+    cases = [np.array([0.0]), np.array([-0.0]), np.array([2.5]),
+             np.array([3.0, 3.0, 1.0, 0.0, -0.0, 0.0]),
+             np.array([-0.0, 0.0, -0.0]), np.array([5e-324, 0.0])]
+    for _ in range(300):
+        n = int(rng.integers(1, 700))     # both sides of the prefix test
+        d = np.sort(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], n) if rng.random() < 0.5
+                    else np.abs(rng.standard_normal(n)))[::-1]
+        zeros = np.flatnonzero(d == 0.0)
+        d[zeros] = rng.choice([0.0, -0.0], zeros.size)
+        cases.append(d)
+    for d in cases:
+        p = project_cone(d)
+        x = np.maximum(d, 0.0)
+        runs = np.flatnonzero(np.append(True, d[1:] != d[:-1]))
+        assert p.x.tobytes() == x.tobytes()
+        assert not np.shares_memory(p.x, d) and d.flags.writeable
+        assert np.array_equal(p.block_starts, runs)
+        assert p.block_starts.dtype == np.intp
+        assert p.block_values.tobytes() == x[runs].tobytes()
+        assert np.all(p.block_values[:-1] > p.block_values[1:])
+        assert np.all(p.block_values[:-1] > 0.0)
+
+
+def test_late_violation_is_not_taken_for_cone_input():
+    # The in-cone test checks a prefix first; a violation past it must
+    # still send the input through PAVA.
+    d = np.linspace(3.0, 1.0, 1000)
+    d[900], d[901] = d[901], d[900]
+    p = project_cone(d)
+    assert p.num_blocks == 999
+    assert p.blocks[900] == (900, 902, 0.5 * (d[900] + d[901]))
+
+
 def test_reduce_spans_matches_slices():
     # Adjacent spans, a span ending at n and long gaps between spans.
     rng = np.random.default_rng(27)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,8 @@ from owlball.oracle import (
     tight_set_blocks,
 )
 from owlball.ssn import block_curvature
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def implicit_dense(h: ConeJacobian) -> np.ndarray:
@@ -101,6 +104,18 @@ class TestConeJacobian:
             assert np.max(np.abs(Hi @ Hi - Hi)) <= 1e-12
             assert np.array_equal(Hi, Hi.T)
             assert Hi.min() >= 0.0
+
+    def test_pooled_mean_after_a_large_prefix(self):
+        # A mean taken as a difference of a running sum loses the digits
+        # that the 1e8-sized prefix occupies; a direct block sum keeps them.
+        d = np.concatenate((np.linspace(2e8, 1e8, 1000), [1e-3, 2e-3, 1e-3]))
+        v = np.concatenate((np.full(1000, 1e8), [1e-3, 3e-3, 2e-3]))
+        p = project_cone(d)
+        out = apply_cone_jacobian(cone_jacobian(p), v)
+        pooled = [(s, e) for s, e, _ in p.blocks if e - s > 1]
+        assert pooled == [(1000, 1002)]
+        mean = math.fsum(v[1000:1002]) / 2
+        assert np.all(np.abs(out[1000:1002] - mean) <= 4 * EPS * mean)
 
     def test_apply_rejects_wrong_length(self):
         h = cone_jacobian(project_cone(np.array([1.0, 3.0, 2.0])))

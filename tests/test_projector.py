@@ -179,6 +179,11 @@ class TestProxOwl:
         with pytest.raises(ValueError):
             prox_owl(np.array([3.0, 1.0]), Weights([1.0, 1.0]), -0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_v_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            prox_owl(np.array([3.0, bad, -1.0, 0.5]), Weights(np.ones(4)), 0.2)
+
     def test_soft_threshold_specialization(self):
         out = prox_owl(np.array([3.0, 1.0]), Weights([1.0, 1.0]), 1.0)
         assert np.array_equal(out, [2.0, 0.0])

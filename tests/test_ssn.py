@@ -144,10 +144,14 @@ class TestBlockCurvature:
             self.assert_matches_jacobian(d, self.random_weights(rng, n))
 
     def test_singleton_only_projections(self):
+        # Strictly decreasing input lies in the cone; a zero last entry
+        # makes the last singleton the zero block.
         rng = np.random.default_rng(63)
         for _ in range(200):
             n = int(rng.integers(1, 2000))
             d = np.cumsum(rng.uniform(0.01, 1.0, n))[::-1]
+            if n > 1 and rng.random() < 0.5:
+                d[-1] = rng.choice([0.0, -0.0])
             assert project_cone(d).num_blocks == n
             self.assert_matches_jacobian(d, self.random_weights(rng, n))
 
