@@ -224,9 +224,11 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     decimals, 25 ms with 6 distinct magnitudes and 26 ms with all
     magnitudes equal; the argsort with a tie fix-up it replaces took
     58, 90, 57 and 50 ms.  On ``1 + j * ulp`` it took 103 ms in random
-    order and 89 ms in position order, while one stable argsort of
-    ``-|b|`` took 185 ms on the former and 188 ms on Gaussian b (but
-    6 ms on the presorted latter).
+    order and 89 ms in position order, against 55 and 37 ms for the
+    argsort it replaces.  One stable argsort of ``-|b|`` took 185 ms on
+    the former and 188 ms on Gaussian b, but 6 ms on the presorted
+    latter, where timsort sees one run: there this function is the
+    slower one by far.
 
     Returns
     -------

@@ -29,8 +29,9 @@ from scipy.optimize import isotonic_regression
 
 __all__ = ["ConeProjection", "project_cone", "reduce_spans", "active_set"]
 
-# Length of the prefix that the in-cone test checks before the full pass.
-_PREFIX = 256
+# Length of the first stretch the in-cone test compares; each later one
+# doubles, see _nonincreasing.
+_FIRST_STRETCH = 256
 
 
 class ConeProjection:
@@ -100,9 +101,9 @@ def project_cone(d) -> ConeProjection:
 
     if d[-1] >= 0.0 and _nonincreasing(d):
         # Already in the cone: the projection is d itself, its blocks the
-        # runs of equal entries.  The clamp only turns -0.0 into +0.0,
-        # which the PAVA route below does as well.
-        x = np.maximum(d, 0.0)
+        # runs of equal entries.  Every entry is >= 0, so adding +0.0
+        # changes nothing but -0.0, which becomes +0.0 as on the PAVA route.
+        x = d + 0.0
         change = np.empty(d.size, dtype=bool)
         change[0] = True
         np.not_equal(x[1:], x[:-1], out=change[1:])
@@ -127,7 +128,11 @@ def project_cone(d) -> ConeProjection:
                 == reduce_spans(np.maximum, d, first, stop))
         values[pooled[tied]] = d[first[tied]]
 
+    # Clamp at zero.  Given two zeros, np.maximum may return either (numpy
+    # 2.4 on x86 returns the second), so +0.0 is added to make every zero
+    # +0.0, as the in-cone exit above does.
     np.maximum(values, 0.0, out=values)
+    values += 0.0
 
     # Canonical structure: merge adjacent blocks whose clamped values tie
     # (in particular the all-nonpositive tail collapses into one zero block).
@@ -144,10 +149,23 @@ def project_cone(d) -> ConeProjection:
 
 
 def _nonincreasing(d: np.ndarray) -> bool:
-    """True when ``d`` is nonincreasing.  A short prefix is tested first,
-    so most vectors that are not pay little more than its length."""
-    head = d[:_PREFIX]
-    return bool(np.all(head[1:] <= head[:-1])) and bool(np.all(d[1:] <= d[:-1]))
+    """True when ``d`` is nonincreasing.
+
+    The adjacent pairs are compared in stretches of doubling length, and
+    the test stops after the first stretch that holds a violation.  A
+    vector that is not nonincreasing costs the first stretch, or about
+    twice the distance to its first violation if that is more; one that
+    is costs one pass plus ``log2(n / _FIRST_STRETCH)`` calls.  No
+    temporary is much over ``n / 2``.
+    """
+    n = d.size
+    start, size = 0, _FIRST_STRETCH
+    while start < n - 1:
+        stop = min(start + size, n - 1)
+        if not np.all(d[start + 1:stop + 1] <= d[start:stop]):
+            return False
+        start, size = stop, 2 * size
+    return True
 
 
 def reduce_spans(ufunc, v, starts, stops) -> np.ndarray:

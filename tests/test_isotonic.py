@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from owlball import ConeProjection, project_cone
+from owlball import ConeProjection, isotonic, project_cone
 from owlball.isotonic import active_set, reduce_spans
 from owlball.oracle import oracle_cone
 
@@ -56,25 +56,34 @@ def test_identity_with_alternating_pooled_and_singleton_runs(tail):
     assert pooled[:4] == [(0, 6), (7, 13), (14, 17), (18, 21)]
 
 
-def test_cone_input_is_returned_with_its_runs_as_blocks():
-    # Nonincreasing input with a nonnegative last entry skips PAVA.  The
-    # result must still be the canonical one: a fresh x equal to
-    # max(d, 0) bit for bit (-0.0 becomes +0.0), one block per run of
-    # equal entries, values strictly decreasing with zero only last.
+def _cone_inputs():
+    """Nonincreasing vectors with a nonnegative last entry: ties, zero
+    runs of mixed sign, n = 1, and lengths on both sides of the in-cone
+    test's first stretches."""
     rng = np.random.default_rng(23)
     cases = [np.array([0.0]), np.array([-0.0]), np.array([2.5]),
              np.array([3.0, 3.0, 1.0, 0.0, -0.0, 0.0]),
+             np.array([1.0, 0.0, -0.0]), np.array([1.0, -0.0, 0.0]),
              np.array([-0.0, 0.0, -0.0]), np.array([5e-324, 0.0])]
     for _ in range(300):
-        n = int(rng.integers(1, 700))     # both sides of the prefix test
+        n = int(rng.integers(1, 1100))
         d = np.sort(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], n) if rng.random() < 0.5
                     else np.abs(rng.standard_normal(n)))[::-1]
         zeros = np.flatnonzero(d == 0.0)
         d[zeros] = rng.choice([0.0, -0.0], zeros.size)
         cases.append(d)
-    for d in cases:
+    return cases
+
+
+def test_cone_input_is_returned_with_its_runs_as_blocks():
+    # Nonincreasing input with a nonnegative last entry skips PAVA.  The
+    # result must still be the canonical one: a fresh x equal to d bit
+    # for bit except that every zero is +0.0, one block per run of equal
+    # entries, values strictly decreasing with zero only last.
+    for d in _cone_inputs():
         p = project_cone(d)
-        x = np.maximum(d, 0.0)
+        x = d.copy()
+        x[x == 0.0] = 0.0
         runs = np.flatnonzero(np.append(True, d[1:] != d[:-1]))
         assert p.x.tobytes() == x.tobytes()
         assert not np.shares_memory(p.x, d) and d.flags.writeable
@@ -85,9 +94,42 @@ def test_cone_input_is_returned_with_its_runs_as_blocks():
         assert np.all(p.block_values[:-1] > 0.0)
 
 
+def test_cone_exit_matches_the_pava_route(monkeypatch):
+    # The same inputs sent through PAVA by disabling the in-cone test
+    # give byte-identical x, block_starts and block_values.
+    cases = _cone_inputs()
+    fast = [project_cone(d) for d in cases]
+    monkeypatch.setattr(isotonic, "_nonincreasing", lambda d: False)
+    for d, p in zip(cases, fast):
+        q = project_cone(d)
+        assert p.x.tobytes() == q.x.tobytes()
+        assert p.block_starts.tobytes() == q.block_starts.tobytes()
+        assert p.block_values.tobytes() == q.block_values.tobytes()
+
+
+def test_pava_route_clamps_to_positive_zero():
+    # Pooled and single -0.0 entries and negative means all clamp to +0.0.
+    for d in ([1.0, -0.0], [1.0, -0.0, -0.0, -1.0], [-0.0, 2.0], [-3.0, -0.0, 1.0]):
+        p = project_cone(np.array(d))
+        assert not np.signbit(p.x).any()
+        assert not np.signbit(p.block_values).any()
+
+
+@pytest.mark.parametrize("n", [2, 257, 258, 769, 1100])
+def test_in_cone_test_sees_a_violation_at_every_position(n):
+    # The pairs are compared in stretches of doubling length; a single
+    # violation anywhere, stretch edges included, must be found.
+    d = np.linspace(3.0, 1.0, n)
+    assert isotonic._nonincreasing(d)
+    for i in range(n - 1):
+        e = d.copy()
+        e[i], e[i + 1] = e[i + 1], e[i]
+        assert not isotonic._nonincreasing(e), i
+
+
 def test_late_violation_is_not_taken_for_cone_input():
-    # The in-cone test checks a prefix first; a violation past it must
-    # still send the input through PAVA.
+    # A violation far from the front must still send the input through
+    # PAVA.
     d = np.linspace(3.0, 1.0, 1000)
     d[900], d[901] = d[901], d[900]
     p = project_cone(d)
