@@ -273,22 +273,21 @@ def _sort_collisions(order, signs, w, k: int, inverted) -> None:
     possible above n = 2**21, with over 2**(64-2k) colliding runs), a
     stable argsort of the members' negated magnitudes does the same job.
     """
-    # High bits of the magnitudes, constant on a run and rising across
-    # runs; shifting the sign bit out first maps -0.0 (left in w by a
-    # negative zero in b) to 0.
-    high = w.view(np.uint64) << 1
-    high >>= k + 1
-    np.invert(high, out=high)
-    runs = high[inverted]
-    runs = runs[np.append(True, runs[1:] != runs[:-1])]
-    lo = np.searchsorted(high, runs, "left")
-    sizes = np.searchsorted(high, runs, "right") - lo
+    # Each run holding an inversion, found from its first inversion
+    # (leftwards) and its last (rightwards).  Inversions are ascending
+    # and the runs contiguous, so those of one run are consecutive.
+    high = _high_bits(w, inverted, k)
+    cut = np.flatnonzero(high[1:] != high[:-1]) + 1
     del high
-    m = int(sizes.sum())
-    members = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(m)
+    first = inverted[np.append(0, cut)]
+    last = inverted[np.append(cut - 1, inverted.size - 1)]
+    lo = first - _run_reach(w, k, first, -1)
+    sizes = last + _run_reach(w, k, last, 1) + 1 - lo
+    members = span_members(lo, sizes)
+    m = members.size
     index_bits = (m - 1).bit_length()
-    if (runs.size - 1).bit_length() + k + index_bits <= 64:
-        key = np.repeat(np.arange(runs.size, dtype=np.uint64) << (k + index_bits), sizes)
+    if (lo.size - 1).bit_length() + k + index_bits <= 64:
+        key = np.repeat(np.arange(lo.size, dtype=np.uint64) << (k + index_bits), sizes)
         low = np.uint64((1 << k) - 1)
         rest = w[members].view(np.uint64)
         rest &= low
@@ -304,6 +303,58 @@ def _sort_collisions(order, signs, w, k: int, inverted) -> None:
     order[members] = order[src]
     signs[members] = signs[src]
     w[members] = w[src]
+
+
+def _high_bits(w: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
+    """The bits of ``w[at]`` above the low ``k``, sign bit shifted out
+    first, so that -0.0 (left in ``w`` by a negative zero in ``b``) and
+    0.0 agree.  Formed in place of the gather."""
+    high = w[at].view(np.uint64)
+    high <<= 1
+    high >>= k + 1
+    return high
+
+
+def _run_reach(w: np.ndarray, k: int, at: np.ndarray, step: int) -> np.ndarray:
+    """How far each run extends from ``at`` in the direction ``step``.
+
+    For each index ``i`` of ``at``, the largest ``r`` such that
+    ``w[i + step * j]`` has the high bits of ``w[i]`` for all
+    ``0 <= j <= r``.  ``w`` is nonincreasing in its high bits, so that
+    set of ``j`` is a prefix.  The search gallops (offsets 1, 2, 4, ...)
+    until it leaves the run or ``w``, then bisects, all vectorized over
+    ``at``; it reads O(log(run length)) entries of ``w`` per index.
+    """
+    high = _high_bits(w, at, k)
+    room = w.size - 1 - at if step > 0 else at       # largest offset in w
+    inside = np.zeros(at.size, dtype=np.intp)          # offset known in the run
+    beyond = np.ones(at.size, dtype=np.intp)           # offset not known yet
+    todo = np.arange(at.size)
+    while todo.size:
+        todo = todo[beyond[todo] <= room[todo]]
+        probe = beyond[todo]
+        same = _high_bits(w, at[todo] + step * probe, k) == high[todo]
+        todo = todo[same]
+        inside[todo] = beyond[todo]
+        beyond[todo] *= 2
+    # Now inside is in the run and beyond is past it or past the edge.
+    np.minimum(beyond, room + 1, out=beyond)
+    todo = np.flatnonzero(beyond - inside > 1)
+    while todo.size:
+        mid = (inside[todo] + beyond[todo]) // 2
+        same = _high_bits(w, at[todo] + step * mid, k) == high[todo]
+        inside[todo[same]] = mid[same]
+        beyond[todo[~same]] = mid[~same]
+        todo = todo[beyond[todo] - inside[todo] > 1]
+    return inside
+
+
+def span_members(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of the spans ``[starts[j], starts[j] + sizes[j])``,
+    concatenated in order, without a Python loop.  There must be at
+    least one span."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
 
 
 def _gather_signed(b: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

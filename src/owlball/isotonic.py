@@ -27,7 +27,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-__all__ = ["ConeProjection", "project_cone", "reduce_spans", "active_set"]
+from .core import span_members
+
+__all__ = ["ConeProjection", "project_cone", "strictly_decreasing", "reduce_spans",
+           "active_set"]
 
 # Length of the first stretch the in-cone test compares; each later one
 # doubles, see _nonincreasing.
@@ -49,12 +52,15 @@ class ConeProjection:
         Common value of ``x`` on each block (the mean of the input over
         the block, clamped at zero).  ``block_values[-1] == 0`` exactly
         when the trailing constraint ``xn >= 0`` is active.
+    block_lengths : ndarray of int
+        Length of each block, computed on first use and kept.
     """
 
     def __init__(self, x, block_starts, block_values):
         self.x = x
         self.block_starts = block_starts
         self.block_values = block_values
+        self._lengths = None
         for arr in (x, block_starts, block_values):
             arr.flags.writeable = False
 
@@ -68,7 +74,14 @@ class ConeProjection:
 
     @property
     def block_lengths(self) -> np.ndarray:
-        return np.diff(np.append(self.block_starts, self.n))
+        if self._lengths is None:
+            starts = self.block_starts
+            lengths = np.empty_like(starts)
+            np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+            lengths[-1] = self.n - starts[-1]
+            lengths.flags.writeable = False
+            self._lengths = lengths
+        return self._lengths
 
     @property
     def blocks(self) -> list[tuple[int, int, float]]:
@@ -114,11 +127,18 @@ def project_cone(d) -> ConeProjection:
     res = isotonic_regression(d, increasing=False)
     bounds = np.asarray(res.blocks, dtype=np.intp)
     starts = bounds[:-1]
-    values = np.asarray(res.x, dtype=np.float64)[starts]
+    # scipy's x holds each block's mean on the whole block already.  Clamp
+    # at zero; given two zeros, np.maximum may return either (numpy 2.4 on
+    # x86 returns the second), so +0.0 is added to make every zero +0.0,
+    # as the in-cone exit above does.
+    x = np.maximum(res.x, 0.0)
+    x += 0.0
+    values = x if starts.size == d.size else x[starts]
 
-    # Repair pooled runs of identical entries to the exact common value.
-    # Singletons are exact already, and a pooled block whose end points
-    # differ is no such run, so only the remaining candidates are checked.
+    # Repair pooled runs of identical entries to the exact common value,
+    # in values and in x.  Singletons are exact already, and a pooled
+    # block whose end points differ is no such run, so only the remaining
+    # candidates are checked.
     pooled = np.flatnonzero(np.diff(bounds) > 1)
     first, stop = bounds[pooled], bounds[pooled + 1]
     cand = d[first] == d[stop - 1]
@@ -126,43 +146,52 @@ def project_cone(d) -> ConeProjection:
         pooled, first, stop = pooled[cand], first[cand], stop[cand]
         tied = (reduce_spans(np.minimum, d, first, stop)
                 == reduce_spans(np.maximum, d, first, stop))
-        values[pooled[tied]] = d[first[tied]]
-
-    # Clamp at zero.  Given two zeros, np.maximum may return either (numpy
-    # 2.4 on x86 returns the second), so +0.0 is added to make every zero
-    # +0.0, as the in-cone exit above does.
-    np.maximum(values, 0.0, out=values)
-    values += 0.0
+        if tied.any():
+            pooled, first, stop = pooled[tied], first[tied], stop[tied]
+            repaired = np.maximum(d[first], 0.0)
+            repaired += 0.0
+            values[pooled] = repaired
+            x[span_members(first, stop - first)] = np.repeat(repaired, stop - first)
 
     # Canonical structure: merge adjacent blocks whose clamped values tie
-    # (in particular the all-nonpositive tail collapses into one zero block).
+    # (in particular the all-nonpositive tail collapses into one zero block)
+    # by keeping only the bounds where the value changes, and both ends.
     if values.size > 1:
-        keep = np.empty(values.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(values[1:], values[:-1], out=keep[1:])
-        starts = starts[keep]
-        values = values[keep]
-
-    lengths = np.diff(np.append(starts, d.size))
-    x = np.repeat(values, lengths)
+        edge = np.empty(bounds.size, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(values[1:], values[:-1], out=edge[1:-1])
+        if not edge.all():
+            values = values[edge[:-1]]
+            bounds = bounds[edge]
+            starts = bounds[:-1]
     return ConeProjection(x, starts, values)
 
 
 def _nonincreasing(d: np.ndarray) -> bool:
-    """True when ``d`` is nonincreasing.
+    """True when ``d`` is nonincreasing; see :func:`_pairs_hold`."""
+    return _pairs_hold(np.less_equal, d)
+
+
+def strictly_decreasing(d: np.ndarray) -> bool:
+    """True when ``d`` is strictly decreasing; see :func:`_pairs_hold`."""
+    return _pairs_hold(np.less, d)
+
+
+def _pairs_hold(compare, d: np.ndarray) -> bool:
+    """True when ``compare(d[i + 1], d[i])`` holds for every i.
 
     The adjacent pairs are compared in stretches of doubling length, and
     the test stops after the first stretch that holds a violation.  A
-    vector that is not nonincreasing costs the first stretch, or about
-    twice the distance to its first violation if that is more; one that
-    is costs one pass plus ``log2(n / _FIRST_STRETCH)`` calls.  No
+    vector that fails costs the first stretch, or about twice the
+    distance to its first violation if that is more; one that passes
+    costs one pass plus ``log2(n / _FIRST_STRETCH)`` calls.  No
     temporary is much over ``n / 2``.
     """
     n = d.size
     start, size = 0, _FIRST_STRETCH
     while start < n - 1:
         stop = min(start + size, n - 1)
-        if not np.all(d[start + 1:stop + 1] <= d[start:stop]):
+        if not compare(d[start + 1:stop + 1], d[start:stop]).all():
             return False
         start, size = stop, 2 * size
     return True

@@ -12,6 +12,11 @@ The dense reference for the cone projector's Jacobian on a tight set
 also lives here, with the map from a tight set to the block form that
 the implicit Jacobian in :mod:`owlball.jacobian` is built from.
 
+So does :func:`dual_value`, the objective ``phi`` whose derivative the
+Newton solver drives to zero.  The solver never evaluates ``phi``, so
+only tests use it.  It is the one entry point here that calls the
+production cone projector, and no oracle relies on it.
+
 Certificates report a worst-case KKT violation measured relative to the
 data scale (values are divided by ``1 + max(|data|, tau)``), so the
 acceptance threshold means the same thing for inputs of magnitude 1e-3
@@ -26,6 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Instance, Weights, owl_norm, signed_sort
+from .isotonic import project_cone
 
 __all__ = [
     "KktCertificate",
@@ -37,6 +43,7 @@ __all__ = [
     "oracle_ball",
     "ball_certificate",
     "oracle_dual_norm",
+    "dual_value",
 ]
 
 MAX_N_CONE = 12
@@ -279,3 +286,10 @@ def oracle_dual_norm(y, weights: Weights) -> float:
         point[order[:k]] = signs[:k] / float(np.sum(lam[:k]))
         best = max(best, float(np.dot(point, y)))
     return best
+
+
+def dual_value(y: float, w, weights: Weights, tau: float) -> float:
+    """phi(y) = 0.5 ||Pi_C(y lam + w)||^2 - y tau - 0.5 ||w||^2."""
+    w = np.asarray(w, dtype=np.float64)
+    x = project_cone(y * weights.values + w).x
+    return 0.5 * float(np.dot(x, x)) - y * tau - 0.5 * float(np.dot(w, w))

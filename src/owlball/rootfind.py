@@ -93,12 +93,14 @@ def solve_root(inst: Instance, tol: float = 1e-9,
 
     Requires an infeasible instance (norm of ``b`` strictly above the
     radius); feasible inputs have no root to find and are rejected, use
-    the ball projector for the general case.  Stops when the relative
-    radius residual drops to ``tol`` or the bracket collapses to
-    ``4 * eps * dual_norm(b)``; since ``g`` is piecewise linear the
-    final interpolation step typically lands on the root to full
-    precision.  Raises :class:`NonConvergenceError` after ``max_evals``
-    prox evaluations.
+    the ball projector for the general case.  Stops when the radius
+    residual ``|g| / (1 + tau)`` drops to ``tol`` or the bracket
+    collapses to ``4 * eps * dual_norm(b)``.  That residual is relative
+    to ``tau`` only for ``tau`` well above 1; below 1 it is an absolute
+    one, which a small ``tau`` meets before the radius is matched to
+    ``tol``.  Since ``g`` is piecewise linear the final interpolation
+    step typically lands on the root to full precision.  Raises
+    :class:`NonConvergenceError` after ``max_evals`` prox evaluations.
     """
     tol = float(tol)
     if not tol > 0.0:

@@ -10,16 +10,29 @@ maximization of
 (we minimize ``phi`` as written, which is convex).  Its derivative
 ``phi'(y) = <Pi_C(y lam + w), lam> - tau`` is nondecreasing, piecewise
 affine and semismooth, with a unique root ``y*``; the primal solution is
-``x* = Pi_C(y* lam + w)``.
+``x* = Pi_C(y* lam + w)``.  The solver finds that root and never
+evaluates ``phi`` itself.
 
 Each iteration projects once onto the cone, reads the curvature
 ``M = lam.T H lam`` off the resulting blocks (see
-:func:`block_curvature`; no Jacobian is built), takes a
-Newton step ``-phi'/M`` (or a plain gradient step ``-phi'`` on the flat
-piece where the projection vanishes and ``M = 0``), and backtracks with
-an Armijo test.  Near the root the active piece is identified and a
-single full Newton step lands on ``y*`` up to roundoff, so the method
-terminates in a handful of iterations regardless of n.
+:func:`block_curvature`; no Jacobian is built) and proposes the Newton
+step ``-phi'/M`` (or a plain gradient step ``-phi'`` on the flat piece
+where the projection vanishes and ``M = 0``).  Every point evaluated so
+far narrows a sign bracket ``lo < y* < hi`` with ``phi'(lo) < 0 <
+phi'(hi)``, starting from the whole line.  A proposal strictly inside
+the bracket is taken; otherwise the secant of the bracket's ends is,
+and the bracket's midpoint if that falls outside too.  This is the
+safeguarded Newton method of Numerical Recipes' ``rtsafe``: every step
+stays in a shrinking bracket, so the iteration converges from any
+start, and near the root the active piece is identified and a single
+full Newton step lands on ``y*`` up to roundoff, so it terminates in a
+handful of iterations regardless of n.  No step is ever rejected, so an
+iteration costs exactly one cone projection.
+
+The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
+in the cone.  When they strictly decrease, every block there is a
+singleton, so ``phi'(0) = <w, lam> - tau`` and ``M = <lam, lam>`` (less
+a zero last entry) need no projection at all.
 """
 
 from __future__ import annotations
@@ -29,55 +42,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SignedSort, Weights
-from .isotonic import ConeProjection, project_cone, reduce_spans
+from .isotonic import ConeProjection, project_cone, reduce_spans, strictly_decreasing
 
 __all__ = [
     "SsnParams",
     "StepRecord",
     "SsnReport",
-    "dual_value",
     "dual_gradient",
     "block_curvature",
     "solve",
 ]
 
-# Armijo cap: 60 halvings shrink any sane step below float resolution,
-# so accepting the last trial after that only concedes roundoff.
-_MAX_BACKTRACKS = 60
-
-# phi is three O(||w||^2)-sized terms summing to something near zero, so
-# one evaluation carries cancellation noise of that scale times machine
-# epsilon.  Near the root the Newton decrease drops below this noise and
-# a literal sufficient-decrease test rejects perfectly good steps forever
-# (accepting only sub-ulp moves of y).  The test therefore gets a slack
-# of a few ulps of the evaluated terms; above the noise scale it is the
-# plain Armijo inequality.
-_PHI_SLACK = 16.0
-_EPS = float(np.finfo(np.float64).eps)
+# Step kinds recorded in StepRecord.kind.
+NEWTON = "newton"          # -phi'/M, taken as is
+GRADIENT = "gradient"      # -phi' where M = 0, taken as is
+SECANT = "secant"          # the secant of the bracket's ends
+BISECTION = "bisection"    # the bracket's midpoint
 
 
 @dataclass(frozen=True)
 class SsnParams:
     """Solver knobs.
 
-    mu : Armijo slope fraction, in (0, 1/2).
-    delta : backtracking shrink factor, in (0, 1).
     eps : stop when ``|phi'(y)| / (1 + tau) <= eps``.
     max_iter : iteration cap; hitting it is reported, not raised.
     y0 : starting dual point.
+
+    The globalization (a sign bracket on ``phi'``) has no knobs.
     """
 
-    mu: float = 1e-4
-    delta: float = 0.5
     eps: float = 1e-12
     max_iter: int = 100
     y0: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.mu < 0.5:
-            raise ValueError(f"mu must lie in (0, 1/2), got {self.mu}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
@@ -88,14 +86,21 @@ class SsnParams:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One accepted step: state at the step's start plus the step taken."""
+    """One step: state at the step's start plus the kind of step taken.
+
+    ``kind`` is one of ``"newton"``, ``"gradient"``, ``"secant"`` and
+    ``"bisection"`` (see the module docstring); ``unit_step`` is True
+    for a Newton step taken as is.
+    """
 
     y: float
-    phi: float
     grad: float
     curvature: float
-    alpha: float
-    unit_step: bool
+    kind: str
+
+    @property
+    def unit_step(self) -> bool:
+        return self.kind == NEWTON
 
 
 @dataclass(frozen=True)
@@ -105,10 +110,11 @@ class SsnReport:
     ``cone`` is the cone projection at ``y_star`` and ``x_star`` its
     point: exactly nonincreasing and nonnegative by construction,
     feasible for the hyperplane only up to ``residual_eta``.
-    ``converged`` is False when the iteration cap was hit; callers decide
-    whether that is fatal.  ``sort`` is the signed sort that produced
-    ``w``; :func:`owlball.project_ball` fills it in, a bare :func:`solve`
-    leaves it None.  Together with ``cone`` it is all that
+    ``converged`` is False when the iteration cap was hit, or when no
+    step could move ``y`` any more (see :func:`_next_point`); callers
+    decide whether that is fatal.  ``sort`` is the signed sort that
+    produced ``w``; :func:`owlball.project_ball` fills it in, a bare
+    :func:`solve` leaves it None.  Together with ``cone`` it is all that
     :func:`owlball.ball_jacobian` needs.
     """
 
@@ -123,25 +129,6 @@ class SsnReport:
     @property
     def x_star(self) -> np.ndarray:
         return self.cone.x
-
-
-def _phi(x, y: float, tau: float, half_wsq: float) -> tuple[float, float]:
-    """phi(y) from ``x = Pi_C(y lam + w)`` and ``half_wsq = 0.5 ||w||^2``.
-
-    Also returns the cancellation noise of the evaluation: a few ulps of
-    its three terms (see ``_PHI_SLACK``).
-    """
-    half_xsq = 0.5 * float(np.dot(x, x))
-    phi = half_xsq - y * tau - half_wsq
-    noise = _PHI_SLACK * _EPS * (half_xsq + abs(y * tau) + half_wsq)
-    return phi, noise
-
-
-def dual_value(y: float, w, weights: Weights, tau: float) -> float:
-    """phi(y) = 0.5 ||Pi_C(y lam + w)||^2 - y tau - 0.5 ||w||^2."""
-    w = np.asarray(w, dtype=np.float64)
-    p = project_cone(y * weights.values + w)
-    return _phi(p.x, y, tau, 0.5 * float(np.dot(w, w)))[0]
 
 
 def dual_gradient(y: float, w, weights: Weights, tau: float):
@@ -195,10 +182,12 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     ``w`` need not be sorted or nonnegative (the dual is well defined
     for any vector); the ball projector passes the sorted magnitudes.
 
-    Convergence is checked before stepping, so a converged ``y0`` costs
-    zero iterations and one projection.  Each iteration performs exactly
-    one projection for the gradient (shared with the curvature) plus one
-    per line-search trial.
+    Convergence is checked before stepping.  Each iteration performs
+    exactly one projection, at the point it steps to.  The start costs
+    one more, except at ``y0 = 0`` with ``w`` strictly decreasing and
+    ``w[-1] >= 0``, where ``phi'`` and ``M`` are read off ``w`` directly;
+    there a start that is already converged still costs one projection,
+    for the report's ``cone``.
     """
     if params is None:
         params = SsnParams()
@@ -210,42 +199,73 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         raise ValueError(f"tau must be positive, got {tau}")
 
     lam = weights.values
-    half_wsq = 0.5 * float(np.dot(w, w))
     inv_scale = 1.0 / (1.0 + tau)
 
     y = float(params.y0)
-    p = project_cone(y * lam + w)
-    grad = float(np.dot(p.x, lam)) - tau
+    if y == 0.0 and w[-1] >= 0.0 and strictly_decreasing(w):
+        # Pi_C(w) = w with singleton blocks; the zero block, if any, is
+        # the last singleton and adds no curvature.
+        p = None
+        grad = float(np.dot(w, lam)) - tau
+        live = lam[:w.size - int(w[-1] == 0.0)]
+        m = float(np.dot(live, live))
+    else:
+        p = project_cone(y * lam + w)
+        grad = float(np.dot(p.x, lam)) - tau
+        m = None
     eta = abs(grad) * inv_scale
+    lo, grad_lo, hi, grad_hi = -np.inf, np.nan, np.inf, np.nan
     trace: list[StepRecord] = []
-    iterations = 0
 
-    while eta > params.eps and iterations < params.max_iter:
-        m = block_curvature(p, lam)
-        # M = 0 iff the projection is zero (lam[0] > 0 forces the leading
-        # coordinate into a live block otherwise); fall back to the plain
-        # gradient step there, as the Newton direction is undefined.
-        d = -grad / m if m > 0.0 else -grad
-        phi, _ = _phi(p.x, y, tau, half_wsq)
-        slope = params.mu * grad * d
-
-        alpha = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            y_trial = y + alpha * d
-            p_trial = project_cone(y_trial * lam + w)
-            phi_trial, noise = _phi(p_trial.x, y_trial, tau, half_wsq)
-            if phi_trial <= phi + alpha * slope + noise:
-                break
-            alpha *= params.delta
-
-        trace.append(StepRecord(y=y, phi=phi, grad=grad, curvature=m,
-                                alpha=alpha,
-                                unit_step=(m > 0.0 and alpha == 1.0)))
-        y, p = y_trial, p_trial
+    while eta > params.eps and len(trace) < params.max_iter:
+        if m is None:
+            m = block_curvature(p, lam)
+        if grad < 0.0:
+            lo, grad_lo = y, grad
+        else:
+            hi, grad_hi = y, grad
+        y_next, kind = _next_point(y, grad, m, lo, grad_lo, hi, grad_hi)
+        if kind is None:
+            break           # no float left to step to
+        trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind))
+        y = y_next
+        p = project_cone(y * lam + w)
         grad = float(np.dot(p.x, lam)) - tau
         eta = abs(grad) * inv_scale
-        iterations += 1
+        m = None
 
-    return SsnReport(y_star=y, cone=p, iterations=iterations,
+    if p is None:
+        p = project_cone(y * lam + w)
+    return SsnReport(y_star=y, cone=p, iterations=len(trace),
                      residual_eta=eta, converged=eta <= params.eps,
                      step_trace=trace)
+
+
+def _next_point(y, grad, m, lo, grad_lo, hi, grad_hi):
+    """The point the step from ``y`` goes to, and the step's kind.
+
+    The Newton (or, where ``m = 0``, gradient) step when it lands
+    strictly inside ``(lo, hi)``; else the secant of the bracket's ends;
+    else its midpoint.  The kind is None when no step can leave ``y``:
+    ``lo`` and ``hi`` are adjacent floats, or the step is below the
+    roundoff of ``y`` while the far end of the bracket is still unknown.
+    """
+    # M = 0 iff the projection is zero (lam[0] > 0 forces the leading
+    # coordinate into a live block otherwise): the Newton direction is
+    # undefined there, so the plain gradient step stands in.
+    if m > 0.0:
+        y_next, kind = y - grad / m, NEWTON
+    else:
+        y_next, kind = y - grad, GRADIENT
+    if lo < y_next < hi:
+        return y_next, kind
+    # y is one end of the bracket and the step points to the other, so
+    # it misses only by overshooting a finite end or by not moving.
+    if np.isfinite(lo) and np.isfinite(hi):
+        y_next = lo - grad_lo * ((hi - lo) / (grad_hi - grad_lo))
+        if lo < y_next < hi:
+            return y_next, SECANT
+        y_next = 0.5 * (lo + hi)
+        if lo < y_next < hi:
+            return y_next, BISECTION
+    return y, None

@@ -149,6 +149,24 @@ class TestSignedSort:
         assert np.array_equal(sort.signs, np.sign(b[perm]))
         assert w.tobytes() == np.abs(b[perm]).tobytes()
 
+    def test_colliding_runs_of_every_length(self):
+        # Runs of 1 to 700 magnitudes that share their high bits, one run
+        # per base value, shuffled: the fix-up must find each run's
+        # bounds (first and last entry included) from its inversions.
+        rng = np.random.default_rng(71)
+        ulp = np.finfo(np.float64).eps
+        for _ in range(40):
+            sizes = rng.integers(1, 700, int(rng.integers(1, 12)))
+            n = int(sizes.sum())
+            field = 2 ** (n - 1).bit_length()
+            bases = 1.0 + field * ulp * rng.choice(1000, sizes.size, replace=False)
+            mags = np.repeat(bases, sizes) + rng.integers(0, field, n) * ulp
+            b = rng.permutation(np.where(rng.random(n) < 0.5, -mags, mags))
+            sort, w = signed_sort(b)
+            perm = np.argsort(-np.abs(b), kind="stable")
+            assert np.array_equal(sort.perm, perm)
+            assert w.tobytes() == np.abs(b[perm]).tobytes()
+
     def test_zero_entries_get_positive_sign(self):
         sort, w = signed_sort(np.array([0.0, -1.0]))
         assert np.array_equal(w, [1.0, 0.0])

@@ -56,6 +56,21 @@ def test_identity_with_alternating_pooled_and_singleton_runs(tail):
     assert pooled[:4] == [(0, 6), (7, 13), (14, 17), (18, 21)]
 
 
+def test_pava_route_repairs_pooled_runs_in_x_and_values():
+    # The runs above, then a violation that sends the vector through
+    # PAVA: each repaired run reads back its entry bit for bit in x as
+    # well as in block_values, and x is its blocks repeated.
+    runs = np.array([2.2] * 6 + [1.5] + [1.1] * 6 + [0.9] + [0.7] * 3
+                    + [0.5] + [0.1] * 3)
+    assert any(np.mean(runs[s:s + 6]) != runs[s] for s in (0, 7))
+    d = np.append(runs, [0.05, 0.06])
+    p = project_cone(d)
+    assert p.x[:runs.size].tobytes() == runs.tobytes()
+    assert p.x[runs.size:].tolist() == [0.055, 0.055]
+    assert p.x.tobytes() == np.repeat(p.block_values, p.block_lengths).tobytes()
+    assert np.array_equal(p.block_lengths, np.diff(p.block_starts, append=d.size))
+
+
 def _cone_inputs():
     """Nonincreasing vectors with a nonnegative last entry: ties, zero
     runs of mixed sign, n = 1, and lengths on both sides of the in-cone

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,24 @@ class TestProjectBall:
             assert np.array_equal(report.cone.x, p.x)
             assert np.array_equal(report.cone.block_starts, p.block_starts)
             assert np.array_equal(report.cone.block_values, p.block_values)
+
+    def test_tied_million_instance_converges_in_few_steps(self):
+        # Gaussian b rounded to 2 decimals at n = 1e6, radius 0.8 of its
+        # norm (seed 3, rep 2 of the benchmark's ties-1e6 recipe, rebuilt
+        # here).  A sufficient-decrease line search on phi once stalled
+        # here for 100 iterations: near the root the decrease of phi fell
+        # below the roundoff of evaluating it, so good Newton steps were
+        # rejected.  The sign bracket on phi' never evaluates phi.
+        n = 1_000_000
+        seq = np.random.SeedSequence(3, spawn_key=(zlib.crc32(b"ties-1e6"), 2))
+        rng = np.random.Generator(np.random.Philox(seq))
+        b = np.round(rng.standard_normal(n), 2)
+        weights = Weights(np.sort(np.abs(rng.standard_normal(n)))[::-1])
+        tau = 0.8 * float(np.dot(np.sort(np.abs(b))[::-1], weights.values))
+        res = project_ball(Instance(b, weights, tau))
+        assert res.report.converged
+        assert res.report.iterations <= 4
+        assert abs(owl_norm(res.x, weights) / tau - 1.0) <= 1e-12
 
 
 class TestProxOwl:

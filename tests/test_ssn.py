@@ -10,8 +10,8 @@ from owlball import (
     cone_jacobian,
     project_cone,
 )
-from owlball.oracle import ball_certificate
-from owlball.ssn import _PHI_SLACK, block_curvature, dual_gradient, dual_value, solve
+from owlball.oracle import ball_certificate, dual_value
+from owlball.ssn import block_curvature, dual_gradient, solve
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -31,15 +31,13 @@ def random_sorted_instance(rng, n, sigma=1.0, beta=None):
 class TestParams:
     def test_defaults(self):
         p = SsnParams()
-        assert p.mu == 1e-4
-        assert p.delta == 0.5
         assert p.eps == 1e-12
         assert p.max_iter == 100
         assert p.y0 == 0.0
 
     @pytest.mark.parametrize("kwargs", [
-        {"mu": 0.0}, {"mu": 0.5}, {"mu": -0.1},
-        {"delta": 0.0}, {"delta": 1.0},
+        {"eps": np.nan}, {"eps": -np.inf}, {"max_iter": -1},
+        {"y0": np.inf}, {"y0": -np.inf},
         {"eps": 0.0}, {"eps": -1e-12},
         {"max_iter": 0},
         {"y0": np.nan},
@@ -176,50 +174,78 @@ class TestSolveBasics:
         assert report.residual_eta == 0.0
         (step,) = report.step_trace
         assert step.y == 0.0
-        assert step.phi == 0.0
         assert step.grad == 2.0
         assert step.curvature == 2.0
-        assert step.alpha == 1.0
+        assert step.kind == "newton"
         assert step.unit_step
 
-    def test_converged_start_costs_zero_iterations(self, monkeypatch):
-        calls = 0
+    @staticmethod
+    def count_projections(monkeypatch):
+        calls = []
         inner = ssn_mod.project_cone
+        monkeypatch.setattr(ssn_mod, "project_cone",
+                            lambda d: calls.append(None) or inner(d))
+        return calls
 
-        def counting(d):
-            nonlocal calls
-            calls += 1
-            return inner(d)
-
-        monkeypatch.setattr(ssn_mod, "project_cone", counting)
+    def test_converged_start_costs_zero_iterations(self, monkeypatch):
+        calls = self.count_projections(monkeypatch)
         report = solve(np.array([3.0, 1.0]), Weights([1.0, 1.0]), 2.0,
                        SsnParams(y0=-1.0))
         assert report.converged
         assert report.iterations == 0
         assert report.step_trace == []
-        assert calls == 1
+        assert len(calls) == 1
+
+    def test_converged_in_cone_start_still_reports_its_projection(self, monkeypatch):
+        # At y0 = 0 with w strictly decreasing the start needs no
+        # projection; a start that is already the root projects once,
+        # for the report.
+        calls = self.count_projections(monkeypatch)
+        w = np.array([3.0, 1.0])
+        report = solve(w, Weights([1.0, 1.0]), 4.0)
+        assert report.converged and report.iterations == 0
+        assert len(calls) == 1
+        assert np.array_equal(report.x_star, w)
+        assert report.cone.num_blocks == 2
 
     def test_projection_count_accounting(self, monkeypatch):
-        # Cost contract: one projection up front, then one per line-search
-        # trial; the accepted trial doubles as the next gradient point.
-        calls = 0
-        inner = ssn_mod.project_cone
-
-        def counting(d):
-            nonlocal calls
-            calls += 1
-            return inner(d)
-
-        monkeypatch.setattr(ssn_mod, "project_cone", counting)
+        # Cost contract: one projection per iteration, at the point it
+        # steps to.  The start at y0 = 0 costs none when w is strictly
+        # decreasing with w[-1] >= 0, since phi' and M are read off w;
+        # a tied w or a start y0 != 0 costs one more.
+        calls = self.count_projections(monkeypatch)
         rng = np.random.default_rng(43)
-        for _ in range(25):
+        for k in range(75):
             w, weights, tau = random_sorted_instance(rng, int(rng.integers(2, 60)))
-            calls = 0
-            report = solve(w, weights, tau)
-            assert report.converged
-            trials = sum(int(round(np.log2(1.0 / s.alpha))) + 1
-                         for s in report.step_trace)
-            assert calls == 1 + trials
+            params, extra = SsnParams(), 0
+            if k % 3 == 1:
+                w[0] = w[1]               # a tie
+                tau = 0.5 * float(np.dot(w, weights.values))
+                extra = 1
+            elif k % 3 == 2:
+                params, extra = SsnParams(y0=-0.25), 1
+            calls.clear()
+            report = solve(w, weights, tau, params)
+            assert report.converged and report.iterations >= 1
+            assert len(calls) == report.iterations + extra
+
+    def test_in_cone_start_matches_the_projected_start(self, monkeypatch):
+        # The closed-form start gives the very steps that projecting w
+        # first gives, bit for bit, zero last entry included.
+        rng = np.random.default_rng(53)
+        cases = []
+        for k in range(60):
+            w, weights, tau = random_sorted_instance(rng, int(rng.integers(1, 80)))
+            if k % 2:
+                w[-1] = (0.0, -0.0)[k % 4 // 2]
+            cases.append((w, weights, tau))
+        fast = [solve(*case) for case in cases]
+        monkeypatch.setattr(ssn_mod, "strictly_decreasing", lambda d: False)
+        for case, report in zip(cases, fast):
+            slow = solve(*case)
+            assert report.step_trace == slow.step_trace
+            assert report.y_star == slow.y_star
+            assert report.x_star.tobytes() == slow.x_star.tobytes()
 
     def test_input_validation(self):
         lam = Weights([1.0, 1.0])
@@ -290,31 +316,60 @@ class TestSolveBasics:
 
 
 class TestSolveProperties:
-    def test_armijo_descent_holds_in_trace(self):
-        # Replay the accepted steps against the sufficient-decrease test,
-        # including the roundoff slack the implementation grants (phi is
-        # evaluated as a difference of large terms, so demanding decrease
-        # below that noise would be meaningless).
+    def test_bracket_holds_in_trace(self):
+        # Replay the trace: every point evaluated so far narrows the
+        # bracket (lo, hi), and every step goes strictly inside the
+        # current one, where phi' is negative at lo and positive at hi
+        # (recomputed here, not read off the trace).  Starts below the
+        # root walk the flat piece where M = 0 with gradient steps.
         rng = np.random.default_rng(47)
-        for _ in range(40):
+        kinds = set()
+        for k in range(60):
             w, weights, tau = random_sorted_instance(
                 rng, int(rng.integers(2, 200)),
                 sigma=float(rng.choice([1e-3, 1.0, 1e3])))
-            params = SsnParams()
-            report = solve(w, weights, tau, params)
+            y0 = (0.0, -3.0, 3.0, -0.5)[k % 4] * float(np.max(w))
+            report = solve(w, weights, tau, SsnParams(y0=y0))
             assert report.converged
-            half_wsq = 0.5 * float(np.dot(w, w))
+            lo, hi = -np.inf, np.inf
             ys = [s.y for s in report.step_trace] + [report.y_star]
-            for j, s in enumerate(report.step_trace):
-                d = -s.grad / s.curvature if s.curvature > 0.0 else -s.grad
-                y_next = ys[j + 1]
-                assert y_next == s.y + s.alpha * d
-                p = project_cone(y_next * weights.values + w)
-                half_xsq = 0.5 * float(np.dot(p.x, p.x))
-                phi_next = half_xsq - y_next * tau - half_wsq
-                noise = _PHI_SLACK * EPS * (half_xsq + abs(y_next * tau)
-                                            + half_wsq)
-                assert phi_next <= s.phi + s.alpha * params.mu * s.grad * d + noise
+            for s, y_next in zip(report.step_trace, ys[1:]):
+                kinds.add(s.kind)
+                if s.grad < 0.0:
+                    lo = s.y
+                else:
+                    hi = s.y
+                assert lo < y_next < hi
+                for end, sign in ((lo, -1.0), (hi, 1.0)):
+                    if np.isfinite(end):
+                        grad, _ = dual_gradient(end, w, weights, tau)
+                        assert np.sign(grad) == sign
+                if s.kind == "newton":
+                    assert s.curvature > 0.0
+                    assert y_next == s.y - s.grad / s.curvature
+                elif s.kind == "gradient":
+                    assert s.curvature == 0.0
+                    assert y_next == s.y - s.grad
+        assert kinds == {"newton", "gradient"}
+
+    def test_step_falls_back_to_secant_then_bisection(self):
+        # On these instances phi' never sends a Newton step out of the
+        # bracket, so the fallbacks are driven directly.  y is the end of
+        # the bracket just evaluated.
+        step = ssn_mod._next_point
+        # Newton from hi = 0 lands inside (-inf, 0).
+        assert step(0.0, 2.0, 1.0, -np.inf, np.nan, 0.0, 2.0) == (-2.0, "newton")
+        assert step(-3.0, -2.0, 0.0, -3.0, -2.0, np.inf, np.nan) == (-1.0, "gradient")
+        # It overshoots lo = -1: the secant of (-1, -1) and (0, 2).
+        assert step(0.0, 2.0, 1.0, -1.0, -1.0, 0.0, 2.0) == (-1.0 + 1.0 / 3.0, "secant")
+        assert step(-3.0, -2.0, 0.0, -3.0, -2.0, -2.5, 1.0)[1] == "secant"
+        # The secant rounds onto lo: bisect.
+        assert step(2.0, 1.0, 1.0, 1.0, -1e-300, 2.0, 1.0) == (1.5, "bisection")
+        # lo and hi adjacent, or a step below the roundoff of y with the
+        # far end unknown: no step.
+        hi = float(np.nextafter(1.0, 2.0))
+        assert step(hi, 1.0, 1.0, 1.0, -1.0, hi, 1.0) == (hi, None)
+        assert step(1e20, 1.0, 1.0, -np.inf, np.nan, 1e20, 1.0) == (1e20, None)
 
     def test_unique_root_from_any_start(self):
         rng = np.random.default_rng(48)
