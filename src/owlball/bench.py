@@ -63,7 +63,6 @@ class ExperimentConfig:
     seed: int = 0
     solvers: tuple = SOLVERS
     eps: float = 1e-12
-    output: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))

@@ -99,14 +99,14 @@ def _cmd_bench(args) -> int:
     cfg = bench_mod.ExperimentConfig(
         n_list=args.n, sigma_list=args.sigma, beta_list=args.beta,
         reps=args.reps, seed=args.seed, solvers=args.solvers,
-        eps=args.eps, output=args.out)
+        eps=args.eps)
     cells = bench_mod.run_experiment(cfg)
     render = bench_mod.render_csv if args.format == "csv" else bench_mod.render_markdown
     text = render(cells)
-    if cfg.output is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
     if any(cell.any_nonconverged for cell in cells):
         print("warning: some solves did not converge", file=sys.stderr)

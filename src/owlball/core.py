@@ -19,7 +19,7 @@ __all__ = [
     "owl_norm",
     "signed_sort",
     "sign_or_one",
-    "is_trivial",
+    "sorted_dual_norm",
 ]
 
 # Relative slack used by the trivial-case gate: a point whose norm exceeds
@@ -373,11 +373,9 @@ def sign_or_one(x: np.ndarray) -> np.ndarray:
     return signs
 
 
-def is_trivial(inst: Instance) -> bool:
-    """True when ``b`` already lies in the ball, so the projection is ``b``.
-
-    The comparison allows a relative slack of ``INSIDE_RTOL`` above
-    ``tau``: boundary points (norm equal to the radius up to roundoff)
-    belong to the closed ball.
-    """
-    return owl_norm(inst.b, inst.weights) <= inst.tau * (1.0 + INSIDE_RTOL)
+def sorted_dual_norm(mags, lam) -> float:
+    """``max_k (mags[0] + ... + mags[k]) / (lam[0] + ... + lam[k])``: the
+    dual norm when ``mags`` are sorted magnitudes.  For any ``w`` in place
+    of ``mags`` it is minus the largest ``y`` with ``Pi_C(y lam + w) = 0``,
+    where every prefix sum of ``y lam + w`` is nonpositive."""
+    return float(np.max(np.cumsum(mags) / np.cumsum(lam)))

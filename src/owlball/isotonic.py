@@ -30,7 +30,7 @@ from scipy.optimize import isotonic_regression
 from .core import span_members
 
 __all__ = ["ConeProjection", "project_cone", "strictly_decreasing", "reduce_spans",
-           "active_set"]
+           "positive_block_sums", "active_set"]
 
 # Length of the first stretch the in-cone test compares; each later one
 # doubles, see _nonincreasing.
@@ -50,10 +50,12 @@ class ConeProjection:
         ``range(n)``; values strictly decrease across blocks.
     block_values : ndarray
         Common value of ``x`` on each block (the mean of the input over
-        the block, clamped at zero).  ``block_values[-1] == 0`` exactly
-        when the trailing constraint ``xn >= 0`` is active.
+        the block, clamped at zero).
     block_lengths : ndarray of int
         Length of each block, computed on first use and kept.
+    zero_tail : bool
+        The last block is zero (the constraint ``xn >= 0`` is active);
+        values strictly decrease, so no other block can be.
     """
 
     def __init__(self, x, block_starts, block_values):
@@ -82,6 +84,10 @@ class ConeProjection:
             lengths.flags.writeable = False
             self._lengths = lengths
         return self._lengths
+
+    @property
+    def zero_tail(self) -> bool:
+        return bool(self.block_values[-1] == 0.0)
 
     @property
     def blocks(self) -> list[tuple[int, int, float]]:
@@ -214,6 +220,26 @@ def reduce_spans(ufunc, v, starts, stops) -> np.ndarray:
     return ufunc.reduceat(v, bounds)[::2]
 
 
+def positive_block_sums(p: ConeProjection, v) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of ``v`` over the blocks of ``p`` with a positive value (all
+    but a zero tail), and the indices of the pooled ones among them.
+
+    A singleton's sum is its own entry (a view of ``v`` when all blocks
+    are singletons); pooled blocks are summed directly by one
+    :func:`reduce_spans`, so no error grows with the coordinates before."""
+    v = np.asarray(v, dtype=np.float64)
+    live = p.num_blocks - int(p.zero_tail)
+    if p.num_blocks == p.n:
+        return v[:live], np.empty(0, dtype=np.intp)
+    starts, lengths = p.block_starts[:live], p.block_lengths[:live]
+    sums = v[starts]
+    pooled = np.flatnonzero(lengths > 1)
+    if pooled.size:
+        first = starts[pooled]
+        sums[pooled] = reduce_spans(np.add, v, first, first + lengths[pooled])
+    return sums, pooled
+
+
 def active_set(p: ConeProjection) -> np.ndarray:
     """Indices of the cone constraints that are tight at ``p.x``.
 
@@ -231,5 +257,5 @@ def active_set(p: ConeProjection) -> np.ndarray:
     n = p.n
     tight = np.ones(n, dtype=bool)
     tight[p.block_starts[1:] - 1] = False      # slack between adjacent blocks
-    tight[n - 1] = p.block_values[-1] == 0.0
+    tight[n - 1] = p.zero_tail
     return np.flatnonzero(tight)

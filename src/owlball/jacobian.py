@@ -2,8 +2,7 @@
 
 The projector onto the monotone nonnegative cone is piecewise linear,
 and on the piece of a projection ``p`` its Jacobian ``H`` is fixed by
-the constant blocks of ``p``, in the form :func:`project_cone` returns
-them (``block_starts`` plus whether the last block is pinned at zero):
+the blocks of ``p`` (``block_starts`` and ``zero_tail``):
 
 * a pooled block (two or more coordinates) with a positive value maps
   the input to its mean, replicated over the block;
@@ -12,16 +11,16 @@ them (``block_starts`` plus whether the last block is pinned at zero):
 
 So ``H = D + U U.T`` with ``D`` a 0/1 diagonal (the positive singletons)
 and one column of ``U`` per positive pooled block of length ``L``,
-holding ``1/sqrt(L)`` on it.  ``H`` is never formed.
+holding ``1/sqrt(L)`` on it.  ``H`` is never formed: one table,
+:class:`ConeJacobian`, gives each coordinate a label (its positive
+pooled block, "singleton" or "zero") and each label a ``1/L``, and
+:func:`apply_cone_jacobian` is the one matvec.
 
 The ball projector's Jacobian is ``S = P.T (H - u u.T) P``, with ``P``
-the signed sort of the input and ``u = H lam / ||H lam||``.  Conjugating
-by ``P`` only relabels and re-signs coordinates, so :class:`BallJacobian`
-holds ``S`` in the original coordinates: each coordinate carries the
-label of the block its sorted position falls in and the sign of its
-input entry, and ``u`` is stored as ``P.T u``.  Building it costs two
-scatters through the sort; each matvec then streams over its input
-and reads only a table of per-block means, with no permutation.
+the signed sort of the input and ``u = H lam / ||H lam||``.  The matvec
+reads labels, never positions, so :class:`BallJacobian` holds the same
+table relabelled through the sort's permutation, in the original
+coordinates, and its matvec needs no permutation.
 
 The dense reference ``I - B_G.T (B_G B_G.T)^-1 B_G`` for a tight set
 ``G`` lives in :mod:`owlball.oracle`, which also maps ``G`` to blocks.
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import sign_or_one, signed_sort
-from .isotonic import ConeProjection, project_cone, reduce_spans
+from .isotonic import ConeProjection, positive_block_sums, project_cone
 
 __all__ = [
     "ConeJacobian",
@@ -47,42 +46,58 @@ __all__ = [
 
 
 class ConeJacobian:
-    """Implicit projector Jacobian ``H = D + U U.T`` on one piece.
-
-    ``apply_cone_jacobian`` is the matvec; see the module docstring for
-    the layout.
+    """Implicit projector Jacobian ``H = D + U U.T`` on one piece, as a
+    label table built from block form: ``block_starts`` (blocks partition
+    ``range(n)``), ``zero_tail`` (the last block is pinned at zero), ``n``.
 
     Attributes
     ----------
-    block_starts : ndarray of int
-        First index of each block; blocks partition ``range(n)``.
-    zero_tail : bool
-        The last block is pinned at zero (``block_values[-1] == 0``).
-    n : int
-    avg_starts, avg_stops, avg_sizes : ndarray of int
-        Half-open spans ``[s, t)`` of the pooled blocks off the zero
-        tail (the U columns) and their lengths.
-    avg_coords : ndarray of int
-        All coordinates of those spans, ascending.
-    zero_start : int
-        First coordinate of the zero tail, ``n`` when there is none.
+    label : ndarray of int
+        Per coordinate: the index of its positive pooled block (``0`` to
+        ``m-1``), ``m`` for a positive singleton, ``m+1`` for the zero
+        block, where ``m`` is the number of positive pooled blocks.
+    inv_sizes : ndarray
+        ``1/L`` for each positive pooled block, then ``0`` for the
+        singleton and zero labels; length ``m+2``.
+    keep : ndarray
+        ``1.0`` on the positive singletons, which ``H`` passes through,
+        ``0.0`` elsewhere.  Stored as floats, since a multiply streams
+        where a masked copy branches on every coordinate.
     """
 
     def __init__(self, block_starts, zero_tail: bool, n: int):
-        self.block_starts = np.asarray(block_starts, dtype=np.intp)
-        self.zero_tail = bool(zero_tail)
-        self.n = int(n)
-        starts = self.block_starts
-        stops = np.append(starts[1:], self.n)
-        if self.zero_tail:
-            starts, stops = starts[:-1], stops[:-1]
-        pooled = stops - starts > 1
-        self.avg_starts, self.avg_stops = starts[pooled], stops[pooled]
-        self.avg_sizes = self.avg_stops - self.avg_starts
-        offsets = np.cumsum(self.avg_sizes) - self.avg_sizes
-        base = np.repeat(self.avg_starts - offsets, self.avg_sizes)
-        self.avg_coords = base + np.arange(base.size)
-        self.zero_start = int(self.block_starts[-1]) if self.zero_tail else self.n
+        lengths = np.diff(np.asarray(block_starts, dtype=np.intp), append=int(n))
+        block_label, inv_sizes = _block_table(lengths, zero_tail)
+        self._hold(np.repeat(block_label, lengths), inv_sizes)
+
+    @classmethod
+    def _relabelled(cls, label: np.ndarray, inv_sizes: np.ndarray) -> ConeJacobian:
+        """The table with its labels given per coordinate, in any order."""
+        self = cls.__new__(cls)
+        self._hold(label, inv_sizes)
+        return self
+
+    def _hold(self, label: np.ndarray, inv_sizes: np.ndarray) -> None:
+        self.label = label
+        self.inv_sizes = inv_sizes
+        self.keep = (label == inv_sizes.size - 2).astype(np.float64)
+
+    @property
+    def n(self) -> int:
+        return self.label.size
+
+
+def _block_table(lengths: np.ndarray, zero_tail: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The label of each block, and ``inv_sizes`` (see :class:`ConeJacobian`)."""
+    live = lengths.size - int(zero_tail)
+    pooled = np.flatnonzero(lengths[:live] > 1)
+    m = pooled.size
+    block_label = np.full(lengths.size, m, dtype=np.intp)
+    block_label[pooled] = np.arange(m)
+    block_label[live:] = m + 1
+    inv_sizes = np.zeros(m + 2)
+    inv_sizes[:m] = 1.0 / lengths[pooled]
+    return block_label, inv_sizes
 
 
 @dataclass(frozen=True)
@@ -94,8 +109,7 @@ class BallJacobian:
     symmetric positive semidefinite.  Everything is held in the original
     coordinates, so the matvec
 
-        S v = signs * means[label] + keep * v - unit * <unit, v>,
-        means = (sums of signs * v per label) * inv_sizes,
+        S v = signs * H (signs * v) - unit * <unit, v>
 
     needs no permutation.  ``degenerate`` marks ``H lam = 0``, which
     cannot occur at a feasible solution; applying a degenerate operator
@@ -103,34 +117,24 @@ class BallJacobian:
 
     Attributes
     ----------
-    label : ndarray of int
-        Per coordinate: the index of its positive pooled block (``0`` to
-        ``m-1``), ``m`` for a positive singleton, ``m+1`` for the zero
-        block, where ``m`` is the number of positive pooled blocks.
+    table : ConeJacobian
+        The table of ``H``, coordinate ``perm[k]`` labelled as sorted
+        position ``k``.
     signs : ndarray
         ``sign(b)``, with zeros counted as ``+1``.
-    inv_sizes : ndarray
-        ``1/L`` for each positive pooled block, then ``0`` for the
-        singleton and zero labels; length ``m+2``.
-    keep : ndarray
-        ``1.0`` on the positive singletons, which ``H`` passes through,
-        ``0.0`` elsewhere.  Stored as floats, since a multiply streams
-        where a masked copy branches on every coordinate.
     unit : ndarray
         ``P.T u``.
     degenerate : bool
     """
 
-    label: np.ndarray
+    table: ConeJacobian
     signs: np.ndarray
-    inv_sizes: np.ndarray
-    keep: np.ndarray
     unit: np.ndarray
     degenerate: bool
 
     @property
     def n(self) -> int:
-        return self.label.size
+        return self.table.n
 
 
 def cone_jacobian(p: ConeProjection) -> ConeJacobian:
@@ -139,23 +143,26 @@ def cone_jacobian(p: ConeProjection) -> ConeJacobian:
     Read off the canonical blocks of ``p``, so the tight set is the
     maximal one; O(n).
     """
-    return ConeJacobian(p.block_starts, p.block_values[-1] == 0.0, p.n)
+    return ConeJacobian(p.block_starts, p.zero_tail, p.n)
 
 
 def apply_cone_jacobian(h: ConeJacobian, v) -> np.ndarray:
-    """Matvec ``H v`` in O(n): copy, average each pooled span, zero the tail.
-
-    Each mean is the direct sum over its span, so its error does not grow
-    with the coordinates before it.
-    """
+    """Matvec ``H v`` in O(n): sum ``v`` per label, scale by ``1/L``,
+    gather the means back and add the singletons' own entries.  Each
+    mean is a direct sum, so its error does not grow with the
+    coordinates before it."""
     v = np.asarray(v, dtype=np.float64)
     if v.size != h.n:
         raise ValueError(f"expected length {h.n}, got {v.size}")
-    out = v.copy()
-    if h.avg_starts.size:
-        means = reduce_spans(np.add, v, h.avg_starts, h.avg_stops) / h.avg_sizes
-        out[h.avg_coords] = np.repeat(means, h.avg_sizes)
-    out[h.zero_start:] = 0.0
+    return _apply_table(h, v, np.empty_like(v))
+
+
+def _apply_table(h: ConeJacobian, v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``H v`` for a checked ``v``; ``scratch``, maybe ``v``, gets ``keep * v``."""
+    means = np.bincount(h.label, weights=v, minlength=h.inv_sizes.size)
+    means *= h.inv_sizes
+    out = means[h.label]
+    out += np.multiply(h.keep, v, out=scratch)
     return out
 
 
@@ -190,25 +197,14 @@ def ball_jacobian(inst, solution) -> BallJacobian:
         raise ValueError(f"report has length {sort.n} (sort) and {cone.n} "
                          f"(cone projection), instance has length {inst.n}")
 
-    # Sorted-coordinate block layout: positive pooled blocks get labels
-    # 0..m-1, positive singletons m, the zero block m+1.
-    n = inst.n
-    lengths = cone.block_lengths
-    live = cone.num_blocks - int(cone.block_values[-1] == 0.0)
-    pooled = np.flatnonzero(lengths[:live] > 1)
-    m = pooled.size
-    block_label = np.full(cone.num_blocks, m, dtype=np.intp)
-    block_label[pooled] = np.arange(m)
-    block_label[live:] = m + 1
-
     # H lam: lam itself on positive singletons, its block mean on pooled
     # blocks, zero on the zero block.
+    lengths = cone.block_lengths
+    sums, pooled = positive_block_sums(cone, lam)
     block_hlam = np.zeros(cone.num_blocks)
-    block_hlam[:live] = lam[cone.block_starts[:live]]
-    sizes = lengths[pooled]
-    if m:
-        first = cone.block_starts[pooled]
-        block_hlam[pooled] = reduce_spans(np.add, lam, first, first + sizes) / sizes
+    block_hlam[:sums.size] = sums
+    if pooled.size:
+        block_hlam[pooled] /= lengths[pooled]
     hlam = np.repeat(block_hlam, lengths)
     norm = float(np.linalg.norm(hlam))
     degenerate = norm == 0.0
@@ -216,18 +212,15 @@ def ball_jacobian(inst, solution) -> BallJacobian:
         hlam /= norm
     hlam *= sort.signs
 
-    # The only two scatters through the sort.
-    label = np.empty(n, dtype=np.intp)
+    # The only two scatters through the sort: the table's labels and u.
+    block_label, inv_sizes = _block_table(lengths, cone.zero_tail)
+    label = np.empty(inst.n, dtype=np.intp)
     label[sort.perm] = np.repeat(block_label, lengths)
-    unit = np.empty(n)
+    unit = np.empty_like(hlam)
     unit[sort.perm] = hlam
-
-    inv_sizes = np.zeros(m + 2)
-    inv_sizes[:m] = 1.0 / sizes
-    return BallJacobian(label=label, signs=sign_or_one(inst.b),
-                        inv_sizes=inv_sizes,
-                        keep=(label == m).astype(np.float64),
-                        unit=unit, degenerate=degenerate)
+    return BallJacobian(table=ConeJacobian._relabelled(label, inv_sizes),
+                        signs=sign_or_one(inst.b), unit=unit,
+                        degenerate=degenerate)
 
 
 def apply_ball_jacobian(s: BallJacobian, v) -> np.ndarray:
@@ -241,10 +234,7 @@ def apply_ball_jacobian(s: BallJacobian, v) -> np.ndarray:
     if v.size != s.n:
         raise ValueError(f"expected length {s.n}, got {v.size}")
     tmp = np.multiply(s.signs, v)
-    means = np.bincount(s.label, weights=tmp, minlength=s.inv_sizes.size)
-    means *= s.inv_sizes
-    out = means[s.label]
+    out = _apply_table(s.table, tmp, tmp)
     out *= s.signs
-    out += np.multiply(s.keep, v, out=tmp)
     out -= np.multiply(s.unit, float(np.dot(s.unit, v)), out=tmp)
     return out

@@ -115,8 +115,9 @@ def tight_set_blocks(gamma, n: int) -> tuple[np.ndarray, bool]:
 
     A block starts at 0 and after each slack constraint ``i < n-1``; the
     last block is pinned at zero iff the sign constraint ``n-1`` is
-    tight.  ``ConeJacobian(block_starts, zero_tail, n)`` is then the
-    implicit form of ``dense_cone_jacobian(gamma, n)``.
+    tight.  ``ConeJacobian(block_starts, zero_tail, n)`` builds its
+    label table from this form, and is then the implicit form of
+    ``dense_cone_jacobian(gamma, n)``.
     """
     slack = np.ones(n, dtype=bool)
     slack[_check_tight_set(gamma, n)] = False

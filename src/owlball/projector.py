@@ -46,9 +46,10 @@ def project_ball(inst: Instance, params: SsnParams | None = None) -> ProjectionR
     """Euclidean projection of ``inst.b`` onto ``{x : owl_norm(x) <= tau}``.
 
     The feasibility gate reuses the sort: the norm of ``b`` is the
-    weighted sum of its sorted magnitudes.  Slightly-outside inputs
-    (within one part in 1e15 of the radius) are treated as feasible
-    rather than solved, matching ``is_trivial``.
+    weighted sum of its sorted magnitudes.  The ball is closed, and
+    slightly-outside inputs (within a relative ``INSIDE_RTOL``, one part
+    in 1e15, of the radius) are treated as feasible rather than solved;
+    ``trivial`` on the result reports that.
 
     A non-converged solve is not raised here; it is visible on the
     returned report and left to the caller's policy.  The report carries

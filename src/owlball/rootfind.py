@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Weights, signed_sort
-from .isotonic import project_cone
+from .core import Instance, Weights, signed_sort, sorted_dual_norm
+from .ssn import dual_gradient
 
 __all__ = [
     "BracketError",
@@ -79,12 +79,7 @@ def dual_norm(y, weights: Weights) -> float:
         weights = Weights(weights)
     if y.ndim != 1 or y.size != weights.n:
         raise ValueError(f"y must be a vector of length {weights.n}")
-    return _sorted_dual_norm(np.sort(np.abs(y))[::-1], weights.values)
-
-
-def _sorted_dual_norm(mags, lam) -> float:
-    """:func:`dual_norm` of magnitudes already sorted nonincreasingly."""
-    return float(np.max(np.cumsum(mags) / np.cumsum(lam)))
+    return sorted_dual_norm(np.sort(np.abs(y))[::-1], weights.values)
 
 
 def solve_root(inst: Instance, tol: float = 1e-9,
@@ -114,14 +109,15 @@ def solve_root(inst: Instance, tol: float = 1e-9,
             "owl_norm(b) <= tau: b is already feasible and the radius "
             "equation has no root; call project_ball instead")
 
-    hi = _sorted_dual_norm(w, lam)
+    hi = sorted_dual_norm(w, lam)
     evals = 0
 
     def g(mu: float):
+        # The prox at mu is the cone projection of w - mu lam, so g is
+        # the Newton solver's phi' at y = -mu.
         nonlocal evals
         evals += 1
-        p = project_cone(w - mu * lam)
-        return float(np.dot(p.x, lam)) - tau, p
+        return dual_gradient(-mu, w, inst.weights, tau)
 
     inv_scale = 1.0 / (1.0 + tau)
     a, fa, pa = 0.0, *g(0.0)

@@ -16,18 +16,19 @@ evaluates ``phi`` itself.
 Each iteration projects once onto the cone, reads the curvature
 ``M = lam.T H lam`` off the resulting blocks (see
 :func:`block_curvature`; no Jacobian is built) and proposes the Newton
-step ``-phi'/M`` (or a plain gradient step ``-phi'`` on the flat piece
-where the projection vanishes and ``M = 0``).  Every point evaluated so
-far narrows a sign bracket ``lo < y* < hi`` with ``phi'(lo) < 0 <
-phi'(hi)``, starting from the whole line.  A proposal strictly inside
-the bracket is taken; otherwise the secant of the bracket's ends is,
-and the bracket's midpoint if that falls outside too.  This is the
-safeguarded Newton method of Numerical Recipes' ``rtsafe``: every step
-stays in a shrinking bracket, so the iteration converges from any
-start, and near the root the active piece is identified and a single
-full Newton step lands on ``y*`` up to roundoff, so it terminates in a
-handful of iterations regardless of n.  No step is ever rejected, so an
-iteration costs exactly one cone projection.
+step ``-phi'/M`` (or, on the flat piece where the projection vanishes
+and ``M = 0``, a plain gradient step ``-phi'`` that goes at least to the
+end of that piece).  Every point evaluated so far narrows a sign
+bracket ``lo < y* < hi`` with ``phi'(lo) < 0 < phi'(hi)``, starting
+from the whole line.  A proposal strictly inside the bracket is taken;
+otherwise the secant of the bracket's ends is, and the bracket's
+midpoint if that falls outside too.  This is the safeguarded Newton
+method of Numerical Recipes' ``rtsafe``: every step stays in a
+shrinking bracket, so the iteration converges from any start, and near
+the root the active piece is identified and a single full Newton step
+lands on ``y*`` up to roundoff, so it terminates in a handful of
+iterations regardless of n.  No step is ever rejected, so an iteration
+costs exactly one cone projection.
 
 The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
 in the cone.  When they strictly decrease, every block there is a
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SignedSort, Weights
-from .isotonic import ConeProjection, project_cone, reduce_spans, strictly_decreasing
+from .core import SignedSort, Weights, sorted_dual_norm
+from .isotonic import ConeProjection, positive_block_sums, project_cone, strictly_decreasing
 
 __all__ = [
     "SsnParams",
@@ -132,14 +133,9 @@ class SsnReport:
 
 
 def dual_gradient(y: float, w, weights: Weights, tau: float):
-    """phi'(y) and the cone projection it was read from.
-
-    Returns
-    -------
-    grad : float
-    proj : ConeProjection
-        Reuse its block structure for the curvature at the same y.
-    """
+    """``phi'(y)``, and the cone projection ``Pi_C(y lam + w)`` it was
+    read from, whose blocks give the curvature at the same ``y``.  Both
+    solvers evaluate ``phi'`` here."""
     w = np.asarray(w, dtype=np.float64)
     p = project_cone(y * weights.values + w)
     return float(np.dot(p.x, weights.values)) - tau, p
@@ -153,26 +149,14 @@ def block_curvature(p: ConeProjection, lam) -> float:
 
         M = sum over blocks with value > 0 of (sum of lam over block)**2 / length.
 
-    Canonical blocks strictly decrease, so only the last one can be the
-    zero block.  A singleton's sum is its own weight; only pooled blocks
-    are summed, by one ``add.reduceat``, and each term enters the dot as
-    ``sum / sqrt(length)``.  O(n); when every block is a singleton, as at
-    a start inside the cone, it is one dot product of ``lam`` with itself.
-    Equals ``lam @ apply_cone_jacobian(cone_jacobian(p), lam)`` up to
-    roundoff, and is exactly ``0.0`` when ``p.x`` is all zero.
+    Each pooled block's sum (:func:`positive_block_sums`) enters the dot
+    as ``sum / sqrt(length)``; O(n).  Equals
+    ``lam @ apply_cone_jacobian(cone_jacobian(p), lam)`` up to roundoff,
+    and is exactly ``0.0`` when ``p.x`` is all zero.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    live = p.num_blocks - int(p.block_values[-1] == 0.0)
-    if p.num_blocks == p.n:
-        # Every block a singleton: the terms are the weights themselves.
-        terms = lam[:live]
-    else:
-        starts, lengths = p.block_starts[:live], p.block_lengths[:live]
-        terms = lam[starts]
-        pooled = np.flatnonzero(lengths > 1)
-        if pooled.size:
-            first, size = starts[pooled], lengths[pooled]
-            terms[pooled] = reduce_spans(np.add, lam, first, first + size) / np.sqrt(size)
+    terms, pooled = positive_block_sums(p, lam)
+    if pooled.size:
+        terms[pooled] /= np.sqrt(p.block_lengths[pooled])
     return float(np.dot(terms, terms))
 
 
@@ -210,27 +194,28 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         live = lam[:w.size - int(w[-1] == 0.0)]
         m = float(np.dot(live, live))
     else:
-        p = project_cone(y * lam + w)
-        grad = float(np.dot(p.x, lam)) - tau
+        grad, p = dual_gradient(y, w, weights, tau)
         m = None
     eta = abs(grad) * inv_scale
     lo, grad_lo, hi, grad_hi = -np.inf, np.nan, np.inf, np.nan
+    flat_end = -np.inf      # found when the flat piece is first reached
     trace: list[StepRecord] = []
 
     while eta > params.eps and len(trace) < params.max_iter:
         if m is None:
             m = block_curvature(p, lam)
+        if m == 0.0 and flat_end == -np.inf:
+            flat_end = -sorted_dual_norm(w, lam)
         if grad < 0.0:
             lo, grad_lo = y, grad
         else:
             hi, grad_hi = y, grad
-        y_next, kind = _next_point(y, grad, m, lo, grad_lo, hi, grad_hi)
+        y_next, kind = _next_point(y, grad, m, lo, grad_lo, hi, grad_hi, flat_end)
         if kind is None:
             break           # no float left to step to
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind))
         y = y_next
-        p = project_cone(y * lam + w)
-        grad = float(np.dot(p.x, lam)) - tau
+        grad, p = dual_gradient(y, w, weights, tau)
         eta = abs(grad) * inv_scale
         m = None
 
@@ -241,22 +226,25 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
                      step_trace=trace)
 
 
-def _next_point(y, grad, m, lo, grad_lo, hi, grad_hi):
+def _next_point(y, grad, m, lo, grad_lo, hi, grad_hi, flat_end=-np.inf):
     """The point the step from ``y`` goes to, and the step's kind.
 
     The Newton (or, where ``m = 0``, gradient) step when it lands
     strictly inside ``(lo, hi)``; else the secant of the bracket's ends;
-    else its midpoint.  The kind is None when no step can leave ``y``:
-    ``lo`` and ``hi`` are adjacent floats, or the step is below the
-    roundoff of ``y`` while the far end of the bracket is still unknown.
+    else its midpoint.  The gradient step goes at least to ``flat_end``,
+    the end of the flat piece where the projection vanishes, rather
+    than climb that piece by ``tau`` per iteration.  The kind
+    is None when no step can leave ``y``: ``lo`` and ``hi`` are adjacent
+    floats, or the step is below the roundoff of ``y`` while the far end
+    of the bracket is still unknown.
     """
     # M = 0 iff the projection is zero (lam[0] > 0 forces the leading
     # coordinate into a live block otherwise): the Newton direction is
-    # undefined there, so the plain gradient step stands in.
+    # undefined there, so the gradient step (of size tau) stands in.
     if m > 0.0:
         y_next, kind = y - grad / m, NEWTON
     else:
-        y_next, kind = y - grad, GRADIENT
+        y_next, kind = max(y - grad, flat_end), GRADIENT
     if lo < y_next < hi:
         return y_next, kind
     # y is one end of the bracket and the step points to the other, so

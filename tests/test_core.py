@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owlball import Instance, Weights, owl_norm
-from owlball.core import INSIDE_RTOL, SignedSort, is_trivial, signed_sort
+from owlball.core import SignedSort, signed_sort
 
 
 class TestWeights:
@@ -261,24 +261,3 @@ class TestOwlNorm:
             lhs = owl_norm(x + y, w)
             rhs = owl_norm(x, w) + owl_norm(y, w)
             assert lhs <= rhs * (1.0 + 1e-14)
-
-
-class TestTrivialGate:
-    def test_strictly_inside(self):
-        assert is_trivial(Instance([1.0, 0.0], Weights([1.0, 1.0]), 2.0))
-
-    def test_strictly_outside(self):
-        assert not is_trivial(Instance([3.0, 1.0], Weights([1.0, 1.0]), 2.0))
-
-    def test_boundary_counts_as_inside(self):
-        # The ball is closed: norm exactly tau is feasible.
-        assert is_trivial(Instance([2.0, 0.0], Weights([1.0, 1.0]), 2.0))
-
-    def test_gate_has_relative_slack(self):
-        # Norm within tau*(1 + INSIDE_RTOL) still counts as inside, so a
-        # roundoff-level overshoot never launches the solver.
-        b = np.array([2.0, 0.0])
-        w = Weights([1.0, 1.0])
-        kappa = owl_norm(b, w)
-        assert is_trivial(Instance(b, w, kappa / (1.0 + 0.5 * INSIDE_RTOL)))
-        assert not is_trivial(Instance(b, w, kappa / (1.0 + 10.0 * INSIDE_RTOL)))

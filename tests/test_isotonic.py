@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from owlball import ConeProjection, isotonic, project_cone
-from owlball.isotonic import active_set, reduce_spans
+from owlball.isotonic import active_set, positive_block_sums, reduce_spans
 from owlball.oracle import oracle_cone
 
 
@@ -174,6 +176,59 @@ def test_reduce_spans_matches_slices():
         sums = [np.sum(v[s:t]) for s, t in zip(starts, stops)]
         assert reduce_spans(np.add, v, starts, stops) == pytest.approx(
             sums, rel=1e-13, abs=1e-13)
+
+
+class TestPositiveBlocks:
+    """``zero_tail`` and ``positive_block_sums``, which the Newton
+    curvature and the ball Jacobian share."""
+
+    # (input, zero_tail, blocks with a positive value as (start, stop)).
+    CASES = {
+        "tied": ([3.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.5], False,
+                 [(0, 1), (1, 4), (4, 5), (5, 7)]),
+        "pooled": ([1.0, 3.0, 2.0, 0.5], False, [(0, 3), (3, 4)]),
+        "zero_tail": ([4.0, 1.0, 2.0, -1.0, -3.0], True, [(0, 1), (1, 3)]),
+        "tied_zero_tail": ([2.0, 2.0, 0.0, 0.0], True, [(0, 2)]),
+        "all_zero": ([-1.0, -2.0, 3.0], True, []),
+        "n1": ([2.5], False, [(0, 1)]),
+        "n1_zero": ([-2.5], True, []),
+        "singletons": ([5.0, 3.0, 1.0], False, [(0, 1), (1, 2), (2, 3)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_cases(self, name):
+        d, zero_tail, spans = self.CASES[name]
+        p = project_cone(np.array(d))
+        assert p.zero_tail is zero_tail
+        assert p.zero_tail == (p.block_values[-1] == 0.0)
+        v = np.linspace(1.0, 2.0, p.n) ** 3
+        sums, pooled = positive_block_sums(p, v)
+        assert sums == pytest.approx([math.fsum(v[s:t]) for s, t in spans],
+                                     rel=1e-15)
+        assert pooled.tolist() == [k for k, (s, t) in enumerate(spans) if t - s > 1]
+
+    def test_matches_block_slices(self):
+        rng = np.random.default_rng(28)
+        seen = dict(ties=0, zero_tail=0, all_zero=0, n1=0)
+        for k in range(400):
+            n = int(rng.integers(1, 30))
+            d = rng.standard_normal(n) + (0.5, 0.0, -0.5)[k % 3]
+            if k % 4 == 0:
+                d = np.round(d, 1)
+            p = project_cone(d)
+            v = rng.standard_normal(n)
+            sums, pooled = positive_block_sums(p, v)
+            spans = [(s, t) for s, t, value in p.blocks if value > 0.0]
+            assert p.zero_tail == (len(spans) < p.num_blocks)
+            assert sums == pytest.approx([math.fsum(v[s:t]) for s, t in spans],
+                                         rel=1e-14, abs=1e-14)
+            assert pooled.tolist() == [j for j, (s, t) in enumerate(spans)
+                                       if t - s > 1]
+            seen["ties"] += np.unique(d).size < n
+            seen["zero_tail"] += p.zero_tail and bool(p.x.any())
+            seen["all_zero"] += not p.x.any()
+            seen["n1"] += n == 1
+        assert min(seen.values()) >= 5, seen
 
 
 def test_nonexpansiveness():

@@ -358,6 +358,29 @@ class TestBallJacobianFromReport:
             seen["one_pooled"] += int(np.sum(live > 1)) == 1
         assert min(seen.values()) >= 20, seen
 
+    def test_table_is_the_cone_table_relabelled(self):
+        # One table for H: the ball operator holds cone_jacobian's table
+        # with sorted position k's entries moved to coordinate perm[k].
+        rng = np.random.default_rng(40)
+        checked = 0
+        for k in range(300):
+            inst = self.random_instance(rng, k)
+            res = project_ball(inst)
+            if res.trivial:
+                continue
+            table = ball_jacobian(inst, res.report).table
+            h = cone_jacobian(res.report.cone)
+            perm = res.report.sort.perm
+            for name in ("label", "keep"):
+                moved = np.empty_like(getattr(h, name))
+                moved[perm] = getattr(h, name)
+                got = getattr(table, name)
+                assert got.dtype == moved.dtype
+                assert np.array_equal(got, moved)
+            assert np.array_equal(table.inv_sizes, h.inv_sizes)
+            checked += 1
+        assert checked >= 200
+
     def test_bare_solver_report_falls_back_to_sorting(self):
         rng = np.random.default_rng(38)
         n = 12

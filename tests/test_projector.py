@@ -12,7 +12,7 @@ from owlball import (
     project_cone,
     prox_owl,
 )
-from owlball.core import signed_sort
+from owlball.core import INSIDE_RTOL, signed_sort
 from owlball.oracle import oracle_ball
 from owlball.rootfind import dual_norm
 
@@ -186,6 +186,30 @@ class TestProjectBall:
         assert res.report.converged
         assert res.report.iterations <= 4
         assert abs(owl_norm(res.x, weights) / tau - 1.0) <= 1e-12
+
+
+class TestTrivialGate:
+    """The feasibility gate of ``project_ball``, seen through ``trivial``."""
+
+    def test_strictly_inside(self):
+        assert project_ball(Instance([1.0, 0.0], Weights([1.0, 1.0]), 2.0)).trivial
+
+    def test_strictly_outside(self):
+        assert not project_ball(Instance([3.0, 1.0], Weights([1.0, 1.0]), 2.0)).trivial
+
+    def test_boundary_counts_as_inside(self):
+        # The ball is closed: norm exactly tau is feasible.
+        assert project_ball(Instance([2.0, 0.0], Weights([1.0, 1.0]), 2.0)).trivial
+
+    def test_gate_has_relative_slack(self):
+        # Norm within tau*(1 + INSIDE_RTOL) still counts as inside, so a
+        # roundoff-level overshoot never launches the solver.
+        b = np.array([2.0, 0.0])
+        w = Weights([1.0, 1.0])
+        kappa = owl_norm(b, w)
+        assert project_ball(Instance(b, w, kappa / (1.0 + 0.5 * INSIDE_RTOL))).trivial
+        assert not project_ball(
+            Instance(b, w, kappa / (1.0 + 10.0 * INSIDE_RTOL))).trivial
 
 
 class TestProxOwl:

@@ -10,6 +10,7 @@ from owlball import (
     cone_jacobian,
     project_cone,
 )
+from owlball.core import sorted_dual_norm
 from owlball.oracle import ball_certificate, dual_value
 from owlball.ssn import block_curvature, dual_gradient, solve
 
@@ -321,13 +322,15 @@ class TestSolveProperties:
         # bracket (lo, hi), and every step goes strictly inside the
         # current one, where phi' is negative at lo and positive at hi
         # (recomputed here, not read off the trace).  Starts below the
-        # root walk the flat piece where M = 0 with gradient steps.
+        # root leave the flat piece where M = 0 with gradient steps, each
+        # going at least to the piece's end.
         rng = np.random.default_rng(47)
         kinds = set()
         for k in range(60):
             w, weights, tau = random_sorted_instance(
                 rng, int(rng.integers(2, 200)),
                 sigma=float(rng.choice([1e-3, 1.0, 1e3])))
+            flat_end = -sorted_dual_norm(w, weights.values)
             y0 = (0.0, -3.0, 3.0, -0.5)[k % 4] * float(np.max(w))
             report = solve(w, weights, tau, SsnParams(y0=y0))
             assert report.converged
@@ -349,8 +352,32 @@ class TestSolveProperties:
                     assert y_next == s.y - s.grad / s.curvature
                 elif s.kind == "gradient":
                     assert s.curvature == 0.0
-                    assert y_next == s.y - s.grad
+                    assert y_next == max(s.y - s.grad, flat_end)
         assert kinds == {"newton", "gradient"}
+
+    def test_start_on_the_flat_piece_jumps_to_its_end(self):
+        # Far below the root the projection is zero, phi' = -tau, and
+        # gradient steps of size tau alone would take (end - y0) / tau
+        # iterations to leave the flat piece: 284 here.
+        w = np.array([0.3396, 0.3249])
+        weights = Weights([0.5, 0.1])
+        report = solve(w, weights, 0.01373, SsnParams(y0=-5.0))
+        assert report.converged
+        assert report.iterations <= 5
+        assert report.step_trace[0].kind == "gradient"
+        assert report.step_trace[1].y == -sorted_dual_norm(w, weights.values)
+        # Signed, unsorted w and starts on both sides of the root.
+        rng = np.random.default_rng(50)
+        for k in range(3000):
+            n = int(rng.integers(1, 8))
+            lam = np.sort(rng.random(n))[::-1]
+            lam[0] += 0.01
+            tau = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
+            y0 = (0.0, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0)[k % 7]
+            report = solve(rng.standard_normal(n), Weights(lam), tau,
+                           SsnParams(y0=y0))
+            assert report.converged
+            assert report.iterations <= 5
 
     def test_step_falls_back_to_secant_then_bisection(self):
         # On these instances phi' never sends a Newton step out of the
