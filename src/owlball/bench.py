@@ -9,9 +9,10 @@ same non-timing columns) as the full grid.  Gaussians come from
 numpy's standard normal on that stream.  Cells run one after another,
 so their timings are comparable.
 
-Both solvers are driven to the same relative radius-residual target
-(``eps``), so their objectives are comparable and the timing race is
-fair; the root-finder's looser standalone default would otherwise
+Both solvers are driven to the same radius-residual target (``eps``
+on :func:`owlball.ssn.residual`, relative to ``tau`` above 1 and
+absolute below), so their objectives are comparable and the timing race
+is fair; the root-finder's looser standalone default would otherwise
 concede accuracy for speed.
 """
 

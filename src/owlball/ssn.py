@@ -17,8 +17,8 @@ Each iteration projects once onto the cone, reads the curvature
 ``M = lam.T H lam`` off the resulting blocks (see
 :func:`block_curvature`; no Jacobian is built) and proposes the Newton
 step ``-phi'/M`` (or, on the flat piece where the projection vanishes
-and ``M = 0``, a plain gradient step ``-phi'`` that goes at least to the
-end of that piece).  Every point evaluated so far narrows a sign
+and ``M = 0``, a plain gradient step ``-phi'`` taken from the end of
+that piece or beyond).  Every point evaluated so far narrows a sign
 bracket ``lo < y* < hi`` with ``phi'(lo) < 0 < phi'(hi)``, starting
 from the whole line.  A proposal strictly inside the bracket is taken;
 otherwise the secant of the bracket's ends is, and the bracket's
@@ -50,6 +50,7 @@ __all__ = [
     "StepRecord",
     "SsnReport",
     "dual_gradient",
+    "residual",
     "block_curvature",
     "solve",
 ]
@@ -65,7 +66,7 @@ BISECTION = "bisection"    # the bracket's midpoint
 class SsnParams:
     """Solver knobs.
 
-    eps : stop when ``|phi'(y)| / (1 + tau) <= eps``.
+    eps : stop when ``residual(phi'(y), tau) <= eps``.
     max_iter : iteration cap; hitting it is reported, not raised.
     y0 : starting dual point.
 
@@ -141,6 +142,13 @@ def dual_gradient(y: float, w, weights: Weights, tau: float):
     return float(np.dot(p.x, weights.values)) - tau, p
 
 
+def residual(grad: float, tau: float) -> float:
+    """The stop rule's residual ``|phi'| / (1 + tau)``: relative to
+    ``tau`` for ``tau`` well above 1, absolute below.  Both solvers stop
+    when it drops to their tolerance."""
+    return abs(grad) * (1.0 / (1.0 + tau))
+
+
 def block_curvature(p: ConeProjection, lam) -> float:
     """Curvature ``M = lam.T H lam`` at ``p``, read off its blocks.
 
@@ -183,7 +191,6 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         raise ValueError(f"tau must be positive, got {tau}")
 
     lam = weights.values
-    inv_scale = 1.0 / (1.0 + tau)
 
     y = float(params.y0)
     if y == 0.0 and w[-1] >= 0.0 and strictly_decreasing(w):
@@ -196,7 +203,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     else:
         grad, p = dual_gradient(y, w, weights, tau)
         m = None
-    eta = abs(grad) * inv_scale
+    eta = residual(grad, tau)
     lo, grad_lo, hi, grad_hi = -np.inf, np.nan, np.inf, np.nan
     flat_end = -np.inf      # found when the flat piece is first reached
     trace: list[StepRecord] = []
@@ -216,7 +223,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind))
         y = y_next
         grad, p = dual_gradient(y, w, weights, tau)
-        eta = abs(grad) * inv_scale
+        eta = residual(grad, tau)
         m = None
 
     if p is None:
@@ -231,9 +238,11 @@ def _next_point(y, grad, m, lo, grad_lo, hi, grad_hi, flat_end=-np.inf):
 
     The Newton (or, where ``m = 0``, gradient) step when it lands
     strictly inside ``(lo, hi)``; else the secant of the bracket's ends;
-    else its midpoint.  The gradient step goes at least to ``flat_end``,
-    the end of the flat piece where the projection vanishes, rather
-    than climb that piece by ``tau`` per iteration.  The kind
+    else its midpoint.  The gradient step starts at ``flat_end`` if
+    ``y`` lies below it: that is the closed end of the flat piece where
+    the projection vanishes, so ``phi'`` there is the same ``-tau`` and
+    the step leaves the piece at once, rather than climb it by ``tau``
+    per iteration or stop on its end.  The kind
     is None when no step can leave ``y``: ``lo`` and ``hi`` are adjacent
     floats, or the step is below the roundoff of ``y`` while the far end
     of the bracket is still unknown.
@@ -244,7 +253,7 @@ def _next_point(y, grad, m, lo, grad_lo, hi, grad_hi, flat_end=-np.inf):
     if m > 0.0:
         y_next, kind = y - grad / m, NEWTON
     else:
-        y_next, kind = max(y - grad, flat_end), GRADIENT
+        y_next, kind = max(y, flat_end) - grad, GRADIENT
     if lo < y_next < hi:
         return y_next, kind
     # y is one end of the bracket and the step points to the other, so

@@ -1,7 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
-from owlball import Instance, Weights, owl_norm, project_ball, prox_owl
+from owlball import ConeProjection, Instance, Weights, owl_norm, project_ball, prox_owl
+from owlball import rootfind as rootfind_mod
+from owlball.core import sorted_dual_norm
 from owlball.oracle import oracle_dual_norm
 from owlball.rootfind import (
     BracketError,
@@ -57,11 +61,29 @@ class TestSolveRoot:
         assert report.evaluations >= 2
 
     def test_prox_at_mu_star_reproduces_x(self):
-        rng = np.random.default_rng(84)
-        inst = random_instance(rng, 40, beta=0.4)
-        report = solve_root(inst)
-        assert np.array_equal(prox_owl(inst.b, inst.weights, report.mu_star),
-                              report.x)
+        # The default tol stops on the residual, and 1e-15 on an exact
+        # root of this instance.  1e-300 is below any residual the second
+        # instance reaches, so that solve ends by the bracket's collapse.
+        for seed, tol in ((84, 1e-9), (84, 1e-15), (85, 1e-300)):
+            inst = random_instance(np.random.default_rng(seed), 40, beta=0.4)
+            report = solve_root(inst, tol=tol)
+            assert np.array_equal(prox_owl(inst.b, inst.weights, report.mu_star),
+                                  report.x)
+        assert report.residual > tol
+
+    def test_evaluations_do_not_depend_on_scale(self):
+        # brentq's interpolation is not scale-free; on t = mu / dual_norm
+        # with phi' / tau it takes the same steps at every power of two.
+        rng = np.random.default_rng(90)
+        inst = random_instance(rng, 40, beta=0.1)
+        evals = set()
+        for k in (0, 300, 600, 1000):
+            s = 2.0 ** k
+            scaled = Instance(inst.b * s, inst.weights, inst.tau * s)
+            report = solve_root(scaled, tol=1e-12)
+            evals.add(report.evaluations)
+            assert abs(owl_norm(report.x, inst.weights) / scaled.tau - 1.0) <= 1e-12
+        assert len(evals) == 1
 
     def test_feasible_instance_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +115,6 @@ class TestSolveRoot:
             hi = dual_norm(inst.b, inst.weights)
             assert 0.0 <= report.mu_star <= hi
             assert report.residual <= tol
-            assert report.bracket_width >= 0.0
             # recompute the residual from scratch
             rho = owl_norm(report.x, inst.weights)
             assert abs(rho - inst.tau) / (1.0 + inst.tau) <= tol
@@ -123,13 +144,39 @@ class TestSolveRoot:
                 wins += 1
         assert wins >= 0.9 * total
 
+    def test_leaves_no_projection_to_the_cycle_collector(self):
+        # scipy's brentq keeps its function in a reference cycle; nothing
+        # n-sized may hang off it, or the projections of every solve pile
+        # up until the next collection.
+        inst = random_instance(np.random.default_rng(91), 50, beta=0.3)
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            solve_root(inst)
+            gc.collect()
+            kept = [o for o in gc.garbage if isinstance(o, (ConeProjection, np.ndarray))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert kept == []
+
     def test_eval_budget_exhaustion_raises(self):
         rng = np.random.default_rng(89)
         inst = random_instance(rng, 50, beta=0.37)
         with pytest.raises(NonConvergenceError):
             solve_root(inst, tol=1e-15, max_evals=4)
 
-    def test_bracket_error_is_exposed(self):
-        # BracketError signals an internal inconsistency; it exists and
-        # derives from RuntimeError so harnesses can catch it.
+    def test_bracket_error_is_exposed(self, monkeypatch):
+        # BracketError signals an internal inconsistency, here a dual
+        # norm too small to kill b; it derives from RuntimeError so
+        # harnesses can catch it.
         assert issubclass(BracketError, RuntimeError)
+        half = lambda w, lam: 0.5 * sorted_dual_norm(w, lam)  # noqa: E731
+        monkeypatch.setattr(rootfind_mod, "sorted_dual_norm", half)
+        with pytest.raises(BracketError):
+            # prox at mu = 1.5 is [1.5, 0], still outside the radius 0.5
+            solve_root(Instance([3.0, 1.0], Weights([1.0, 1.0]), 0.5))
