@@ -16,26 +16,31 @@ this stack algorithm) and keep two guarantees on top of it:
   block to the next, with at most one trailing zero block, so the active
   set read off the block structure is the maximal one.
 
-A vector already in the cone (nonincreasing, last entry nonnegative) is
-its own projection and skips the PAVA pass; its blocks are its runs of
-equal entries, exactly what the PAVA route reports for it.  The dual
-solvers start from such a vector (the sorted magnitudes of the input).
+A nonincreasing vector skips the PAVA pass: its projection is
+``max(d, 0)``, and its blocks are the runs of equal entries of that,
+exactly what the PAVA route reports for it (a pooled run of equal
+entries is repaired to its entry, and clamped blocks that tie are
+merged).  The dual solvers start from such a vector (the sorted
+magnitudes of the input), and with constant weights every point they
+project is one.
+
+A caller that knows the projection vanishes from some index ``k`` on
+passes only the first ``k`` entries and the full length (see
+:func:`project_cone`); the Newton solver knows such a ``k`` once it has
+a point above the root.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .core import span_members
+from .core import pairs_hold, span_members
 
 __all__ = ["ConeProjection", "project_cone", "strictly_decreasing", "reduce_spans",
            "positive_block_sums", "active_set"]
-
-# Length of the first stretch the in-cone test compares; each later one
-# doubles, see _nonincreasing.
-_FIRST_STRETCH = 256
-
 
 class ConeProjection:
     """Result of :func:`project_cone`.
@@ -56,6 +61,8 @@ class ConeProjection:
     zero_tail : bool
         The last block is zero (the constraint ``xn >= 0`` is active);
         values strictly decrease, so no other block can be.
+    zero_start : int
+        First index of the zero block, ``n`` when there is none.
     """
 
     def __init__(self, x, block_starts, block_values):
@@ -90,6 +97,10 @@ class ConeProjection:
         return bool(self.block_values[-1] == 0.0)
 
     @property
+    def zero_start(self) -> int:
+        return int(self.block_starts[-1]) if self.zero_tail else self.n
+
+    @property
     def blocks(self) -> list[tuple[int, int, float]]:
         """Blocks as ``(start, end, value)`` tuples with half-open ends."""
         ends = np.append(self.block_starts[1:], self.n)
@@ -97,37 +108,51 @@ class ConeProjection:
                 for s, e, v in zip(self.block_starts, ends, self.block_values)]
 
 
-def project_cone(d) -> ConeProjection:
+def project_cone(d, n: int | None = None) -> ConeProjection:
     """Euclidean projection of ``d`` onto the monotone nonnegative cone.
 
     Parameters
     ----------
-    d : array_like of shape (n,)
+    d : array_like of shape (k,)
         Any real vector; the input order is used as-is (no sorting).
+    n : int, optional
+        Length of the result, at least ``k`` (the default); entries from
+        ``k`` on are zero.  This is the projection of any length-``n``
+        vector that starts with ``d`` and whose projection is zero from
+        ``k`` on: with ``x[k] = 0`` the constraint ``x[k-1] >= x[k]`` is
+        the prefix's own ``x[k-1] >= 0``.  Only ``d`` is projected.
 
     Returns
     -------
     ConeProjection
         Minimizer of ``0.5*||x - d||**2`` over nonincreasing nonnegative
-        ``x``, with its constant-block structure.  O(n); an input already
-        in the cone costs a few streaming passes and no PAVA pass.
+        ``x``, with its constant-block structure.  O(k); a nonincreasing
+        ``d`` costs a few streaming passes and no PAVA pass.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1:
         raise ValueError(f"d must be one-dimensional, got shape {d.shape}")
-    if d.size == 0:
+    k = d.size
+    if k == 0:
         raise ValueError("d must not be empty")
+    n = k if n is None else int(n)
+    if n < k:
+        raise ValueError(f"n must be at least len(d) = {k}, got {n}")
 
-    if d[-1] >= 0.0 and _nonincreasing(d):
-        # Already in the cone: the projection is d itself, its blocks the
-        # runs of equal entries.  Every entry is >= 0, so adding +0.0
-        # changes nothing but -0.0, which becomes +0.0 as on the PAVA route.
-        x = d + 0.0
-        change = np.empty(d.size, dtype=bool)
+    if _nonincreasing(d):
+        # The projection is max(d, 0): d up to its first entry <= 0, +0.0
+        # from there on, as on the PAVA route.  Its blocks are its runs of
+        # equal entries, and x[m:] repeats the zero x[m - 1].
+        j = bisect_left(d, True, key=lambda v: v <= 0.0)
+        x = np.empty(n)
+        x[:j] = d[:j]
+        x[j:] = 0.0
+        m = min(j + 1, n)
+        change = np.empty(m, dtype=bool)
         change[0] = True
-        np.not_equal(x[1:], x[:-1], out=change[1:])
+        np.not_equal(x[1:m], x[:m - 1], out=change[1:])
         starts = np.flatnonzero(change)
-        values = x if starts.size == d.size else x[starts]
+        values = x[:m] if starts.size == m else x[starts]
         return ConeProjection(x, starts, values)
 
     res = isotonic_regression(d, increasing=False)
@@ -136,10 +161,14 @@ def project_cone(d) -> ConeProjection:
     # scipy's x holds each block's mean on the whole block already.  Clamp
     # at zero; given two zeros, np.maximum may return either (numpy 2.4 on
     # x86 returns the second), so +0.0 is added to make every zero +0.0,
-    # as the in-cone exit above does.
-    x = np.maximum(res.x, 0.0)
-    x += 0.0
-    values = x if starts.size == d.size else x[starts]
+    # as the exit above does.  The result is allocated only now: an
+    # n-sized array taken before scipy's call changes which memory scipy
+    # gets back, and at n = 1e6 that cost page faults.
+    x = np.empty(n)
+    head = np.maximum(res.x, 0.0, out=x[:k])
+    head += 0.0
+    x[k:] = 0.0
+    values = head[starts]
 
     # Repair pooled runs of identical entries to the exact common value,
     # in values and in x.  Singletons are exact already, and a pooled
@@ -170,37 +199,25 @@ def project_cone(d) -> ConeProjection:
             values = values[edge[:-1]]
             bounds = bounds[edge]
             starts = bounds[:-1]
+    if k < n and values[-1] != 0.0:
+        # The zero tail past d is a block of its own, starting at
+        # bounds[-1] = k where x is +0.0.  x holds each block's value, so
+        # one gather gives them all; the old values go first, so that the
+        # peak memory stays that of one values array.
+        starts = bounds
+        del values
+        values = x[starts]
     return ConeProjection(x, starts, values)
 
 
 def _nonincreasing(d: np.ndarray) -> bool:
-    """True when ``d`` is nonincreasing; see :func:`_pairs_hold`."""
-    return _pairs_hold(np.less_equal, d)
+    """True when ``d`` is nonincreasing; see :func:`owlball.core.pairs_hold`."""
+    return pairs_hold(np.less_equal, d)
 
 
 def strictly_decreasing(d: np.ndarray) -> bool:
-    """True when ``d`` is strictly decreasing; see :func:`_pairs_hold`."""
-    return _pairs_hold(np.less, d)
-
-
-def _pairs_hold(compare, d: np.ndarray) -> bool:
-    """True when ``compare(d[i + 1], d[i])`` holds for every i.
-
-    The adjacent pairs are compared in stretches of doubling length, and
-    the test stops after the first stretch that holds a violation.  A
-    vector that fails costs the first stretch, or about twice the
-    distance to its first violation if that is more; one that passes
-    costs one pass plus ``log2(n / _FIRST_STRETCH)`` calls.  No
-    temporary is much over ``n / 2``.
-    """
-    n = d.size
-    start, size = 0, _FIRST_STRETCH
-    while start < n - 1:
-        stop = min(start + size, n - 1)
-        if not compare(d[start + 1:stop + 1], d[start:stop]).all():
-            return False
-        start, size = stop, 2 * size
-    return True
+    """True when ``d`` is strictly decreasing; see :func:`owlball.core.pairs_hold`."""
+    return pairs_hold(np.less, d)
 
 
 def reduce_spans(ufunc, v, starts, stops) -> np.ndarray:

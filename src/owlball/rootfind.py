@@ -22,7 +22,9 @@ Both bracketing endpoints are evaluated by a cone projection, and
 ``evaluations`` counts every projection.  ``t = 0`` projects the sorted
 magnitudes of ``b``, which already lie in the cone, so it costs a few
 streaming passes and no PAVA pass.  ``t = 1`` costs a full projection,
-whose result is zero up to roundoff.
+whose result is zero up to roundoff.  Every later point projects only
+the coordinates ahead of the zero block at the bracket's lower end in
+``t``, as the Newton solver does below its ``hi``.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def solve_root(inst: Instance, tol: float = 1e-9,
             "equation has no root; call project_ball instead")
 
     hi = sorted_dual_norm(w, inst.weights.values)
-    track = SimpleNamespace(evals=0, abs_grad=np.inf, t=0.0, cone=None)
+    track = SimpleNamespace(evals=0, abs_grad=np.inf, t=0.0, cone=None, top=w.size)
     try:
         _, info = brentq(_scaled_gap, 0.0, 1.0, xtol=4.0 * np.finfo(np.float64).eps,
                          maxiter=max(max_evals - 2, 0), full_output=True,
@@ -143,13 +145,19 @@ def _scaled_gap(t, w, weights, tau, hi, tol, track):
     The prox at ``mu = t * hi`` is the cone projection of ``w - mu lam``,
     so this is the Newton solver's ``phi'`` at ``y = -mu``.  ``track``
     counts the evaluations and keeps the one with the smallest
-    ``|phi'|``, with its projection.  All state comes in through
+    ``|phi'|``, with its projection.  It also keeps where the zero block
+    starts at the last point with a positive gap: that point has the
+    largest such ``t`` and is the bracket's lower end, every later point
+    lies strictly beyond it, so later projections are zero from there on
+    (see :func:`owlball.ssn.dual_gradient`).  All state comes in through
     brentq's ``args``: scipy's NaN guard keeps the function in a
     reference cycle after the call, so a closure would hold n-sized
     arrays until the next garbage collection.
     """
     track.evals += 1
-    grad, p = dual_gradient(-t * hi, w, weights, tau)
+    grad, p = dual_gradient(-t * hi, w, weights, tau, track.top)
+    if grad > 0.0:
+        track.top = p.zero_start
     if abs(grad) < track.abs_grad:
         track.abs_grad, track.t, track.cone = abs(grad), t, p
     return 0.0 if residual(grad, tau) <= tol else grad / tau

@@ -28,7 +28,12 @@ shrinking bracket, so the iteration converges from any start, and near
 the root the active piece is identified and a single full Newton step
 lands on ``y*`` up to roundoff, so it terminates in a handful of
 iterations regardless of n.  No step is ever rejected, so an iteration
-costs exactly one cone projection.
+costs exactly one cone projection.  That projection covers only the
+coordinates ahead of the zero block of the projection at ``hi``: every
+later iterate lies strictly below ``hi``, and ``Pi_C`` is
+order-preserving, so the rest stays zero (see :func:`dual_gradient`).
+With constant weights every point projected is nonincreasing and costs
+no PAVA pass at all.
 
 The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
 in the cone.  When they strictly decrease, every block there is a
@@ -133,13 +138,23 @@ class SsnReport:
         return self.cone.x
 
 
-def dual_gradient(y: float, w, weights: Weights, tau: float):
+def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = None):
     """``phi'(y)``, and the cone projection ``Pi_C(y lam + w)`` it was
     read from, whose blocks give the curvature at the same ``y``.  Both
-    solvers evaluate ``phi'`` here."""
+    solvers evaluate ``phi'`` here.
+
+    ``top`` is where the zero block starts in the projection at some
+    point at or above ``y`` (``n`` if omitted).  ``Pi_C`` is
+    order-preserving and ``y lam + w`` falls as ``y`` falls, so the
+    projection at ``y`` is zero from ``top`` on too, and only the first
+    ``top`` coordinates are projected.  The projection is still returned
+    at full length, and ``phi'`` is its dot with all of ``lam``.
+    """
     w = np.asarray(w, dtype=np.float64)
-    p = project_cone(y * weights.values + w)
-    return float(np.dot(p.x, weights.values)) - tau, p
+    lam = weights.values
+    top = lam.size if top is None else top
+    p = project_cone(y * lam[:top] + w[:top], lam.size)
+    return float(np.dot(p.x, lam)) - tau, p
 
 
 def residual(grad: float, tau: float) -> float:
@@ -175,7 +190,9 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     for any vector); the ball projector passes the sorted magnitudes.
 
     Convergence is checked before stepping.  Each iteration performs
-    exactly one projection, at the point it steps to.  The start costs
+    exactly one projection, at the point it steps to, of the coordinates
+    ahead of the zero block at ``hi`` (all n before ``phi'`` has been
+    seen to be >= 0); it is returned at full length.  The start costs
     one more, except at ``y0 = 0`` with ``w`` strictly decreasing and
     ``w[-1] >= 0``, where ``phi'`` and ``M`` are read off ``w`` directly;
     there a start that is already converged still costs one projection,
@@ -198,13 +215,14 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         # the last singleton and adds no curvature.
         p = None
         grad = float(np.dot(w, lam)) - tau
-        live = lam[:w.size - int(w[-1] == 0.0)]
-        m = float(np.dot(live, live))
+        w_top = w.size - int(w[-1] == 0.0)     # Pi_C(w) is zero from here on
+        m = float(np.dot(lam[:w_top], lam[:w_top]))
     else:
         grad, p = dual_gradient(y, w, weights, tau)
         m = None
     eta = residual(grad, tau)
     lo, grad_lo, hi, grad_hi = -np.inf, np.nan, np.inf, np.nan
+    top = w.size            # the projection at hi is zero from here on
     flat_end = -np.inf      # found when the flat piece is first reached
     trace: list[StepRecord] = []
 
@@ -217,12 +235,13 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
             lo, grad_lo = y, grad
         else:
             hi, grad_hi = y, grad
+            top = w_top if p is None else p.zero_start
         y_next, kind = _next_point(y, grad, m, lo, grad_lo, hi, grad_hi, flat_end)
         if kind is None:
             break           # no float left to step to
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind))
         y = y_next
-        grad, p = dual_gradient(y, w, weights, tau)
+        grad, p = dual_gradient(y, w, weights, tau, top)
         eta = residual(grad, tau)
         m = None
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import owlball.core as core_mod
 from owlball import Instance, Weights, owl_norm
 from owlball.core import SignedSort, signed_sort
 
@@ -117,6 +118,57 @@ class TestSignedSort:
         assert np.array_equal(w, [2.0, 2.0])
         assert np.array_equal(sort.perm, [0, 1])
         assert np.array_equal(sort.signs, [1.0, -1.0])
+
+    @staticmethod
+    def in_order_cases():
+        """Vectors whose ``|b|`` is nonincreasing, so that the sort is
+        ``arange(n)`` without sorting: ties, mixed signs, +0.0 and -0.0
+        runs, n = 1 and lengths past the in-order test's first stretches."""
+        rng = np.random.default_rng(73)
+        cases = [np.array([-0.0]), np.array([0.0, -0.0, 0.0]), np.array([-2.5]),
+                 np.array([3.0, -3.0, 2.0, 2.0, -1.0, 0.0, -0.0, 0.0])]
+        for n in (2, 257, 1000, 4099):
+            mags = np.sort(rng.choice([0.0, 0.5, 1.0, 1.5], n))[::-1]
+            cases.append(np.where(rng.random(n) < 0.5, -mags, mags))
+        return cases
+
+    def test_in_order_input_takes_no_sort(self, monkeypatch):
+        # perm, signs and w are bitwise those of the packed sort.
+        cases = self.in_order_cases()
+        fast = [signed_sort(b) for b in cases]
+        monkeypatch.setattr(core_mod, "pairs_hold", lambda compare, d: False)
+        for b, (sort, w) in zip(cases, fast):
+            slow, w_slow = signed_sort(b)
+            assert np.array_equal(sort.perm, np.arange(b.size))
+            assert sort.perm.dtype == slow.perm.dtype and not sort.perm.flags.writeable
+            assert sort.perm.tobytes() == slow.perm.tobytes()
+            assert sort.signs.tobytes() == slow.signs.tobytes()
+            assert w.tobytes() == w_slow.tobytes()
+
+    def test_in_order_path_gathers_nothing(self, monkeypatch):
+        def gather(*args):
+            raise AssertionError("in-order input was gathered")
+
+        monkeypatch.setattr(core_mod, "_gather_signed", gather)
+        for b in self.in_order_cases():
+            signed_sort(b)
+
+    @pytest.mark.parametrize("n", [3, 257, 1000])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_one_violation_at_the_end_is_sorted(self, n, direction, monkeypatch):
+        # |b| nonincreasing but for its last pair, or strictly
+        # increasing: the sort must run.
+        gathered = []
+        inner = core_mod._gather_signed
+        monkeypatch.setattr(core_mod, "_gather_signed",
+                            lambda b, order: gathered.append(1) or inner(b, order))
+        b = -np.linspace(3.0, 1.0, n)[::direction].copy()
+        if direction > 0:
+            b[-2], b[-1] = b[-1], b[-2]
+        sort, w = signed_sort(b)
+        assert gathered
+        assert np.array_equal(sort.perm, np.argsort(-np.abs(b), kind="stable"))
+        assert np.all(w[1:] <= w[:-1])
 
     @settings(max_examples=600, deadline=None)
     @given(st.data())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owlball import ConeProjection, isotonic, project_cone
 from owlball.isotonic import active_set, positive_block_sums, reduce_spans
@@ -122,6 +124,55 @@ def test_cone_exit_matches_the_pava_route(monkeypatch):
         assert p.x.tobytes() == q.x.tobytes()
         assert p.block_starts.tobytes() == q.block_starts.tobytes()
         assert p.block_values.tobytes() == q.block_values.tobytes()
+
+
+@st.composite
+def nonincreasing_vectors(draw):
+    """Nonincreasing vectors, with a result length ``n >= len(d)``: ties,
+    +0.0 and -0.0, negative tails, all-negative input and n = 1."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]),
+                      st.floats(-1e6, 1e6))
+    if draw(st.booleans()):
+        entry = entry.map(lambda v: -abs(v))
+    d = np.sort(np.array(draw(st.lists(entry, min_size=1, max_size=60))))[::-1].copy()
+    return d, d.size + draw(st.sampled_from([0, 0, 1, 5]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(nonincreasing_vectors())
+def test_nonincreasing_exit_matches_the_pava_route(case):
+    # Any nonincreasing d skips PAVA, zero-padded or not; sending it
+    # through PAVA gives the same bytes.
+    d, n = case
+    fast = project_cone(d, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isotonic, "_nonincreasing", lambda d: False)
+        slow = project_cone(d, n)
+    assert fast.x.tobytes() == slow.x.tobytes()
+    assert fast.block_starts.tobytes() == slow.block_starts.tobytes()
+    assert fast.block_values.tobytes() == slow.block_values.tobytes()
+    assert fast.x.tobytes() == np.repeat(fast.block_values, fast.block_lengths).tobytes()
+
+
+def test_zero_padded_result_is_the_projection_of_the_whole():
+    # project_cone(d[:k], n) is the projection of d when that vanishes
+    # from k on, as a full-length result with canonical blocks: the pad
+    # starts its own zero block (k at the zero start) or joins that of
+    # d[:k] (k beyond it).
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        d = rng.standard_normal(n) - rng.uniform(0.0, 2.0) * np.arange(n) / n
+        full = project_cone(d)
+        start = full.zero_start
+        for k in {start, int(rng.integers(start, n + 1))} - {0}:
+            p = project_cone(d[:k], n)
+            assert p.x.tobytes() == full.x.tobytes()
+            assert p.block_starts.tobytes() == full.block_starts.tobytes()
+            assert p.block_values.tobytes() == full.block_values.tobytes()
+            assert p.zero_start == start
+    with pytest.raises(ValueError):
+        project_cone(np.ones(3), 2)
 
 
 def test_pava_route_clamps_to_positive_zero():

@@ -3,6 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
+import owlball.isotonic as isotonic_mod
 from owlball import (
     Instance,
     SsnParams,
@@ -14,7 +15,7 @@ from owlball import (
 )
 from owlball.core import INSIDE_RTOL, signed_sort
 from owlball.oracle import oracle_ball
-from owlball.rootfind import dual_norm
+from owlball.rootfind import dual_norm, solve_root
 
 
 def random_instance(rng, n, sigma=1.0, beta=None):
@@ -251,3 +252,26 @@ class TestProxOwl:
             mu = dual_norm(v, w)
             assert np.max(np.abs(prox_owl(v, w, mu))) <= 1e-12
             assert np.max(np.abs(prox_owl(v, w, mu * 1.5))) == 0.0
+
+
+def test_l1_weights_never_run_pava(monkeypatch):
+    # With constant weights every point the solvers and the prox project
+    # is the sorted magnitudes shifted by a constant, so nonincreasing:
+    # no PAVA pass at all.  Rounded b gives tied magnitudes.
+    def pava(*args, **kwargs):
+        raise AssertionError("isotonic_regression called on L1 weights")
+
+    monkeypatch.setattr(isotonic_mod, "isotonic_regression", pava)
+    rng = np.random.default_rng(97)
+    for k in range(60):
+        n = int(rng.integers(1, 300))
+        b = rng.standard_normal(n)
+        if k % 2:
+            b = np.round(b, 1)
+        weights = Weights(np.full(n, (1.0, 0.3)[k % 3 // 2]))
+        inst = Instance(b, weights, float(rng.uniform(0.05, 0.95)) * owl_norm(b, weights))
+        result = project_ball(inst, SsnParams(y0=(0.0, -0.5)[k % 2]))
+        assert result.report is None or result.report.converged
+        if not result.trivial:
+            solve_root(inst)
+        prox_owl(b, weights, float(rng.uniform(0.0, 2.0)))

@@ -5,6 +5,8 @@ import pytest
 
 from owlball import ConeProjection, Instance, Weights, owl_norm, project_ball, prox_owl
 from owlball import rootfind as rootfind_mod
+from owlball import ssn as ssn_mod
+from owlball.bench import cell_rng, generate_instance
 from owlball.core import sorted_dual_norm
 from owlball.oracle import oracle_dual_norm
 from owlball.rootfind import (
@@ -84,6 +86,41 @@ class TestSolveRoot:
             evals.add(report.evaluations)
             assert abs(owl_norm(report.x, inst.weights) / scaled.tau - 1.0) <= 1e-12
         assert len(evals) == 1
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the stop rule is absolute below tau = 1, so at "
+        "scale 1e-20 both ends of the bracket pass it and x = 0 comes back "
+        "with no error"))
+    def test_tiny_scale_still_meets_the_radius(self):
+        inst = generate_instance(1000, 1.0, 0.1, cell_rng(0, 0, 0, 0, 0))
+        scaled = Instance(inst.b * 1e-20, inst.weights, inst.tau * 1e-20)
+        report = solve_root(scaled, tol=1e-12)
+        assert abs(owl_norm(report.x, scaled.weights) / scaled.tau - 1.0) <= 1e-9
+
+    def test_projects_only_ahead_of_the_zero_tail(self, monkeypatch):
+        # Each evaluation projects only ahead of the zero block at the
+        # last point with a positive gap; the answer and the evaluations
+        # are those of full-length projections, bit for bit.
+        rng = np.random.default_rng(92)
+        cases = [random_instance(rng, int(rng.integers(2, 300))) for _ in range(40)]
+        for k in range(0, len(cases), 3):      # weights with trailing zeros
+            lam = cases[k].weights.values.copy()
+            lam[lam.size // 2:] = 0.0
+            cases[k] = Instance(cases[k].b, lam, 0.5 * owl_norm(cases[k].b, lam))
+        lengths = []
+        inner_cone = ssn_mod.project_cone
+        monkeypatch.setattr(ssn_mod, "project_cone",
+                            lambda d, n=None: lengths.append(len(d) < n) or inner_cone(d, n))
+        fast = [solve_root(inst, tol=1e-12) for inst in cases]
+        assert sum(lengths) >= 20
+        inner = rootfind_mod.dual_gradient
+        monkeypatch.setattr(rootfind_mod, "dual_gradient",
+                            lambda y, w, weights, tau, top=None: inner(y, w, weights, tau))
+        for inst, report in zip(cases, fast):
+            slow = solve_root(inst, tol=1e-12)
+            assert report.evaluations == slow.evaluations
+            assert report.mu_star == slow.mu_star
+            assert report.x.tobytes() == slow.x.tobytes()
 
     def test_feasible_instance_rejected(self):
         with pytest.raises(ValueError):

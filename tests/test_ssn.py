@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import owlball.ssn as ssn_mod
 from owlball import (
@@ -66,7 +68,51 @@ class TestDualValue:
             assert dual_value(-1e6, w, weights, tau) > 0.0
 
 
+@st.composite
+def truncation_cases(draw):
+    """``(w, weights, hi, y)`` with ``y < hi``: ``w`` sorted magnitudes,
+    rounded (ties) or with trailing zeros, and weights sorted |N(0,1)|,
+    constant or with trailing zeros.  ``hi`` lies between the end of the
+    flat piece and 0; ``y`` is the float below it or further down."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.sort(np.abs(rng.standard_normal(n)))[::-1]
+    if draw(st.booleans()):
+        w = np.round(w, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        w[draw(st.integers(0, n - 1)):] = 0.0
+    lam = np.sort(np.abs(rng.standard_normal(n)))[::-1]
+    lam[0] += 0.01
+    family = draw(st.sampled_from(["sorted", "constant", "trailing zeros"]))
+    if family == "constant":
+        lam = np.full(n, draw(st.sampled_from([1.0, 0.3])))
+    elif family == "trailing zeros":
+        lam[draw(st.integers(1, n)):] = 0.0
+    end = sorted_dual_norm(w, lam)
+    hi = -end * draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        y = float(np.nextafter(hi, -np.inf))
+    else:
+        y = hi - (end + 1.0) * draw(st.floats(0.0, 1.0, exclude_min=True))
+    return w, Weights(lam), hi, y
+
+
 class TestDualGradient:
+    @settings(max_examples=400, deadline=None)
+    @given(truncation_cases())
+    def test_projection_ahead_of_the_zero_tail_at_hi_is_exact(self, case):
+        # Below hi only the coordinates ahead of the zero block at hi are
+        # projected; phi' and the projection come out byte-identical.
+        w, weights, hi, y = case
+        top = project_cone(hi * weights.values + w).zero_start
+        assume(top > 0)
+        grad, p = dual_gradient(y, w, weights, 0.7, top)
+        full_grad, full = dual_gradient(y, w, weights, 0.7)
+        assert np.float64(grad).tobytes() == np.float64(full_grad).tobytes()
+        assert p.x.tobytes() == full.x.tobytes()
+        assert p.block_starts.tobytes() == full.block_starts.tobytes()
+        assert p.block_values.tobytes() == full.block_values.tobytes()
+
     def test_hand_examples(self):
         w = np.array([3.0, 1.0])
         lam = Weights([1.0, 1.0])
@@ -182,10 +228,16 @@ class TestSolveBasics:
 
     @staticmethod
     def count_projections(monkeypatch):
+        # One (length projected, projection) pair per call.
         calls = []
         inner = ssn_mod.project_cone
-        monkeypatch.setattr(ssn_mod, "project_cone",
-                            lambda d: calls.append(None) or inner(d))
+
+        def counted(d, n=None):
+            p = inner(d, n)
+            calls.append((len(d), p))
+            return p
+
+        monkeypatch.setattr(ssn_mod, "project_cone", counted)
         return calls
 
     def test_converged_start_costs_zero_iterations(self, monkeypatch):
@@ -213,9 +265,10 @@ class TestSolveBasics:
         # Cost contract: one projection per iteration, at the point it
         # steps to.  The start at y0 = 0 costs none when w is strictly
         # decreasing with w[-1] >= 0, since phi' and M are read off w;
-        # a tied w or a start y0 != 0 costs one more.
+        # a tied w or a start y0 != 0 costs one more, of full length.
         calls = self.count_projections(monkeypatch)
         rng = np.random.default_rng(43)
+        truncated = 0
         for k in range(75):
             w, weights, tau = random_sorted_instance(rng, int(rng.integers(2, 60)))
             params, extra = SsnParams(), 0
@@ -229,6 +282,21 @@ class TestSolveBasics:
             report = solve(w, weights, tau, params)
             assert report.converged and report.iterations >= 1
             assert len(calls) == report.iterations + extra
+            # Each iterate projects only ahead of the zero block of the
+            # projection at hi, the last point with phi' >= 0 so far.
+            # Without a start projection, Pi_C(w) = w is that at y = 0.
+            cones = [p for _, p in calls]
+            if extra:
+                assert calls[0][0] == w.size
+            else:
+                cones.insert(0, project_cone(w))
+            top = w.size
+            for j, step in enumerate(report.step_trace):
+                if step.grad >= 0.0:
+                    top = cones[j].zero_start
+                assert calls[j + extra][0] == top
+                truncated += top < w.size
+        assert truncated >= 25
 
     def test_in_cone_start_matches_the_projected_start(self, monkeypatch):
         # The closed-form start gives the very steps that projecting w
