@@ -222,22 +222,15 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     costs well under a millisecond.  The worst case is every key
     colliding, as with ``|b| = 1 + j * ulp``: then the fix-up sorts all
     n entries once more, with a second packed key, or with a stable
-    argsort where that key would not fit in 64 bits.  The arrays are
-    built in place where possible and handed to ``SignedSort``
-    uncopied, since each fresh n-vector costs page faults as well as a
-    pass.  At n = 1e6 on a 2-vCPU AVX-512 Xeon with numpy 2.4.6 (best of
-    7) this function took 36 ms on Gaussian b, 30 ms on b rounded to 2
-    decimals, 25 ms with 6 distinct magnitudes and 26 ms with all
-    magnitudes equal; the argsort with a tie fix-up it replaces took
-    58, 90, 57 and 50 ms.  On ``1 + j * ulp`` it took 103 ms in random
-    order and 89 ms in position order, against 55 and 37 ms for the
-    argsort it replaces.  One stable argsort of ``-|b|`` took 185 ms on
-    the former and 188 ms on Gaussian b, but 6 ms on the latter, where
-    timsort sees one run.  Position-ordered ``1 + j * ulp`` has
-    increasing magnitudes, so the in-order test does not reach it.  On a
-    later 2-vCPU Xeon host (numpy 2.4.6, best of 7) all-equal magnitudes
-    went from 12.1 to 4.5 ms with the in-order test, while Gaussian b
-    stayed at 14 ms.
+    argsort where that key would not fit in 64 bits.  In position order
+    those magnitudes increase, so the in-order test does not reach them.
+    The arrays are built in place where possible and handed to
+    ``SignedSort`` uncopied, since each fresh n-vector costs page faults
+    as well as a pass.  At n = 1e6 on a loaded 2-vCPU Xeon with numpy
+    2.4.6 (best of 7) this function takes 34 ms on Gaussian b, 35 ms on b
+    rounded to 2 decimals, 29 ms with 6 distinct magnitudes, 9 ms with
+    all magnitudes equal, and 113 and 82 ms on ``1 + j * ulp`` in random
+    and in position order.
 
     Returns
     -------

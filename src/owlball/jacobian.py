@@ -183,9 +183,14 @@ def ball_jacobian(inst, solution) -> BallJacobian:
     Raises
     ------
     ValueError
-        When the report's sort or cone projection has another length
-        than ``inst``.
+        When ``solution`` is None, the report of a trivial
+        :func:`owlball.project_ball` (``b`` is inside the ball), or when
+        the report's sort or cone projection has another length than
+        ``inst``.
     """
+    if solution is None:
+        raise ValueError("no solve to differentiate: b is inside the ball, "
+                         "where the projection is the identity")
     lam = inst.weights.values
     sort = getattr(solution, "sort", None)
     if sort is None:

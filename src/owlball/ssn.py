@@ -15,25 +15,27 @@ evaluates ``phi`` itself.
 
 Each iteration projects once onto the cone, reads the curvature
 ``M = lam.T H lam`` off the resulting blocks (see
-:func:`block_curvature`; no Jacobian is built) and proposes the Newton
+:func:`block_curvature`; no Jacobian is built) and takes the Newton
 step ``-phi'/M`` (or, on the flat piece where the projection vanishes
-and ``M = 0``, a plain gradient step ``-phi'`` taken from the end of
-that piece or beyond).  Every point evaluated so far narrows a sign
-bracket ``lo < y* < hi`` with ``phi'(lo) < 0 < phi'(hi)``, starting
-from the whole line.  A proposal strictly inside the bracket is taken;
-otherwise the secant of the bracket's ends is, and the bracket's
-midpoint if that falls outside too.  This is the safeguarded Newton
-method of Numerical Recipes' ``rtsafe``: every step stays in a
-shrinking bracket, so the iteration converges from any start, and near
-the root the active piece is identified and a single full Newton step
-lands on ``y*`` up to roundoff, so it terminates in a handful of
-iterations regardless of n.  No step is ever rejected, so an iteration
-costs exactly one cone projection.  That projection covers only the
-coordinates ahead of the zero block of the projection at ``hi``: every
-later iterate lies strictly below ``hi``, and ``Pi_C`` is
-order-preserving, so the rest stays zero (see :func:`dual_gradient`).
-With constant weights every point projected is nonincreasing and costs
-no PAVA pass at all.
+and ``M = 0``, a gradient step ``-phi'`` from the end of that piece).
+No safeguard is needed, because ``phi'`` is convex.  *Lemma:* ``M(y)``
+is nondecreasing, since the blocks of ``Pi_C(y lam + w)`` only coarsen
+as ``y`` falls: a block's term ``(sum of lam)**2 / length`` is at most
+the sum of its parts' terms (Cauchy-Schwarz), and a growing zero block
+only drops terms.  Each tangent of ``phi'`` thus lies below it, so a
+Newton step from either side lands at or above ``y*``, and from there
+the iterates fall monotonically onto ``y*``.  Near the root the active
+piece is identified and one full Newton step lands on ``y*`` up to
+roundoff, in a handful of iterations regardless of n.  *Stop rule:*
+the points evaluated so far form a sign bracket ``lo < y* < hi`` with
+``phi'(lo) < 0 < phi'(hi)``; the solve stops when the residual meets
+``eps``, at the iteration cap, or when a step would not land strictly
+inside ``(lo, hi)``, which only roundoff can cause.  No step is ever
+rejected, so an iteration costs exactly one cone projection.  It covers
+only the coordinates ahead of the zero block of the projection at
+``hi``: every step lands below ``hi``, and ``Pi_C`` is order-preserving,
+so the rest stays zero (see :func:`dual_gradient`).  With constant
+weights every point projected is nonincreasing and costs no PAVA pass.
 
 The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
 in the cone.  When they strictly decrease, every block there is a
@@ -61,10 +63,8 @@ __all__ = [
 ]
 
 # Step kinds recorded in StepRecord.kind.
-NEWTON = "newton"          # -phi'/M, taken as is
-GRADIENT = "gradient"      # -phi' where M = 0, taken as is
-SECANT = "secant"          # the secant of the bracket's ends
-BISECTION = "bisection"    # the bracket's midpoint
+NEWTON = "newton"          # -phi'/M
+GRADIENT = "gradient"      # -phi' from the flat piece's end, where M = 0
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class SsnParams:
     max_iter : iteration cap; hitting it is reported, not raised.
     y0 : starting dual point.
 
-    The globalization (a sign bracket on ``phi'``) has no knobs.
+    The iteration itself has no knobs (see the module docstring).
     """
 
     eps: float = 1e-12
@@ -95,9 +95,9 @@ class SsnParams:
 class StepRecord:
     """One step: state at the step's start plus the kind of step taken.
 
-    ``kind`` is one of ``"newton"``, ``"gradient"``, ``"secant"`` and
-    ``"bisection"`` (see the module docstring); ``unit_step`` is True
-    for a Newton step taken as is.
+    ``kind`` is ``"newton"``, or ``"gradient"`` on the flat piece where
+    ``M = 0`` (see the module docstring); ``unit_step`` is True for a
+    Newton step.
     """
 
     y: float
@@ -117,11 +117,12 @@ class SsnReport:
     ``cone`` is the cone projection at ``y_star`` and ``x_star`` its
     point: exactly nonincreasing and nonnegative by construction,
     feasible for the hyperplane only up to ``residual_eta``.
-    ``converged`` is False when the iteration cap was hit, or when no
-    step could move ``y`` any more (see :func:`_next_point`); callers
-    decide whether that is fatal.  ``sort`` is the signed sort that
-    produced ``w``; :func:`owlball.project_ball` fills it in, a bare
-    :func:`solve` leaves it None.  Together with ``cone`` it is all that
+    ``converged`` is False when the residual has not met ``eps``: the
+    iteration cap was hit, or roundoff sent a step out of the sign
+    bracket (see the module docstring); callers decide whether that is
+    fatal.  ``sort`` is the signed sort that produced ``w``;
+    :func:`owlball.project_ball` fills it in, a bare :func:`solve` leaves
+    it None.  Together with ``cone`` it is all that
     :func:`owlball.ball_jacobian` needs.
     """
 
@@ -221,24 +222,27 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         grad, p = dual_gradient(y, w, weights, tau)
         m = None
     eta = residual(grad, tau)
-    lo, grad_lo, hi, grad_hi = -np.inf, np.nan, np.inf, np.nan
+    lo, hi = -np.inf, np.inf
     top = w.size            # the projection at hi is zero from here on
-    flat_end = -np.inf      # found when the flat piece is first reached
     trace: list[StepRecord] = []
 
     while eta > params.eps and len(trace) < params.max_iter:
         if m is None:
             m = block_curvature(p, lam)
-        if m == 0.0 and flat_end == -np.inf:
-            flat_end = -sorted_dual_norm(w, lam)
         if grad < 0.0:
-            lo, grad_lo = y, grad
+            lo = y
         else:
-            hi, grad_hi = y, grad
+            hi = y
             top = w_top if p is None else p.zero_start
-        y_next, kind = _next_point(y, grad, m, lo, grad_lo, hi, grad_hi, flat_end)
-        if kind is None:
-            break           # no float left to step to
+        # M = 0 iff the projection is zero (lam[0] > 0 forces a live block
+        # otherwise).  phi' is -tau up to the flat piece's closed end, so a
+        # gradient step from there leaves the piece at once.
+        if m > 0.0:
+            y_next, kind = y - grad / m, NEWTON
+        else:
+            y_next, kind = max(y, -sorted_dual_norm(w, lam)) - grad, GRADIENT
+        if not lo < y_next < hi:
+            break           # only roundoff sends a step out (module docstring)
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind))
         y = y_next
         grad, p = dual_gradient(y, w, weights, tau, top)
@@ -251,37 +255,3 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
                      residual_eta=eta, converged=eta <= params.eps,
                      step_trace=trace)
 
-
-def _next_point(y, grad, m, lo, grad_lo, hi, grad_hi, flat_end=-np.inf):
-    """The point the step from ``y`` goes to, and the step's kind.
-
-    The Newton (or, where ``m = 0``, gradient) step when it lands
-    strictly inside ``(lo, hi)``; else the secant of the bracket's ends;
-    else its midpoint.  The gradient step starts at ``flat_end`` if
-    ``y`` lies below it: that is the closed end of the flat piece where
-    the projection vanishes, so ``phi'`` there is the same ``-tau`` and
-    the step leaves the piece at once, rather than climb it by ``tau``
-    per iteration or stop on its end.  The kind
-    is None when no step can leave ``y``: ``lo`` and ``hi`` are adjacent
-    floats, or the step is below the roundoff of ``y`` while the far end
-    of the bracket is still unknown.
-    """
-    # M = 0 iff the projection is zero (lam[0] > 0 forces the leading
-    # coordinate into a live block otherwise): the Newton direction is
-    # undefined there, so the gradient step (of size tau) stands in.
-    if m > 0.0:
-        y_next, kind = y - grad / m, NEWTON
-    else:
-        y_next, kind = max(y, flat_end) - grad, GRADIENT
-    if lo < y_next < hi:
-        return y_next, kind
-    # y is one end of the bracket and the step points to the other, so
-    # it misses only by overshooting a finite end or by not moving.
-    if np.isfinite(lo) and np.isfinite(hi):
-        y_next = lo - grad_lo * ((hi - lo) / (grad_hi - grad_lo))
-        if lo < y_next < hi:
-            return y_next, SECANT
-        y_next = 0.5 * (lo + hi)
-        if lo < y_next < hi:
-            return y_next, BISECTION
-    return y, None

@@ -417,6 +417,13 @@ class TestBallJacobianFromReport:
         ball_jacobian(inst, report.y_star)
         assert calls == {"signed_sort": 1, "project_cone": 1}
 
+    def test_rejects_the_missing_report_of_a_feasible_input(self):
+        inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 10.0)
+        res = project_ball(inst)
+        assert res.trivial
+        with pytest.raises(ValueError, match="inside the ball"):
+            ball_jacobian(inst, res.report)
+
     def test_rejects_report_of_another_length(self):
         inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 3.0)
         other = Instance([3.0, 2.0], Weights([1.0, 1.0]), 4.0)

@@ -176,7 +176,8 @@ class TestProjectBall:
         # here).  A sufficient-decrease line search on phi once stalled
         # here for 100 iterations: near the root the decrease of phi fell
         # below the roundoff of evaluating it, so good Newton steps were
-        # rejected.  The sign bracket on phi' never evaluates phi.
+        # rejected.  The Newton iteration on phi' never evaluates phi and
+        # never rejects a step.
         n = 1_000_000
         seq = np.random.SeedSequence(3, spawn_key=(zlib.crc32(b"ties-1e6"), 2))
         rng = np.random.Generator(np.random.Philox(seq))

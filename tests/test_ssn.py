@@ -188,6 +188,29 @@ class TestBlockCurvature:
             assert p.block_values[-1] == 0.0
             self.assert_matches_jacobian(d, self.random_weights(rng, n))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_nondecreasing_in_y(self, data):
+        # The lemma behind the unguarded Newton step (ssn module
+        # docstring): blocks only coarsen as y falls, so M(y) never
+        # decreases along y and phi' is convex.  w is signed, unsorted and
+        # maybe rounded; the weights maybe tied or with trailing zeros.
+        n = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w = rng.standard_normal(n)
+        if data.draw(st.booleans()):
+            w = np.round(w, data.draw(st.integers(0, 1)))
+        lam = np.sort(np.abs(rng.standard_normal(n)))[::-1]
+        if data.draw(st.booleans()):
+            lam = np.round(lam, 1)
+        lam[0] += 0.01
+        lam[data.draw(st.integers(1, n)):] = 0.0
+        weights = Weights(lam)
+        span = data.draw(st.sampled_from([1.0, 10.0, 100.0]))
+        m = np.array([block_curvature(dual_gradient(float(y), w, weights, 1.0)[1], lam)
+                      for y in np.linspace(-span, span, 401)])
+        assert np.all(np.diff(m) >= -1e-12 * m[:-1])
+
     def test_singleton_only_projections(self):
         # Strictly decreasing input lies in the cone; a zero last entry
         # makes the last singleton the zero block.
@@ -450,24 +473,22 @@ class TestSolveProperties:
             assert report.converged
             assert report.iterations <= 4
 
-    def test_step_falls_back_to_secant_then_bisection(self):
-        # On these instances phi' never sends a Newton step out of the
-        # bracket, so the fallbacks are driven directly.  y is the end of
-        # the bracket just evaluated.
-        step = ssn_mod._next_point
-        # Newton from hi = 0 lands inside (-inf, 0).
-        assert step(0.0, 2.0, 1.0, -np.inf, np.nan, 0.0, 2.0) == (-2.0, "newton")
-        assert step(-3.0, -2.0, 0.0, -3.0, -2.0, np.inf, np.nan) == (-1.0, "gradient")
-        # It overshoots lo = -1: the secant of (-1, -1) and (0, 2).
-        assert step(0.0, 2.0, 1.0, -1.0, -1.0, 0.0, 2.0) == (-1.0 + 1.0 / 3.0, "secant")
-        assert step(-3.0, -2.0, 0.0, -3.0, -2.0, -2.5, 1.0)[1] == "secant"
-        # The secant rounds onto lo: bisect.
-        assert step(2.0, 1.0, 1.0, 1.0, -1e-300, 2.0, 1.0) == (1.5, "bisection")
-        # lo and hi adjacent, or a step below the roundoff of y with the
-        # far end unknown: no step.
-        hi = float(np.nextafter(1.0, 2.0))
-        assert step(hi, 1.0, 1.0, 1.0, -1.0, hi, 1.0) == (hi, None)
-        assert step(1e20, 1.0, 1.0, -np.inf, np.nan, 1e20, 1.0) == (1e20, None)
+    def test_stops_where_roundoff_sends_a_step_out_of_the_bracket(self):
+        # eps = 1e-300 asks for phi' = 0 exactly, so a solve that misses it
+        # ends when roundoff sends a Newton step out of the bracket: within
+        # a few iterations, with x in the cone, at the default-eps root.
+        rng = np.random.default_rng(53)
+        for k in range(300):
+            w, weights, tau = random_sorted_instance(
+                rng, int(rng.integers(2, 200)), sigma=(1e-3, 1.0, 1e3)[k % 3])
+            report = solve(w, weights, tau, SsnParams(eps=1e-300))
+            assert report.iterations <= 12
+            x = report.x_star
+            assert np.all(np.diff(x) <= 0.0)
+            assert x.min() >= 0.0
+            assert report.residual_eta <= 1e-13
+            y_star = solve(w, weights, tau).y_star
+            assert abs(report.y_star - y_star) <= 1e-14 * abs(y_star)
 
     def test_unique_root_from_any_start(self):
         rng = np.random.default_rng(48)
