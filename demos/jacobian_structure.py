@@ -54,7 +54,7 @@ def main():
     # The rank-one correction exists to kill exactly one direction: the
     # weight vector pulled back through the signed sort.  Moving b that
     # way only slides the solution along the ball's face constraint.
-    pulled_back = res.sort.apply_inverse(lam)
+    pulled_back = res.report.sort.apply_inverse(lam)
     print(f"\n||S (P^T lam)|| = "
           f"{np.linalg.norm(apply_ball_jacobian(s, pulled_back)):.3e}  "
           f"(annihilated by construction)")

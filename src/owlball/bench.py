@@ -10,10 +10,10 @@ numpy's standard normal on that stream.  Cells run one after another,
 so their timings are comparable.
 
 Both solvers are driven to the same radius-residual target (``eps``
-on :func:`owlball.ssn.residual`, relative to ``tau`` above 1 and
-absolute below), so their objectives are comparable and the timing race
-is fair; the root-finder's looser standalone default would otherwise
-concede accuracy for speed.
+on :func:`owlball.ssn.residual`, relative to ``tau``), so their
+objectives are comparable and the timing race is fair; the
+root-finder's looser standalone default would otherwise concede
+accuracy for speed.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class ExperimentConfig:
             raise ValueError(f"solvers must be a non-empty subset of {SOLVERS}")
         if len(set(self.solvers)) != len(self.solvers):
             raise ValueError("solvers must not repeat")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
 
 
 @dataclass(frozen=True)

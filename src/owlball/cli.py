@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--solvers", type=_str_list, default=bench_mod.SOLVERS,
                    metavar="NAME,...", help="subset of: ssn,rootfind")
     b.add_argument("--eps", type=float, default=1e-12,
-                   help="shared residual target for both solvers "
-                        "(default: 1e-12)")
+                   help="shared target for both solvers on |owl_norm(x) - "
+                        "tau| / tau (default: 1e-12)")
     b.add_argument("--format", choices=("csv", "md"), default="csv",
                    help="output format (default: csv)")
     b.add_argument("--out", default=None, metavar="PATH",
@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="PATH",
                    help="where to write the projection")
     p.add_argument("--eps", type=float, default=1e-12,
-                   help="solver residual target (default: 1e-12)")
+                   help="solver target on |owl_norm(x) - tau| / tau "
+                        "(default: 1e-12)")
     p.set_defaults(func=_cmd_project)
     return parser
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import sign_or_one, signed_sort
-from .isotonic import ConeProjection, positive_block_sums, project_cone
+from .core import sign_or_one
+from .isotonic import ConeProjection, positive_block_sums
 
 __all__ = [
     "ConeJacobian",
@@ -111,9 +111,7 @@ class BallJacobian:
 
         S v = signs * H (signs * v) - unit * <unit, v>
 
-    needs no permutation.  ``degenerate`` marks ``H lam = 0``, which
-    cannot occur at a feasible solution; applying a degenerate operator
-    raises.
+    needs no permutation.
 
     Attributes
     ----------
@@ -124,13 +122,11 @@ class BallJacobian:
         ``sign(b)``, with zeros counted as ``+1``.
     unit : ndarray
         ``P.T u``.
-    degenerate : bool
     """
 
     table: ConeJacobian
     signs: np.ndarray
     unit: np.ndarray
-    degenerate: bool
 
     @property
     def n(self) -> int:
@@ -166,38 +162,34 @@ def _apply_table(h: ConeJacobian, v: np.ndarray, scratch: np.ndarray) -> np.ndar
     return out
 
 
-def ball_jacobian(inst, solution) -> BallJacobian:
+def ball_jacobian(inst, report) -> BallJacobian:
     """Canonical Jacobian of the ball projector at a solved instance.
 
     Parameters
     ----------
     inst : Instance
         A non-trivial instance (norm of ``b`` exceeds the radius).
-    solution : SsnReport or float
+    report : SsnReport
         The report of :func:`owlball.project_ball` on this same
         ``inst``; its sort and final cone projection are reused, so
-        building costs O(n) with no sort.  A dual value ``y``, or a
-        report without a sort (a bare :func:`owlball.ssn.solve`), costs
-        one signed sort and one cone projection at ``y`` (or ``y_star``).
+        building costs O(n) with no sort.
 
     Raises
     ------
     ValueError
-        When ``solution`` is None, the report of a trivial
-        :func:`owlball.project_ball` (``b`` is inside the ball), or when
-        the report's sort or cone projection has another length than
-        ``inst``.
+        When ``report`` is None (``b`` is inside the ball), has no sort (a
+        dual value, or a bare :func:`owlball.ssn.solve`'s report), has
+        another length than ``inst``, or has ``H lam = 0`` (a zero cone
+        projection, which no converged solve leaves).
     """
-    if solution is None:
+    if report is None:
         raise ValueError("no solve to differentiate: b is inside the ball, "
                          "where the projection is the identity")
-    lam = inst.weights.values
-    sort = getattr(solution, "sort", None)
+    sort = getattr(report, "sort", None)
     if sort is None:
-        sort, w = signed_sort(inst.b)
-        cone = project_cone(float(getattr(solution, "y_star", solution)) * lam + w)
-    else:
-        cone = solution.cone
+        raise ValueError("report has no sort: pass the report of "
+                         "project_ball, not a dual value or a bare solve's")
+    cone = report.cone
     if sort.n != inst.n or cone.n != inst.n:
         raise ValueError(f"report has length {sort.n} (sort) and {cone.n} "
                          f"(cone projection), instance has length {inst.n}")
@@ -205,16 +197,17 @@ def ball_jacobian(inst, solution) -> BallJacobian:
     # H lam: lam itself on positive singletons, its block mean on pooled
     # blocks, zero on the zero block.
     lengths = cone.block_lengths
-    sums, pooled = positive_block_sums(cone, lam)
+    sums, pooled = positive_block_sums(cone, inst.weights.values)
     block_hlam = np.zeros(cone.num_blocks)
     block_hlam[:sums.size] = sums
     if pooled.size:
         block_hlam[pooled] /= lengths[pooled]
     hlam = np.repeat(block_hlam, lengths)
     norm = float(np.linalg.norm(hlam))
-    degenerate = norm == 0.0
-    if not degenerate:
-        hlam /= norm
+    if norm == 0.0:
+        raise ValueError("H lam = 0: the report's cone projection is zero, "
+                         "so it is no solution on the ball's boundary")
+    hlam /= norm
     hlam *= sort.signs
 
     # The only two scatters through the sort: the table's labels and u.
@@ -224,17 +217,12 @@ def ball_jacobian(inst, solution) -> BallJacobian:
     unit = np.empty_like(hlam)
     unit[sort.perm] = hlam
     return BallJacobian(table=ConeJacobian._relabelled(label, inv_sizes),
-                        signs=sign_or_one(inst.b), unit=unit,
-                        degenerate=degenerate)
+                        signs=sign_or_one(inst.b), unit=unit)
 
 
 def apply_ball_jacobian(s: BallJacobian, v) -> np.ndarray:
     """Matvec ``S v`` in O(n), in the original coordinates (see
     :class:`BallJacobian`)."""
-    if s.degenerate:
-        raise ValueError(
-            "degenerate ball Jacobian (H lam = 0): this cannot happen at a "
-            "feasible solution and signals an inconsistency upstream")
     v = np.asarray(v, dtype=np.float64)
     if v.size != s.n:
         raise ValueError(f"expected length {s.n}, got {v.size}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import INSIDE_RTOL, Instance, SignedSort, Weights, signed_sort
+from .core import INSIDE_RTOL, Instance, Weights, signed_sort
 from .isotonic import project_cone
 from .ssn import SsnParams, SsnReport, solve
 
@@ -29,13 +29,12 @@ class ProjectionResult:
 
     ``report`` is the dual solver's report, or None when the input was
     already feasible and no solve happened (``trivial`` flags this).
-    ``sort`` is the signed sort of the input; it maps the solver's
+    ``report.sort``, the signed sort of the input, maps the solver's
     sorted-space quantities back to the original coordinates.
     """
 
     x: np.ndarray
     report: SsnReport | None
-    sort: SignedSort
 
     @property
     def trivial(self) -> bool:
@@ -57,18 +56,17 @@ def project_ball(inst: Instance, params: SsnParams | None = None) -> ProjectionR
     """
     sort, w = signed_sort(inst.b)
     if float(np.dot(w, inst.weights.values)) <= inst.tau * (1.0 + INSIDE_RTOL):
-        return ProjectionResult(x=inst.b.copy(), report=None, sort=sort)
+        return ProjectionResult(x=inst.b.copy(), report=None)
     report = replace(solve(w, inst.weights, inst.tau, params), sort=sort)
-    return ProjectionResult(x=sort.apply_inverse(report.x_star),
-                            report=report, sort=sort)
+    return ProjectionResult(x=sort.apply_inverse(report.x_star), report=report)
 
 
 def prox_owl(v, weights: Weights, mu: float) -> np.ndarray:
     """prox of ``mu * owl_norm`` at ``v``: shrink sorted magnitudes by
     ``mu * weights`` and project onto the monotone nonnegative cone.
 
-    ``mu = 0`` is the identity; negative ``mu`` and non-finite entries of
-    ``v`` are rejected.
+    ``mu = 0`` is the identity; negative or non-finite ``mu`` and
+    non-finite entries of ``v`` are rejected.
     """
     v = np.asarray(v, dtype=np.float64)
     if not isinstance(weights, Weights):
@@ -78,8 +76,8 @@ def prox_owl(v, weights: Weights, mu: float) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("v must contain only finite values")
     mu = float(mu)
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
+    if not 0.0 <= mu < np.inf:
+        raise ValueError(f"mu must be nonnegative and finite, got {mu}")
     if mu == 0.0:
         return v.copy()
     sort, w = signed_sort(v)

@@ -99,20 +99,18 @@ def solve_root(inst: Instance, tol: float = 1e-9,
     radius); feasible inputs have no root to find and are rejected, use
     the ball projector for the general case.  Runs ``brentq`` on
     ``t = mu / dual_norm(b)`` (see the module docstring).  Stops on the
-    Newton solver's rule, :func:`owlball.ssn.residual` ``<= tol``
-    (relative to ``tau`` only for ``tau`` well above 1; below 1 it is
-    absolute, and a small ``tau`` meets it before the radius is matched
-    to ``tol``), or when the bracket on ``t`` collapses to about
-    ``4 * eps``.  Since the radius equation is piecewise linear the
-    final interpolation step typically lands on the root to full
-    precision.  The report holds the evaluated point with the smallest
+    Newton solver's rule, :func:`owlball.ssn.residual` ``<= tol`` (the
+    radius matched to ``tol`` relative to ``tau``), or when the bracket
+    on ``t`` collapses to about ``4 * eps``.  Since the radius equation
+    is piecewise linear the final interpolation step typically lands on
+    the root to full precision.  The report holds the evaluated point with the smallest
     ``|owl_norm(x) - tau|`` and its projection, so nothing is evaluated
     twice.  Raises :class:`NonConvergenceError` after ``max_evals`` prox
     evaluations.
     """
     tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     tau = inst.tau
     sort, w = signed_sort(inst.b)
     if float(np.dot(w, inst.weights.values)) <= tau:

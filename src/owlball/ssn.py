@@ -27,11 +27,14 @@ Newton step from either side lands at or above ``y*``, and from there
 the iterates fall monotonically onto ``y*``.  Near the root the active
 piece is identified and one full Newton step lands on ``y*`` up to
 roundoff, in a handful of iterations regardless of n.  *Stop rule:*
-the points evaluated so far form a sign bracket ``lo < y* < hi`` with
-``phi'(lo) < 0 < phi'(hi)``; the solve stops when the residual meets
-``eps``, at the iteration cap, or when a step would not land strictly
-inside ``(lo, hi)``, which only roundoff can cause.  No step is ever
-rejected, so an iteration costs exactly one cone projection.  It covers
+converged once ``|phi'| / tau <= eps``, or once the Newton step is a
+no-op, ``|step| <= 8 * eps_mach * |y|`` (finite termination, which
+also holds where the roundoff of ``phi'`` exceeds ``eps * tau``); both
+tests are scale-free.  The solve stops unconverged at the iteration cap
+or when a step would leave the sign bracket ``lo < y* < hi`` of the
+points evaluated so far, which only roundoff can cause.  No step is
+ever rejected, so an iteration costs exactly one cone projection (a
+no-op costs none).  It covers
 only the coordinates ahead of the zero block of the projection at
 ``hi``: every step lands below ``hi``, and ``Pi_C`` is order-preserving,
 so the rest stays zero (see :func:`dual_gradient`).  With constant
@@ -66,12 +69,13 @@ __all__ = [
 NEWTON = "newton"          # -phi'/M
 GRADIENT = "gradient"      # -phi' from the flat piece's end, where M = 0
 
+NOOP_RTOL = 8.0 * np.finfo(np.float64).eps   # a Newton step below this * |y| is a no-op
 
 @dataclass(frozen=True)
 class SsnParams:
     """Solver knobs.
 
-    eps : stop when ``residual(phi'(y), tau) <= eps``.
+    eps : converged when ``residual(phi'(y), tau) <= eps`` (or on a no-op).
     max_iter : iteration cap; hitting it is reported, not raised.
     y0 : starting dual point.
 
@@ -83,8 +87,8 @@ class SsnParams:
     y0: float = 0.0
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not np.isfinite(self.y0):
@@ -116,19 +120,19 @@ class SsnReport:
 
     ``cone`` is the cone projection at ``y_star`` and ``x_star`` its
     point: exactly nonincreasing and nonnegative by construction,
-    feasible for the hyperplane only up to ``residual_eta``.
-    ``converged`` is False when the residual has not met ``eps``: the
-    iteration cap was hit, or roundoff sent a step out of the sign
-    bracket (see the module docstring); callers decide whether that is
-    fatal.  ``sort`` is the signed sort that produced ``w``;
-    :func:`owlball.project_ball` fills it in, a bare :func:`solve` leaves
-    it None.  Together with ``cone`` it is all that
+    feasible for the hyperplane only up to ``residual_eta`` (relative to
+    ``tau``).  ``converged`` is True when the residual met ``eps`` or the
+    next Newton step was a no-op, False when the iteration cap was hit
+    or roundoff sent a step out of the sign bracket (see the module
+    docstring); callers decide whether that is fatal.  ``iterations`` is
+    ``len(step_trace)``.  ``sort`` is the signed sort that produced
+    ``w``; :func:`owlball.project_ball` fills it in, a bare
+    :func:`solve` leaves it None.  Together with ``cone`` it is all that
     :func:`owlball.ball_jacobian` needs.
     """
 
     y_star: float
     cone: ConeProjection = field(repr=False)
-    iterations: int
     residual_eta: float
     converged: bool
     step_trace: list[StepRecord] = field(repr=False)
@@ -137,6 +141,10 @@ class SsnReport:
     @property
     def x_star(self) -> np.ndarray:
         return self.cone.x
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_trace)
 
 
 def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = None):
@@ -159,10 +167,10 @@ def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = N
 
 
 def residual(grad: float, tau: float) -> float:
-    """The stop rule's residual ``|phi'| / (1 + tau)``: relative to
-    ``tau`` for ``tau`` well above 1, absolute below.  Both solvers stop
-    when it drops to their tolerance."""
-    return abs(grad) * (1.0 / (1.0 + tau))
+    """The stop rule's residual ``|phi'| / tau``, relative to the radius
+    at every scale.  Both solvers stop when it drops to their
+    tolerance."""
+    return abs(grad) / tau
 
 
 def block_curvature(p: ConeProjection, lam) -> float:
@@ -225,6 +233,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     lo, hi = -np.inf, np.inf
     top = w.size            # the projection at hi is zero from here on
     trace: list[StepRecord] = []
+    noop = False
 
     while eta > params.eps and len(trace) < params.max_iter:
         if m is None:
@@ -241,6 +250,11 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
             y_next, kind = y - grad / m, NEWTON
         else:
             y_next, kind = max(y, -sorted_dual_norm(w, lam)) - grad, GRADIENT
+        # Finite termination.  A gradient step is never a no-op: it would
+        # accept the zero projection of the flat piece.
+        if kind is NEWTON and abs(y_next - y) <= NOOP_RTOL * abs(y):
+            noop = True
+            break
         if not lo < y_next < hi:
             break           # only roundoff sends a step out (module docstring)
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind))
@@ -251,7 +265,6 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
 
     if p is None:
         p = project_cone(y * lam + w)
-    return SsnReport(y_star=y, cone=p, iterations=len(trace),
-                     residual_eta=eta, converged=eta <= params.eps,
-                     step_trace=trace)
+    return SsnReport(y_star=y, cone=p, residual_eta=eta,
+                     converged=noop or eta <= params.eps, step_trace=trace)
 

@@ -71,6 +71,7 @@ class TestConfig:
         {"sigma_list": (0.0,)}, {"n_list": (0,)},
         {"reps": 0}, {"solvers": ()}, {"solvers": ("ssn", "ssn")},
         {"solvers": ("newton",)}, {"eps": 0.0},
+        {"eps": np.inf},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

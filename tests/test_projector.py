@@ -152,7 +152,7 @@ class TestProjectBall:
 
     def test_report_carries_sort_and_final_projection(self):
         # The report's cone projection is the one at y_star, bit for bit,
-        # and its sort is the result's: ball_jacobian reuses both.
+        # and its sort is the signed sort of b: ball_jacobian reuses both.
         rng = np.random.default_rng(70)
         for k in range(60):
             inst = random_instance(rng, int(rng.integers(1, 60)))
@@ -162,9 +162,10 @@ class TestProjectBall:
             if res.trivial:
                 continue
             report = res.report
-            assert report.sort is res.sort
             assert report.x_star is report.cone.x
-            _, w = signed_sort(inst.b)
+            sort, w = signed_sort(inst.b)
+            assert np.array_equal(report.sort.perm, sort.perm)
+            assert np.array_equal(report.sort.signs, sort.signs)
             p = project_cone(report.y_star * inst.weights.values + w)
             assert np.array_equal(report.cone.x, p.x)
             assert np.array_equal(report.cone.block_starts, p.block_starts)
@@ -222,8 +223,11 @@ class TestProxOwl:
         assert out is not v
 
     def test_negative_mu_rejected(self):
+        for mu in (-0.5, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                prox_owl(np.array([3.0, 1.0]), Weights([1.0, 1.0]), mu)
         with pytest.raises(ValueError):
-            prox_owl(np.array([3.0, 1.0]), Weights([1.0, 1.0]), -0.5)
+            prox_owl(np.array([3.0, 1.0]), Weights([1.0, 0.0]), np.inf)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_v_rejected(self, bad):

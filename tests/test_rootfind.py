@@ -73,29 +73,21 @@ class TestSolveRoot:
                                   report.x)
         assert report.residual > tol
 
-    def test_evaluations_do_not_depend_on_scale(self):
-        # brentq's interpolation is not scale-free; on t = mu / dual_norm
-        # with phi' / tau it takes the same steps at every power of two.
-        rng = np.random.default_rng(90)
-        inst = random_instance(rng, 40, beta=0.1)
-        evals = set()
-        for k in (0, 300, 600, 1000):
-            s = 2.0 ** k
-            scaled = Instance(inst.b * s, inst.weights, inst.tau * s)
-            report = solve_root(scaled, tol=1e-12)
-            evals.add(report.evaluations)
-            assert abs(owl_norm(report.x, inst.weights) / scaled.tau - 1.0) <= 1e-12
-        assert len(evals) == 1
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: the stop rule is absolute below tau = 1, so at "
-        "scale 1e-20 both ends of the bracket pass it and x = 0 comes back "
-        "with no error"))
-    def test_tiny_scale_still_meets_the_radius(self):
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e-20, 1e-10,
+                                       1.0, 1e10, 1e100, 1e200, 1e300])
+    def test_both_solvers_meet_the_radius_at_every_scale(self, scale):
+        # Both stop rules are relative to tau, and brentq runs on
+        # t = mu / dual_norm with phi' / tau, so scaling b and tau alike
+        # changes neither the radius match nor the work done.
         inst = generate_instance(1000, 1.0, 0.1, cell_rng(0, 0, 0, 0, 0))
-        scaled = Instance(inst.b * 1e-20, inst.weights, inst.tau * 1e-20)
-        report = solve_root(scaled, tol=1e-12)
-        assert abs(owl_norm(report.x, scaled.weights) / scaled.tau - 1.0) <= 1e-9
+        scaled = Instance(inst.b * scale, inst.weights, inst.tau * scale)
+        res = project_ball(scaled)
+        rf = solve_root(scaled, tol=1e-12)
+        assert res.report.converged
+        for x in (res.x, rf.x):
+            assert abs(owl_norm(x, inst.weights) / scaled.tau - 1.0) <= 1e-12
+        assert res.report.iterations == project_ball(inst).report.iterations
+        assert rf.evaluations == solve_root(inst, tol=1e-12).evaluations
 
     def test_projects_only_ahead_of_the_zero_tail(self, monkeypatch):
         # Each evaluation projects only ahead of the zero block at the
@@ -132,6 +124,10 @@ class TestSolveRoot:
             solve_root(inst, tol=0.0)
         with pytest.raises(ValueError):
             solve_root(inst, tol=-1e-9)
+        with pytest.raises(ValueError):
+            solve_root(inst, tol=np.inf)
+        with pytest.raises(ValueError):
+            solve_root(inst, tol=np.nan)
 
     def test_radius_curve_is_nonincreasing(self):
         rng = np.random.default_rng(85)

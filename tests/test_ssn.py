@@ -44,6 +44,7 @@ class TestParams:
         {"eps": 0.0}, {"eps": -1e-12},
         {"max_iter": 0},
         {"y0": np.nan},
+        {"eps": np.inf},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -339,6 +340,27 @@ class TestSolveBasics:
             assert report.y_star == slow.y_star
             assert report.x_star.tobytes() == slow.x_star.tobytes()
 
+    def test_no_op_step_converges_without_a_projection(self, monkeypatch):
+        # eps = 1e-300 is below the roundoff of phi', so these solves end
+        # on the no-op: the Newton step from the last iterate is at most
+        # 8 ulps of y.  That counts as converged and projects nothing.
+        calls = self.count_projections(monkeypatch)
+        rng = np.random.default_rng(54)
+        noops = 0
+        for _ in range(40):
+            w, weights, tau = random_sorted_instance(rng, int(rng.integers(2, 200)))
+            calls.clear()
+            report = solve(w, weights, tau, SsnParams(eps=1e-300))
+            if report.residual_eta <= 1e-300:
+                continue
+            assert report.converged
+            assert len(calls) == report.iterations
+            grad, p = dual_gradient(report.y_star, w, weights, tau)
+            step = grad / block_curvature(p, weights.values)
+            assert abs(step) <= 8.0 * EPS * abs(report.y_star)
+            noops += 1
+        assert noops >= 30
+
     def test_input_validation(self):
         lam = Weights([1.0, 1.0])
         with pytest.raises(ValueError):
@@ -475,8 +497,9 @@ class TestSolveProperties:
 
     def test_stops_where_roundoff_sends_a_step_out_of_the_bracket(self):
         # eps = 1e-300 asks for phi' = 0 exactly, so a solve that misses it
-        # ends when roundoff sends a Newton step out of the bracket: within
-        # a few iterations, with x in the cone, at the default-eps root.
+        # ends on a no-op Newton step or when roundoff sends a step out of
+        # the bracket: within a few iterations, with x in the cone, at the
+        # default-eps root.
         rng = np.random.default_rng(53)
         for k in range(300):
             w, weights, tau = random_sorted_instance(
@@ -529,7 +552,7 @@ class TestSolveProperties:
             report = solve(w, weights, tau, params)
             assert report.converged
             grads = [s.grad for s in report.step_trace[1:]]
-            residuals = [abs(g) / (1.0 + tau) for g in grads]
+            residuals = [abs(g) / tau for g in grads]
             residuals.append(report.residual_eta)
             unit_res = [residuals[j] for j, s in enumerate(report.step_trace)
                         if s.unit_step]
