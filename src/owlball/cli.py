@@ -122,8 +122,8 @@ def _cmd_project(args) -> int:
     result = project_ball(inst, SsnParams(eps=args.eps))
     write_vector(args.out, result.x)
     if result.report is not None and not result.report.converged:
-        print(f"warning: solver stopped at residual "
-              f"{result.report.residual_eta:.3e} without converging",
+        print(f"warning: solver stopped on {result.report.stop!r} at "
+              f"residual {result.report.residual_eta:.3e} without converging",
               file=sys.stderr)
         return 2
     return 0

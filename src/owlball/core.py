@@ -20,6 +20,7 @@ __all__ = [
     "signed_sort",
     "sign_or_one",
     "sorted_dual_norm",
+    "plateau_model_root",
 ]
 
 # Relative slack used by the trivial-case gate: a point whose norm exceeds
@@ -59,6 +60,11 @@ class Weights:
     ----------
     values : ndarray
         The validated weights, read-only.
+    plateau : int or None
+        ``k`` when the weights are a plateau, ``values[0] * 1[:k]``: the
+        L1 norm (``k = n``), the Linf norm (``k = 1``) or a top-k norm.
+        None otherwise.  Read off the validated values, with no pass over
+        them unless the last weight is zero.
     """
 
     def __init__(self, values):
@@ -71,6 +77,7 @@ class Weights:
             raise ValueError("weights must have a positive leading entry "
                              "(an all-zero weight vector defines no norm)")
         self.values = arr
+        self.plateau = _plateau_length(arr)
 
     @property
     def n(self) -> int:
@@ -78,6 +85,19 @@ class Weights:
 
     def __repr__(self) -> str:
         return f"Weights({self.values.tolist()!r})"
+
+
+def _plateau_length(lam: np.ndarray) -> int | None:
+    """``k`` when the valid weights ``lam`` equal ``lam[0] * 1[:k]``, else
+    None.  Nonincreasing weights are constant iff the last equals the
+    first; with a zero last weight the positive ones lead, so ``k`` is
+    their count and they are all ``lam[0]`` iff ``lam[k - 1]`` is."""
+    if lam[-1] == lam[0]:
+        return lam.size
+    if lam[-1] > 0.0:
+        return None
+    k = int(np.count_nonzero(lam))
+    return k if lam[k - 1] == lam[0] else None
 
 
 class Instance:
@@ -414,3 +434,39 @@ def sorted_dual_norm(mags, lam) -> float:
     of ``mags`` it is minus the largest ``y`` with ``Pi_C(y lam + w) = 0``,
     where every prefix sum of ``y lam + w`` is nonpositive."""
     return float(np.max(np.cumsum(mags) / np.cumsum(lam)))
+
+
+def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
+    """Start point of the Newton solve for plateau weights
+    ``lam = lam0 * 1[:k]``: ``min(r1, r2)``, the roots of two lower
+    bounds on ``phi'(y) = <Pi_C(y lam + w), lam> - tau`` for ``y <= 0``
+    that need no cone projection.  ``v = Pi_C(w)``, and
+    ``phi'(0) = lam0 * sum(v[:k]) - tau`` must be positive.
+
+    ``Pi_C`` is order-preserving, ``y lam >= y lam0`` for ``y <= 0``,
+    and the projection of ``w`` shifted by a constant is ``v`` shifted
+    and clamped, so ``phi' >= psi1(y) = lam0 * sum((v + y lam0)_+[:k])
+    - tau``.  Its root is ``-s / lam0`` for the L1-ball threshold ``s``
+    of ``v[:k]`` at radius ``z = tau / lam0`` (Duchi et al. 2008, Condat
+    2016), ``s = max_t (cumsum(v)[t] - z) / (t + 1)`` over ``t < k``.  It
+    is exact for the L1 norm.
+
+    Every entry of the projection is nonnegative and its first is the
+    largest prefix mean of ``y lam + w`` or zero, so ``phi' >= psi2(y) =
+    lam0 * max_t mean((y lam + w)[:t+1]) - tau``, exact for the Linf
+    norm.  Its root is ``min_t ((t + 1) z - cumsum(w)[t]) / cumsum(lam)[t]``
+    with ``cumsum(lam)[t] = lam0 * min(t + 1, k)``: the max-ratio formula
+    of :func:`sorted_dual_norm`, which it is at ``tau = 0`` (negated).
+
+    So both roots are at least ``y*``, and ``r1 < 0`` since
+    ``psi1(0) = phi'(0) > 0``: the start lies in ``[y*, 0)``.
+    """
+    lam0, k = float(weights.values[0]), weights.plateau
+    z = tau / lam0
+    count = np.arange(1, w.size + 1, dtype=np.float64)
+    r1 = np.min((z - np.cumsum(v[:k])) / count[:k]) / lam0
+    gaps = count * z
+    gaps -= np.cumsum(w)
+    gaps /= np.minimum(count, k, out=count)
+    r2 = np.min(gaps) / lam0
+    return float(min(r1, r2))

@@ -18,13 +18,19 @@ it is not scale-free: on the raw equation it falls back to bisection
 once ``b`` is scaled to about 1e160 or more.  Scaled this way its
 steps do not depend on the scale of ``b``.
 
-Both bracketing endpoints are evaluated by a cone projection, and
-``evaluations`` counts every projection.  ``t = 0`` projects the sorted
-magnitudes of ``b``, which already lie in the cone, so it costs a few
-streaming passes and no PAVA pass.  ``t = 1`` costs a full projection,
-whose result is zero up to roundoff.  Every later point projects only
-the coordinates ahead of the zero block at the bracket's lower end in
-``t``, as the Newton solver does below its ``hi``.
+``evaluations`` counts every point brentq evaluates, both bracketing
+endpoints included.  ``t = 0`` projects the sorted magnitudes of ``b``,
+which already lie in the cone, so it costs a few streaming passes and
+no PAVA pass.  ``t = 1`` costs no projection either: there every prefix
+sum of ``w - mu lam`` is nonpositive by the definition of the dual
+norm, so the prox is zero and ``(rho - tau) / tau`` is ``-1``.  One
+cumulative sum checks the sign: the prox's entries sum to at most the
+largest prefix sum, so ``lam[0]`` times that sum bounds ``rho``.  At the
+dual norm the bound is zero up to roundoff, and a dual norm too small
+to kill ``b`` still shows as a bracket error.
+Every later point projects only the coordinates ahead of the zero block
+at the bracket's lower end in ``t``, as the Newton solver does below
+its ``hi``.
 """
 
 from __future__ import annotations
@@ -147,12 +153,21 @@ def _scaled_gap(t, w, weights, tau, hi, tol, track):
     starts at the last point with a positive gap: that point has the
     largest such ``t`` and is the bracket's lower end, every later point
     lies strictly beyond it, so later projections are zero from there on
-    (see :func:`owlball.ssn.dual_gradient`).  All state comes in through
+    (see :func:`owlball.ssn.dual_gradient`).  At ``t = 1`` the projection
+    is zero (module docstring): once its bound on ``rho`` is below
+    ``tau``, which makes the gap negative, ``-1.0`` is returned
+    unprojected and never kept as the best point, since it has no cone
+    and its ``|phi'|`` is all of ``tau``.  All state comes in through
     brentq's ``args``: scipy's NaN guard keeps the function in a
     reference cycle after the call, so a closure would hold n-sized
     arrays until the next garbage collection.
     """
     track.evals += 1
+    if t == 1.0:
+        sums = weights.values * -hi
+        sums += w
+        if weights.values[0] * np.cumsum(sums, out=sums).max() < tau:
+            return -1.0
     grad, p = dual_gradient(-t * hi, w, weights, tau, track.top)
     if grad > 0.0:
         track.top = p.zero_start

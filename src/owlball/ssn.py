@@ -44,6 +44,23 @@ The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
 in the cone.  When they strictly decrease, every block there is a
 singleton, so ``phi'(0) = <w, lam> - tau`` and ``M = <lam, lam>`` (less
 a zero last entry) need no projection at all.
+
+*Model start.*  For plateau weights, ``lam = lam0 * 1[:k]`` (the L1
+norm, the Linf norm and the top-k norms, see ``Weights.plateau``), a
+start above the root at ``y = 0`` moves to ``y_s = min(r1, r2, y1)``
+before the first projection, where ``y1 = -phi'(0) / M(0)`` is the
+Newton step from 0 and ``r1``, ``r2`` are the roots of two lower bounds
+on ``phi'`` that need no PAVA pass
+(:func:`owlball.core.plateau_model_root`): the sort-based L1-ball
+threshold of ``Pi_C(w)`` at radius ``tau / lam0``, exact for the L1
+norm, and ``lam0`` times the leading block mean ``x[0]``, exact for the
+Linf norm.  A root of a lower bound, like a Newton step, lies at or
+above ``y*``, so ``y* <= y_s <= y1``.  Right of its root the Newton map
+of a convex ``phi'`` is nondecreasing, so every iterate from ``y_s`` is
+at or below the matching one from ``y1``: the model start never takes
+more steps than the start at 0, and for the L1 and Linf norms it lands
+on the root.  Other weights skip it, as does a caller's own start
+``y0 != 0``; computing the two roots is O(n) and would not pay there.
 """
 
 from __future__ import annotations
@@ -52,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SignedSort, Weights, sorted_dual_norm
+from .core import SignedSort, Weights, plateau_model_root, sorted_dual_norm
 from .isotonic import ConeProjection, positive_block_sums, project_cone, strictly_decreasing
 
 __all__ = [
@@ -70,6 +87,12 @@ NEWTON = "newton"          # -phi'/M
 GRADIENT = "gradient"      # -phi' from the flat piece's end, where M = 0
 
 NOOP_RTOL = 8.0 * np.finfo(np.float64).eps   # a Newton step below this * |y| is a no-op
+
+# Stops recorded in SsnReport.stop; the first two count as converged.
+RESIDUAL = "residual"      # residual(phi', tau) <= eps
+NOOP = "noop"              # the next Newton step is a no-op
+BRACKET = "bracket"        # roundoff sent a step out of the sign bracket
+CAP = "cap"                # max_iter steps taken
 
 @dataclass(frozen=True)
 class SsnParams:
@@ -121,12 +144,15 @@ class SsnReport:
     ``cone`` is the cone projection at ``y_star`` and ``x_star`` its
     point: exactly nonincreasing and nonnegative by construction,
     feasible for the hyperplane only up to ``residual_eta`` (relative to
-    ``tau``).  ``converged`` is True when the residual met ``eps`` or the
-    next Newton step was a no-op, False when the iteration cap was hit
-    or roundoff sent a step out of the sign bracket (see the module
-    docstring); callers decide whether that is fatal.  ``iterations`` is
-    ``len(step_trace)``.  ``sort`` is the signed sort that produced
-    ``w``; :func:`owlball.project_ball` fills it in, a bare
+    ``tau``).  ``stop`` says which stop fired: ``"residual"`` (it met
+    ``eps``), ``"noop"`` (the next Newton step was a no-op; the residual
+    may then exceed ``eps`` by the roundoff of ``phi'``), ``"bracket"``
+    (roundoff sent a step out of the sign bracket) or ``"cap"`` (the
+    iteration cap).  ``converged`` is True for the first two; callers
+    decide whether the others are fatal.  ``y_start`` is where the
+    steps started: ``y0``, or the model start (module docstring).
+    ``iterations`` is ``len(step_trace)``.  ``sort`` is the signed sort
+    that produced ``w``; :func:`owlball.project_ball` fills it in, a bare
     :func:`solve` leaves it None.  Together with ``cone`` it is all that
     :func:`owlball.ball_jacobian` needs.
     """
@@ -134,9 +160,14 @@ class SsnReport:
     y_star: float
     cone: ConeProjection = field(repr=False)
     residual_eta: float
-    converged: bool
+    stop: str
+    y_start: float
     step_trace: list[StepRecord] = field(repr=False)
     sort: SignedSort | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in (RESIDUAL, NOOP)
 
     @property
     def x_star(self) -> np.ndarray:
@@ -205,7 +236,9 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     one more, except at ``y0 = 0`` with ``w`` strictly decreasing and
     ``w[-1] >= 0``, where ``phi'`` and ``M`` are read off ``w`` directly;
     there a start that is already converged still costs one projection,
-    for the report's ``cone``.
+    for the report's ``cone``.  The model start (plateau weights at
+    ``y0 = 0``, see the module docstring) costs one more projection, at
+    the point it moves to, which the step trace does not count.
     """
     if params is None:
         params = SsnParams()
@@ -232,8 +265,21 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     eta = residual(grad, tau)
     lo, hi = -np.inf, np.inf
     top = w.size            # the projection at hi is zero from here on
+
+    if y == 0.0 and grad > 0.0 and eta > params.eps and weights.plateau is not None:
+        if m is None:
+            m = block_curvature(p, lam)
+        if m > 0.0:         # it is, but for roundoff: phi'(0) > 0
+            hi = 0.0
+            top = w_top if p is None else p.zero_start
+            y = min(-grad / m, plateau_model_root(w, w if p is None else p.x,
+                                                  weights, tau))
+            grad, p = dual_gradient(y, w, weights, tau, top)
+            eta = residual(grad, tau)
+            m = None
+    y_start = y
     trace: list[StepRecord] = []
-    noop = False
+    stop = None
 
     while eta > params.eps and len(trace) < params.max_iter:
         if m is None:
@@ -253,10 +299,11 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         # Finite termination.  A gradient step is never a no-op: it would
         # accept the zero projection of the flat piece.
         if kind is NEWTON and abs(y_next - y) <= NOOP_RTOL * abs(y):
-            noop = True
+            stop = NOOP
             break
         if not lo < y_next < hi:
-            break           # only roundoff sends a step out (module docstring)
+            stop = BRACKET  # only roundoff sends a step out (module docstring)
+            break
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind))
         y = y_next
         grad, p = dual_gradient(y, w, weights, tau, top)
@@ -265,6 +312,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
 
     if p is None:
         p = project_cone(y * lam + w)
-    return SsnReport(y_star=y, cone=p, residual_eta=eta,
-                     converged=noop or eta <= params.eps, step_trace=trace)
-
+    if stop is None:
+        stop = RESIDUAL if eta <= params.eps else CAP
+    return SsnReport(y_star=y, cone=p, residual_eta=eta, stop=stop,
+                     y_start=y_start, step_trace=trace)

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+import owlball.cli as cli_mod
 from owlball import SsnParams
 from owlball import bench as bench_mod
 from owlball.cli import main
@@ -71,6 +72,19 @@ class TestProjectCommand:
         code, x = self.run_project(tmp_path, [1.0, 0.0], [1.0, 1.0], 2.0)
         assert code == 0
         assert np.array_equal(x, [1.0, 0.0])
+
+    def test_nonconvergence_names_the_stop(self, tmp_path, monkeypatch, capsys):
+        # One Newton step from 0 cannot reach the root of this
+        # non-affine phi', so the solve stops at the iteration cap.
+        monkeypatch.setattr(cli_mod, "SsnParams",
+                            functools.partial(SsnParams, max_iter=1))
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal(200)
+        lam = np.sort(np.abs(rng.standard_normal(200)))[::-1] + 0.01
+        tau = 0.1 * float(np.dot(np.sort(np.abs(b))[::-1], lam))
+        code, x = self.run_project(tmp_path, b, lam, tau)
+        assert code == 2 and x is not None
+        assert "stopped on 'cap'" in capsys.readouterr().err
 
     def test_invalid_tau_exits_one(self, tmp_path):
         code, _ = self.run_project(tmp_path, [3.0, 1.0], [1.0, 1.0], -2.0)

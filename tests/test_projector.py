@@ -2,6 +2,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import owlball.isotonic as isotonic_mod
 from owlball import (
@@ -189,6 +191,82 @@ class TestProjectBall:
         assert res.report.converged
         assert res.report.iterations <= 4
         assert abs(owl_norm(res.x, weights) / tau - 1.0) <= 1e-12
+
+
+# The benchmark's radius fractions, tau = beta * owl_norm(b).
+BENCH_BETAS = (0.01, 0.1, 0.8)
+
+
+def family_weights(family: str, n: int, rng) -> Weights:
+    lam = np.zeros(n)
+    if family == "L1":
+        lam[:] = 1.0
+    elif family == "Linf":
+        lam[0] = 1.0
+    elif family == "top half":
+        lam[: n // 2] = 1.0
+    else:
+        lam = np.sort(np.abs(rng.standard_normal(n)))[::-1]
+    return Weights(lam)
+
+
+class TestModelStart:
+    """The model start of plateau weights (see ``owlball.ssn``)."""
+
+    # Newton iterations allowed per weight family.  The model start is
+    # exact for L1 and Linf, where the one step allowed is the step from
+    # a start that roundoff put just below the root.
+    MAX_ITERATIONS = {"L1": 1, "Linf": 1, "top half": 4, "gauss": 4}
+
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+    @pytest.mark.parametrize("family", list(MAX_ITERATIONS))
+    def test_iterations_per_weight_family(self, family, n):
+        rng = np.random.default_rng(zlib.crc32(f"{family} {n}".encode()))
+        weights = family_weights(family, n, rng)
+        assert (weights.plateau is None) == (family == "gauss")
+        for beta in BENCH_BETAS:
+            b = rng.standard_normal(n)
+            tau = beta * owl_norm(b, weights)
+            res = project_ball(Instance(b, weights, tau))
+            assert res.report.converged
+            assert res.report.iterations <= self.MAX_ITERATIONS[family]
+            assert abs(owl_norm(res.x, weights) / tau - 1.0) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.integers(1, 10), st.integers(11, 300)),
+           k_pick=st.sampled_from(["1", "n", "any"]), k_frac=st.floats(0.0, 1.0),
+           lam0=st.sampled_from([1.0, 0.3, 2.5]),
+           ties=st.sampled_from(["none", "rounded", "all"]),
+           power=st.sampled_from([-500, -37, 0, 61, 500]),
+           beta=st.floats(0.01, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_plateau_start_lies_in_the_bracket(self, n, k_pick, k_frac, lam0, ties,
+                                               power, beta, seed):
+        # y* <= y_start <= 0 up to roundoff, at every plateau length and
+        # at scales 2**-500 to 2**500; the oracle checks the answer at the
+        # unit scale (the projection is positively homogeneous, and a
+        # power of two scales it exactly).
+        rng = np.random.default_rng(seed)
+        k = {"1": 1, "n": n, "any": 1 + int(k_frac * (n - 1))}[k_pick]
+        weights = Weights(np.where(np.arange(n) < k, lam0, 0.0))
+        assert weights.plateau == k
+        b = rng.standard_normal(n)
+        if ties == "rounded":
+            b = np.round(b, 1)
+        elif ties == "all":
+            b = np.where(b < 0.0, -0.7, 0.7)
+        unit_tau = beta * owl_norm(b, weights)
+        assume(unit_tau > 0.0)
+        scale = 2.0 ** power
+        inst = Instance(scale * b, weights, scale * unit_tau)
+        res = project_ball(inst)
+        assume(not res.trivial)
+        report = res.report
+        assert report.converged
+        assert report.y_star * (1.0 + 1e-12) <= report.y_start <= 0.0
+        assert abs(owl_norm(res.x, weights) / inst.tau - 1.0) <= 1e-12
+        if n <= 10:
+            want = oracle_ball(Instance(b, weights, unit_tau))
+            assert np.max(np.abs(res.x / scale - want)) <= 1e-8
 
 
 class TestTrivialGate:

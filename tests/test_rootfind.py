@@ -7,7 +7,7 @@ from owlball import ConeProjection, Instance, Weights, owl_norm, project_ball, p
 from owlball import rootfind as rootfind_mod
 from owlball import ssn as ssn_mod
 from owlball.bench import cell_rng, generate_instance
-from owlball.core import sorted_dual_norm
+from owlball.core import signed_sort, sorted_dual_norm
 from owlball.oracle import oracle_dual_norm
 from owlball.rootfind import (
     BracketError,
@@ -113,6 +113,27 @@ class TestSolveRoot:
             assert report.evaluations == slow.evaluations
             assert report.mu_star == slow.mu_star
             assert report.x.tobytes() == slow.x.tobytes()
+
+    def test_dual_norm_endpoint_costs_no_projection(self, monkeypatch):
+        # The prox at t = 1 is zero, so every evaluation but that one
+        # projects, and brentq still counts it.  The Linf cases have a
+        # dual norm, sum(|b|), whose prefix sums round well above tol * tau.
+        rng = np.random.default_rng(93)
+        cases = [random_instance(rng, int(rng.integers(1, 300))) for _ in range(20)]
+        for n in (10, 10, 10_000, 10_000, 10_000, 10_000):
+            b = rng.standard_normal(n)
+            linf = Weights(np.eye(1, n)[0])
+            cases.append(Instance(b, linf, 0.01 * owl_norm(b, linf)))
+        calls = []
+        inner = rootfind_mod.dual_gradient
+        monkeypatch.setattr(rootfind_mod, "dual_gradient",
+                            lambda *args: calls.append(args[0]) or inner(*args))
+        for inst in cases:
+            calls.clear()
+            report = solve_root(inst, tol=1e-12)
+            assert len(calls) == report.evaluations - 1
+            assert -sorted_dual_norm(signed_sort(inst.b)[1], inst.weights.values) not in calls
+            assert abs(owl_norm(report.x, inst.weights) / inst.tau - 1.0) <= 1e-12
 
     def test_feasible_instance_rejected(self):
         with pytest.raises(ValueError):

@@ -237,18 +237,31 @@ class TestBlockCurvature:
 
 class TestSolveBasics:
     def test_one_step_example(self):
-        report = solve(np.array([3.0, 1.0]), Weights([1.0, 1.0]), 2.0)
-        assert report.converged
+        # phi'(y) = 2 (3 + 2y) + (1 + y) - 4.5 on the piece holding 0 and
+        # the root: affine, so one Newton step lands on y* = -0.5.
+        report = solve(np.array([3.0, 1.0]), Weights([2.0, 1.0]), 4.5)
+        assert report.converged and report.stop == "residual"
         assert report.iterations == 1
-        assert report.y_star == -1.0
-        assert np.array_equal(report.x_star, [2.0, 0.0])
+        assert report.y_start == 0.0
+        assert report.y_star == -0.5
+        assert np.array_equal(report.x_star, [2.0, 0.5])
         assert report.residual_eta == 0.0
         (step,) = report.step_trace
         assert step.y == 0.0
-        assert step.grad == 2.0
-        assert step.curvature == 2.0
+        assert step.grad == 2.5
+        assert step.curvature == 5.0
         assert step.kind == "newton"
         assert step.unit_step
+
+    def test_model_start_lands_on_the_l1_root(self):
+        # With L1 weights the model start is the sort-based L1-ball
+        # threshold: w = [3, 1] at radius 2 is solved at y = -1 before
+        # any step.
+        report = solve(np.array([3.0, 1.0]), Weights([1.0, 1.0]), 2.0)
+        assert report.converged and report.stop == "residual"
+        assert report.iterations == 0
+        assert report.y_start == report.y_star == -1.0
+        assert np.array_equal(report.x_star, [2.0, 0.0])
 
     @staticmethod
     def count_projections(monkeypatch):
