@@ -27,7 +27,6 @@ from .jacobian import (
     apply_ball_jacobian,
     apply_cone_jacobian,
     ball_jacobian,
-    cone_jacobian,
 )
 from .projector import ProjectionResult, project_ball, prox_owl
 from .rootfind import (
@@ -62,7 +61,6 @@ __all__ = [
     "ball_jacobian",
     "apply_ball_jacobian",
     "BallJacobian",
-    "cone_jacobian",
     "apply_cone_jacobian",
     "__version__",
 ]

@@ -197,7 +197,9 @@ def owl_norm(x, weights) -> float:
     ----------
     x : array_like of shape (n,)
     weights : Weights or array_like
-        Must have the same length as ``x``.
+        Must have the same length as ``x``; raw values are validated as
+        :class:`Weights` (nonincreasing, nonnegative, positive leading
+        entry), so an array that defines no norm raises ``ValueError``.
 
     Returns
     -------
@@ -206,7 +208,9 @@ def owl_norm(x, weights) -> float:
         ``x`` has no nonzero entry under a positive weight.
     """
     x = np.asarray(x, dtype=np.float64)
-    lam = weights.values if isinstance(weights, Weights) else np.asarray(weights)
+    if not isinstance(weights, Weights):
+        weights = Weights(weights)
+    lam = weights.values
     if x.size != lam.size:
         raise ValueError(f"x has length {x.size} but weights has length {lam.size}")
     mags = np.sort(np.abs(x))[::-1]

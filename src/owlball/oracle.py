@@ -9,8 +9,9 @@ are reused.  Costs are exponential in n and the entry points enforce
 small-n caps.
 
 The dense reference for the cone projector's Jacobian on a tight set
-also lives here, with the map from a tight set to the block form that
-the implicit Jacobian in :mod:`owlball.jacobian` is built from.
+also lives here, with the map from a tight set to a cone projection on
+its piece, which is what the implicit Jacobian in
+:mod:`owlball.jacobian` reads its blocks from.
 
 So does :func:`dual_value`, the objective ``phi`` whose derivative the
 Newton solver drives to zero.  The solver never evaluates ``phi``, so
@@ -31,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Instance, Weights, owl_norm, signed_sort
-from .isotonic import project_cone
+from .isotonic import ConeProjection, project_cone
 
 __all__ = [
     "KktCertificate",
@@ -110,18 +111,25 @@ def dense_cone_jacobian(gamma, n: int) -> np.ndarray:
     return np.eye(n) - bg.T @ np.linalg.solve(bg @ bg.T, bg)
 
 
-def tight_set_blocks(gamma, n: int) -> tuple[np.ndarray, bool]:
-    """Block form ``(block_starts, zero_tail)`` of the tight set ``gamma``.
+def tight_set_blocks(gamma, n: int) -> ConeProjection:
+    """A cone projection on the piece of the tight set ``gamma``.
 
-    A block starts at 0 and after each slack constraint ``i < n-1``; the
-    last block is pinned at zero iff the sign constraint ``n-1`` is
-    tight.  ``ConeJacobian(block_starts, zero_tail, n)`` builds its
-    label table from this form, and is then the implicit form of
-    ``dense_cone_jacobian(gamma, n)``.
+    A block starts at 0 and after each slack constraint ``i < n-1``.
+    The block values are ``k, ..., 1`` for ``k`` blocks, with the last
+    one set to 0 iff the sign constraint ``n-1`` is tight, so the
+    result is a canonical projection whose maximal tight set is
+    ``gamma``, and ``apply_cone_jacobian`` on it is the implicit form of
+    ``dense_cone_jacobian(gamma, n)``.  Built with the plain
+    ``ConeProjection`` constructor: no cone projector runs.
     """
     slack = np.ones(n, dtype=bool)
     slack[_check_tight_set(gamma, n)] = False
-    return np.flatnonzero(np.append(True, slack[:-1])), not slack[-1]
+    starts = np.flatnonzero(np.append(True, slack[:-1]))
+    values = np.arange(starts.size, 0, -1, dtype=np.float64)
+    if not slack[-1]:
+        values[-1] = 0.0
+    x = np.repeat(values, np.diff(starts, append=n))
+    return ConeProjection(x, starts, values)
 
 
 def _subsets(n: int):

@@ -213,9 +213,9 @@ def block_curvature(p: ConeProjection, lam) -> float:
         M = sum over blocks with value > 0 of (sum of lam over block)**2 / length.
 
     Each pooled block's sum (:func:`positive_block_sums`) enters the dot
-    as ``sum / sqrt(length)``; O(n).  Equals
-    ``lam @ apply_cone_jacobian(cone_jacobian(p), lam)`` up to roundoff,
-    and is exactly ``0.0`` when ``p.x`` is all zero.
+    as ``sum / sqrt(length)``; O(n).  Equals ``lam @
+    apply_cone_jacobian(p, lam)`` up to roundoff, and is exactly ``0.0``
+    when ``p.x`` is all zero.
     """
     terms, pooled = positive_block_sums(p, lam)
     if pooled.size:
@@ -246,8 +246,8 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     if w.ndim != 1 or w.size != weights.n:
         raise ValueError(f"w must be a vector of length {weights.n}")
     tau = float(tau)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
 
     lam = weights.values
 

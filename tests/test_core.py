@@ -283,6 +283,13 @@ class TestOwlNorm:
         with pytest.raises(ValueError):
             owl_norm([1.0, 2.0, 3.0], Weights([1.0, 1.0]))
 
+    @pytest.mark.parametrize("lam", [[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]])
+    def test_rejects_raw_weights_that_define_no_norm(self, lam):
+        # Increasing weights would give 4.0 and negative ones -2.0 here;
+        # raw values are validated as Weights, as dual_norm does.
+        with pytest.raises(ValueError, match="weights"):
+            owl_norm([1.0, 2.0], lam)
+
     def test_invariant_under_signed_sort(self):
         rng = np.random.default_rng(12)
         for _ in range(50):

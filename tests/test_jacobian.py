@@ -11,7 +11,6 @@ from owlball import (
     apply_ball_jacobian,
     apply_cone_jacobian,
     ball_jacobian,
-    cone_jacobian,
     owl_norm,
     project_ball,
     project_cone,
@@ -19,7 +18,6 @@ from owlball import (
 )
 from owlball.core import SignedSort, signed_sort
 from owlball.isotonic import active_set
-from owlball.jacobian import ConeJacobian
 from owlball.oracle import (
     DENSE_CAP,
     dense_cone_jacobian,
@@ -31,9 +29,9 @@ from owlball.ssn import block_curvature
 EPS = float(np.finfo(np.float64).eps)
 
 
-def implicit_dense(h: ConeJacobian) -> np.ndarray:
-    """Materialize the implicit operator column by column."""
-    return np.column_stack([apply_cone_jacobian(h, e) for e in np.eye(h.n)])
+def implicit_dense(p) -> np.ndarray:
+    """Materialize the implicit operator on the piece of ``p`` column by column."""
+    return np.column_stack([apply_cone_jacobian(p, e) for e in np.eye(p.n)])
 
 
 def ball_dense(s: BallJacobian) -> np.ndarray:
@@ -73,19 +71,19 @@ class TestDenseReference:
 
 class TestConeJacobian:
     def test_identity_when_no_constraint_tight(self):
-        h = cone_jacobian(project_cone(np.array([5.0, 3.0, 1.0])))
+        p = project_cone(np.array([5.0, 3.0, 1.0]))
         v = np.array([1.0, -2.0, 7.0])
-        assert np.array_equal(apply_cone_jacobian(h, v), v)
+        assert np.array_equal(apply_cone_jacobian(p, v), v)
 
     def test_zero_when_projection_is_zero(self):
-        h = cone_jacobian(project_cone(np.array([-1.0, -2.0, 3.0])))
-        assert np.array_equal(apply_cone_jacobian(h, np.ones(3)), np.zeros(3))
+        p = project_cone(np.array([-1.0, -2.0, 3.0]))
+        assert np.array_equal(apply_cone_jacobian(p, np.ones(3)), np.zeros(3))
 
     def test_pooled_example(self):
-        h = cone_jacobian(project_cone(np.array([1.0, 3.0, 2.0])))
-        got = apply_cone_jacobian(h, np.array([3.0, 0.0, 0.0]))
+        p = project_cone(np.array([1.0, 3.0, 2.0]))
+        got = apply_cone_jacobian(p, np.array([3.0, 0.0, 0.0]))
         assert np.allclose(got, np.ones(3), atol=1e-15)
-        assert np.allclose(implicit_dense(h), np.full((3, 3), 1.0 / 3.0),
+        assert np.allclose(implicit_dense(p), np.full((3, 3), 1.0 / 3.0),
                            atol=1e-15)
 
     def test_matches_dense_on_random_tight_sets(self):
@@ -93,11 +91,11 @@ class TestConeJacobian:
         for _ in range(500):
             n = int(rng.integers(2, 51))
             gamma = random_tight_set(rng, n)
-            h = ConeJacobian(*tight_set_blocks(gamma, n), n)
+            p = tight_set_blocks(gamma, n)
             Hd = dense_cone_jacobian(gamma, n)
             v = rng.standard_normal(n)
-            assert np.max(np.abs(apply_cone_jacobian(h, v) - Hd @ v)) <= 1e-12
-            Hi = implicit_dense(h)
+            assert np.max(np.abs(apply_cone_jacobian(p, v) - Hd @ v)) <= 1e-12
+            Hi = implicit_dense(p)
             assert np.max(np.abs(Hi - Hd)) <= 1e-12
             # projector identities, checked on the exact implicit form
             assert np.max(np.abs(Hi @ Hi - Hi)) <= 1e-12
@@ -110,16 +108,16 @@ class TestConeJacobian:
         d = np.concatenate((np.linspace(2e8, 1e8, 1000), [1e-3, 2e-3, 1e-3]))
         v = np.concatenate((np.full(1000, 1e8), [1e-3, 3e-3, 2e-3]))
         p = project_cone(d)
-        out = apply_cone_jacobian(cone_jacobian(p), v)
+        out = apply_cone_jacobian(p, v)
         pooled = [(s, e) for s, e, _ in p.blocks if e - s > 1]
         assert pooled == [(1000, 1002)]
         mean = math.fsum(v[1000:1002]) / 2
         assert np.all(np.abs(out[1000:1002] - mean) <= 4 * EPS * mean)
 
     def test_apply_rejects_wrong_length(self):
-        h = cone_jacobian(project_cone(np.array([1.0, 3.0, 2.0])))
+        p = project_cone(np.array([1.0, 3.0, 2.0]))
         with pytest.raises(ValueError):
-            apply_cone_jacobian(h, np.ones(4))
+            apply_cone_jacobian(p, np.ones(4))
 
     def test_tight_set_blocks_validates_indices(self):
         with pytest.raises(ValueError):
@@ -128,8 +126,9 @@ class TestConeJacobian:
             tight_set_blocks([-1], 3)
 
     def test_tight_set_route_matches_projection_blocks(self):
-        # The two routes to a ConeJacobian: the blocks of a canonical
-        # projection, and the block form of its maximal tight set.
+        # The two routes to the blocks H is read from: a canonical
+        # projection, and the oracle's projection on its maximal tight
+        # set, whose values are made up but whose blocks must agree.
         rng = np.random.default_rng(36)
         zero = zero_tail = 0
         for k in range(600):
@@ -138,11 +137,13 @@ class TestConeJacobian:
             if k % 7 == 0:
                 d = np.round(d, 1)      # tied runs pool into blocks
             p = project_cone(d)
-            starts, tail = tight_set_blocks(active_set(p), n)
-            assert np.array_equal(starts, p.block_starts)
-            assert tail == (p.block_values[-1] == 0.0)
+            q = tight_set_blocks(active_set(p), n)
+            assert np.array_equal(q.block_starts, p.block_starts)
+            assert q.zero_tail == (p.block_values[-1] == 0.0)
+            assert np.array_equal(active_set(q), active_set(p))
+            assert np.array_equal(apply_cone_jacobian(q, d), apply_cone_jacobian(p, d))
             zero += not p.x.any()
-            zero_tail += bool(tail) and bool(p.x.any())
+            zero_tail += q.zero_tail and bool(p.x.any())
         assert zero >= 20 and zero_tail >= 100
 
 
@@ -221,8 +222,7 @@ class TestLocalLinearization:
                 dp = d + radius * u
                 pp = project_cone(dp)
                 if set(active_set(pp).tolist()) <= gamma:
-                    h = cone_jacobian(pp)
-                    defect = pp.x - p.x - apply_cone_jacobian(h, dp - d)
+                    defect = pp.x - p.x - apply_cone_jacobian(pp, dp - d)
                     assert np.max(np.abs(defect)) <= 1e-10
                     checked += 1
                     break
@@ -290,6 +290,26 @@ class TestBallJacobian:
             done += 1
 
 
+def cone_table(cone):
+    """The label table of ``H`` in sorted coordinates, read off
+    ``cone.blocks`` one block at a time: positive pooled blocks are
+    labelled ``0..m-1`` in order, positive singletons ``m`` and the zero
+    block ``m+1``; ``inv_sizes`` and ``keep`` as in ``BallJacobian``."""
+    pooled = [(s, e) for s, e, v in cone.blocks if v > 0.0 and e - s > 1]
+    m = len(pooled)
+    label = np.full(cone.n, m, dtype=np.intp)
+    keep = np.zeros(cone.n)
+    for j, (s, e) in enumerate(pooled):
+        label[s:e] = j
+    for s, e, v in cone.blocks:
+        if v == 0.0:
+            label[s:e] = m + 1
+        elif e - s == 1:
+            keep[s] = 1.0
+    inv_sizes = np.array([1.0 / (e - s) for s, e in pooled] + [0.0, 0.0])
+    return label, inv_sizes, keep
+
+
 def dense_ball_reference(inst: Instance, cone) -> np.ndarray:
     """``P.T (H - u u.T) P`` from the dense cone Jacobian of ``cone``."""
     n = inst.n
@@ -352,8 +372,9 @@ class TestBallJacobianFromReport:
         assert min(seen.values()) >= 20, seen
 
     def test_table_is_the_cone_table_relabelled(self):
-        # One table for H: the ball operator holds cone_jacobian's table
-        # with sorted position k's entries moved to coordinate perm[k].
+        # The ball operator holds the table of H read off the cone
+        # projection's blocks, with sorted position k's entries moved to
+        # coordinate perm[k].
         rng = np.random.default_rng(40)
         checked = 0
         for k in range(300):
@@ -361,16 +382,15 @@ class TestBallJacobianFromReport:
             res = project_ball(inst)
             if res.trivial:
                 continue
-            table = ball_jacobian(inst, res.report).table
-            h = cone_jacobian(res.report.cone)
+            s = ball_jacobian(inst, res.report)
+            label, inv_sizes, keep = cone_table(res.report.cone)
             perm = res.report.sort.perm
-            for name in ("label", "keep"):
-                moved = np.empty_like(getattr(h, name))
-                moved[perm] = getattr(h, name)
-                got = getattr(table, name)
+            for got, want in ((s.label, label), (s.keep, keep)):
+                moved = np.empty_like(want)
+                moved[perm] = want
                 assert got.dtype == moved.dtype
                 assert np.array_equal(got, moved)
-            assert np.array_equal(table.inv_sizes, h.inv_sizes)
+            assert np.array_equal(s.inv_sizes, inv_sizes)
             checked += 1
         assert checked >= 200
 
@@ -399,11 +419,12 @@ class TestBallJacobianFromReport:
         other = SignedSort(rng.permutation(30), rng.choice([-1.0, 1.0], 30))
         cone = project_cone(np.repeat([3.0, 1.0, 2.0, -1.0, 0.5], 6))
         s = ball_jacobian(inst, replace(report, sort=other, cone=cone))
-        h = cone_jacobian(cone)
-        moved = np.empty_like(h.label)
-        moved[other.perm] = h.label
-        assert np.array_equal(s.table.label, moved)
-        assert np.array_equal(s.table.inv_sizes, h.inv_sizes)
+        label, inv_sizes, _ = cone_table(cone)
+        assert inv_sizes.size > 2      # the projection has pooled blocks
+        moved = np.empty_like(label)
+        moved[other.perm] = label
+        assert np.array_equal(s.label, moved)
+        assert np.array_equal(s.inv_sizes, inv_sizes)
 
     def test_rejects_the_missing_report_of_a_feasible_input(self):
         inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 10.0)

@@ -9,7 +9,6 @@ from owlball import (
     SsnParams,
     Weights,
     apply_cone_jacobian,
-    cone_jacobian,
     project_cone,
 )
 from owlball.core import sorted_dual_norm
@@ -145,7 +144,7 @@ class TestBlockCurvature:
     @staticmethod
     def jacobian_curvature(p, weights):
         lam = weights.values
-        return float(np.dot(lam, apply_cone_jacobian(cone_jacobian(p), lam)))
+        return float(np.dot(lam, apply_cone_jacobian(p, lam)))
 
     def assert_matches_jacobian(self, d, weights):
         p = project_cone(d)
@@ -380,6 +379,13 @@ class TestSolveBasics:
             solve(np.array([3.0, 1.0, 0.0]), lam, 2.0)
         with pytest.raises(ValueError):
             solve(np.array([3.0, 1.0]), lam, 0.0)
+
+    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_tau(self, tau):
+        # As Instance does; tau = inf used to give stop="cap" with a NaN
+        # residual after 0 iterations.
+        with pytest.raises(ValueError, match="finite"):
+            solve(np.array([3.0, 1.0]), Weights([1.0, 1.0]), tau)
 
     def test_nonconvergence_is_reported_not_raised(self):
         rng = np.random.default_rng(44)
