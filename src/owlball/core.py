@@ -388,6 +388,16 @@ def _run_reach(w: np.ndarray, k: int, at: np.ndarray, step: int) -> np.ndarray:
     return inside
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """True when every entry of ``x`` is finite.  ``<x, x>`` is finite
+    only then, and costs one streaming pass with no temporary; only when
+    it overflows, with entries from about 1e154 on, are the entries
+    tested one by one."""
+    with np.errstate(over="ignore"):
+        squares = np.dot(x, x)
+    return bool(np.isfinite(squares)) or bool(np.isfinite(x).all())
+
+
 def pairs_hold(compare, d: np.ndarray) -> bool:
     """True when ``compare(d[i + 1], d[i])`` holds for every i.
 

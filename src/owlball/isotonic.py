@@ -37,7 +37,7 @@ from bisect import bisect_left
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .core import pairs_hold, span_members
+from .core import all_finite, pairs_hold, span_members
 
 __all__ = ["ConeProjection", "project_cone", "strictly_decreasing", "reduce_spans",
            "positive_block_sums", "active_set"]
@@ -114,7 +114,8 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
     Parameters
     ----------
     d : array_like of shape (k,)
-        Any real vector; the input order is used as-is (no sorting).
+        Any finite real vector; the input order is used as-is (no
+        sorting).  A NaN or an infinity raises ``ValueError``.
     n : int, optional
         Length of the result, at least ``k`` (the default); entries from
         ``k`` on are zero.  This is the projection of any length-``n``
@@ -135,6 +136,8 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
     k = d.size
     if k == 0:
         raise ValueError("d must not be empty")
+    if not all_finite(d):
+        raise ValueError("d must contain only finite values")
     n = k if n is None else int(n)
     if n < k:
         raise ValueError(f"n must be at least len(d) = {k}, got {n}")

@@ -18,8 +18,24 @@ and :func:`apply_cone_jacobian` is the one matvec, in block form.
 The ball projector's Jacobian is ``S = P.T (H - u u.T) P``, with ``P``
 the signed sort of the input and ``u = H lam / ||H lam||``.  Through
 the sort's permutation the blocks are no longer contiguous, so
-:class:`BallJacobian` gives each original coordinate the label of its
-block, and its matvec sums per label and needs no permutation.
+:class:`BallJacobian` puts each original coordinate in the bin of its
+block, one bin per block of ``H``:
+
+======================  ==========================  =========  ==========
+block of ``H``          bin                         inv_sizes  hb
+======================  ==========================  =========  ==========
+positive pooled, ``j``  ``j`` in ``0..m-1``         ``1/L``    mean of
+                                                               ``lam``
+zero block              ``m``                       0          0
+positive singleton      ``m+1, ...``, in increasing 1          its
+                        original position                      ``lam``
+======================  ==========================  =========  ==========
+
+with ``hb`` divided by ``||H lam||``.  ``u`` is constant on each block,
+so ``hb`` holds it per bin, and the rank-one term folds into the bin
+sums: ``<P.T u, v>`` is ``<hb, sums>``, where ``sums`` are the bin sums
+of ``signs * v``.  A matvec is one bin sum, O(bins) work on the bins
+and one gather back, with no permutation.
 
 The dense reference ``I - B_G.T (B_G B_G.T)^-1 B_G`` for a tight set
 ``G`` lives in :mod:`owlball.oracle`, which also maps ``G`` to a cone
@@ -28,6 +44,7 @@ projection on its piece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,55 +66,42 @@ class BallJacobian:
 
     ``P`` is the signed sort of the instance, ``H`` the cone-projector
     Jacobian at the solution, and ``u = H lam / ||H lam||``.  ``S`` is
-    symmetric positive semidefinite.  Everything is held in the original
-    coordinates, so the matvec
+    symmetric positive semidefinite.  Each block of ``H`` has a bin of
+    its own (see the table in :mod:`owlball.jacobian`), and ``u`` is
+    constant on each, so with ``sums`` the bin sums of ``signs * v`` the
+    matvec is
 
-        S v = signs * H (signs * v) - unit * <unit, v>
+        S v = signs * (inv_sizes * sums - <hb, sums> hb)[label]
 
-    needs no permutation.
+    in the original coordinates, with no permutation.
 
     Attributes
     ----------
     label : ndarray of int
-        Per coordinate ``perm[k]``, the label of sorted position ``k``'s
-        block: the index of its positive pooled block (``0`` to ``m-1``),
-        ``m`` for a positive singleton, ``m+1`` for the zero block, where
-        ``m`` is the number of positive pooled blocks.
-    inv_sizes : ndarray
-        ``1/L`` for each positive pooled block, then ``0`` for the
-        singleton and zero labels; length ``m+2``.
-    keep : ndarray
-        ``1.0`` on the positive singletons, which ``H`` passes through,
-        ``0.0`` elsewhere.  Stored as floats, since a multiply streams
-        where a masked copy branches on every coordinate.
+        Per coordinate, its bin: ``0`` to ``m-1`` for the positive pooled
+        blocks, in sorted order, ``m`` for the zero block, and one bin
+        from ``m+1`` on for each positive singleton, numbered in
+        increasing original position, so a matvec visits those bins in
+        sequence.  ``m`` is the number of positive pooled blocks.
     signs : ndarray
         ``sign(b)``, with zeros counted as ``+1``.
-    unit : ndarray
-        ``P.T u``.
+    inv_sizes : ndarray
+        Per bin, ``1/L`` on a pooled block of length ``L``, ``0`` on the
+        zero block and ``1`` on a singleton: ``H`` as a bin scaling.
+    hb : ndarray
+        Per bin, the value of ``u`` on its block, without signs: the
+        block's mean of ``lam`` (its own weight on a singleton, ``0`` on
+        the zero block) over ``||H lam||``.
     """
 
     label: np.ndarray
-    inv_sizes: np.ndarray
-    keep: np.ndarray
     signs: np.ndarray
-    unit: np.ndarray
+    inv_sizes: np.ndarray
+    hb: np.ndarray
 
     @property
     def n(self) -> int:
         return self.label.size
-
-
-def _block_table(lengths: np.ndarray, zero_tail: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The label of each block, and ``inv_sizes`` (see :class:`BallJacobian`)."""
-    live = lengths.size - int(zero_tail)
-    pooled = np.flatnonzero(lengths[:live] > 1)
-    m = pooled.size
-    block_label = np.full(lengths.size, m, dtype=np.intp)
-    block_label[pooled] = np.arange(m)
-    block_label[live:] = m + 1
-    inv_sizes = np.zeros(m + 2)
-    inv_sizes[:m] = 1.0 / lengths[pooled]
-    return block_label, inv_sizes
 
 
 def apply_cone_jacobian(p: ConeProjection, v) -> np.ndarray:
@@ -146,43 +150,73 @@ def ball_jacobian(inst, report) -> BallJacobian:
         raise ValueError("report has no sort: pass the report of "
                          "project_ball, not a dual value or a bare solve's")
     cone = report.cone
-    if sort.n != inst.n or cone.n != inst.n:
+    n = inst.n
+    if sort.n != n or cone.n != n:
         raise ValueError(f"report has length {sort.n} (sort) and {cone.n} "
-                         f"(cone projection), instance has length {inst.n}")
+                         f"(cone projection), instance has length {n}")
 
-    hlam = apply_cone_jacobian(cone, inst.weights.values)
-    norm = float(np.linalg.norm(hlam))
+    # Sorted-order labels: the pooled blocks 0..m-1, the zero block m,
+    # and m+1 for every singleton until they are renumbered below.  Each
+    # pooled block's sum of lam is a direct sum, in one sequential pass.
+    lam = inst.weights.values
+    lengths = cone.block_lengths
+    live = lengths.size - int(cone.zero_tail)
+    pooled = np.flatnonzero(lengths[:live] > 1)
+    m = pooled.size
+    singles = live - m
+    block_label = np.full(lengths.size, m + 1, dtype=np.intp)
+    block_label[pooled] = np.arange(m)
+    block_label[live:] = m
+    sorted_label = np.repeat(block_label, lengths)
+    pooled_sums = np.bincount(sorted_label, weights=lam, minlength=m + 2)[:m]
+    pooled_inv = 1.0 / lengths[pooled]
+
+    # The only two scatters through the sort: the labels and lam.  The
+    # singletons are renumbered in original order, and their weights
+    # read in the same order, through one index array: a boolean mask
+    # would be turned into indices on each of the two uses.
+    label = np.empty(n, dtype=np.intp)
+    label[sort.perm] = sorted_label
+    del sorted_label
+    at_single = np.flatnonzero(label > m)
+    label[at_single] = np.arange(m + 1, m + 1 + singles)
+    moved = np.empty(n)
+    moved[sort.perm] = lam
+    single_lam = moved[at_single]
+    del moved, at_single
+
+    # ||H lam||^2: (sum of lam)^2 / L per pooled block, lam^2 per singleton.
+    pooled_hb = pooled_sums * pooled_inv
+    norm = math.sqrt(float(np.dot(pooled_sums, pooled_hb))
+                     + float(np.dot(single_lam, single_lam)))
     if norm == 0.0:
         raise ValueError("H lam = 0: the report's cone projection is zero, "
                          "so it is no solution on the ball's boundary")
-    hlam /= norm
-    hlam *= sort.signs
-
-    # The only two scatters through the sort: the table's labels and u.
-    lengths = cone.block_lengths
-    block_label, inv_sizes = _block_table(lengths, cone.zero_tail)
-    label = np.empty(inst.n, dtype=np.intp)
-    label[sort.perm] = np.repeat(block_label, lengths)
-    unit = np.empty_like(hlam)
-    unit[sort.perm] = hlam
-    keep = (label == inv_sizes.size - 2).astype(np.float64)
-    return BallJacobian(label=label, inv_sizes=inv_sizes, keep=keep,
-                        signs=sign_or_one(inst.b), unit=unit)
+    hb = np.concatenate((pooled_hb, [0.0], single_lam))
+    hb /= norm
+    inv_sizes = np.concatenate((pooled_inv, [0.0], np.ones(singles)))
+    return BallJacobian(label=label, signs=sign_or_one(inst.b),
+                        inv_sizes=inv_sizes, hb=hb)
 
 
 def apply_ball_jacobian(s: BallJacobian, v) -> np.ndarray:
     """Matvec ``S v`` in O(n), in the original coordinates (see
-    :class:`BallJacobian`): sum ``signs * v`` per label, scale by
-    ``1/L``, gather the means back, add the singletons' own entries,
-    restore the signs and subtract the rank-one term."""
+    :class:`BallJacobian`): sum ``signs * v`` per bin, then on the bins
+    alone take the rank-one coefficient ``<hb, sums>``, scale by
+    ``inv_sizes`` and subtract the rank-one term, and gather the bins
+    back with the signs restored."""
     v = np.asarray(v, dtype=np.float64)
-    if v.size != s.n:
-        raise ValueError(f"expected length {s.n}, got {v.size}")
+    if v.shape != (s.n,):
+        raise ValueError(f"expected shape ({s.n},), got {v.shape}")
     tmp = np.multiply(s.signs, v)
-    means = np.bincount(s.label, weights=tmp, minlength=s.inv_sizes.size)
-    means *= s.inv_sizes
-    out = means[s.label]
-    out += np.multiply(s.keep, tmp, out=tmp)
+    sums = np.bincount(s.label, weights=tmp, minlength=s.hb.size)
+    c = float(np.dot(s.hb, sums))
+    sums *= s.inv_sizes
+    sums -= c * s.hb
+    # The gather goes into tmp, which is no longer needed: one fresh
+    # n-sized array per matvec, not two.  Every label is a bin, so
+    # ``clip`` changes no index; it spares the copy of ``out`` that
+    # ``take`` makes in its default ``raise`` mode.
+    out = np.take(sums, s.label, out=tmp, mode="clip")
     out *= s.signs
-    out -= np.multiply(s.unit, float(np.dot(s.unit, v)), out=tmp)
     return out

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SignedSort, Weights, plateau_model_root, sorted_dual_norm
+from .core import SignedSort, Weights, all_finite, plateau_model_root, sorted_dual_norm
 from .isotonic import ConeProjection, positive_block_sums, project_cone, strictly_decreasing
 
 __all__ = [
@@ -227,7 +227,8 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     """Drive ``phi'`` to zero; return the dual root and primal point.
 
     ``w`` need not be sorted or nonnegative (the dual is well defined
-    for any vector); the ball projector passes the sorted magnitudes.
+    for any finite vector; a NaN or an infinity raises ``ValueError``);
+    the ball projector passes the sorted magnitudes.
 
     Convergence is checked before stepping.  Each iteration performs
     exactly one projection, at the point it steps to, of the coordinates
@@ -245,6 +246,8 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or w.size != weights.n:
         raise ValueError(f"w must be a vector of length {weights.n}")
+    if not all_finite(w):
+        raise ValueError("w must contain only finite values")
     tau = float(tau)
     if not (np.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive and finite, got {tau}")

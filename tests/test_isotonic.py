@@ -336,6 +336,27 @@ def test_rejects_bad_input():
         project_cone(np.array([]))
 
 
+@pytest.mark.parametrize("d", [
+    [np.nan, 1.0, 3.0],            # gave x = [nan, 2, 2]
+    [1.0, -np.inf],                # gave x = [1, 0]
+    [np.inf],
+    [3.0, 2.0, np.nan],            # nonincreasing elsewhere
+    [1e200, -1e200, np.inf],       # <d, d> overflows before the infinity
+])
+def test_rejects_nonfinite_input(d):
+    with pytest.raises(ValueError, match="finite"):
+        project_cone(d)
+    with pytest.raises(ValueError, match="finite"):
+        project_cone(d, len(d) + 2)
+
+
+def test_accepts_entries_whose_squares_overflow():
+    # <d, d> is inf here, yet every entry is finite.
+    d = np.array([1e300, 3e300, -1e300])
+    p = project_cone(d)
+    assert np.array_equal(p.x, [2e300, 2e300, 0.0])
+
+
 class TestActiveSet:
     def test_no_active_constraints(self):
         p = project_cone(np.array([5.0, 3.0, 1.0]))

@@ -1,8 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from owlball import (
     BallJacobian,
@@ -16,7 +18,7 @@ from owlball import (
     project_cone,
     ssn_solve,
 )
-from owlball.core import SignedSort, signed_sort
+from owlball.core import SignedSort, sign_or_one, signed_sort
 from owlball.isotonic import active_set
 from owlball.oracle import (
     DENSE_CAP,
@@ -290,24 +292,39 @@ class TestBallJacobian:
             done += 1
 
 
-def cone_table(cone):
-    """The label table of ``H`` in sorted coordinates, read off
-    ``cone.blocks`` one block at a time: positive pooled blocks are
-    labelled ``0..m-1`` in order, positive singletons ``m`` and the zero
-    block ``m+1``; ``inv_sizes`` and ``keep`` as in ``BallJacobian``."""
+def cone_table(cone, perm):
+    """The bins of ``H`` in original coordinates, read off ``cone.blocks``
+    one block at a time: positive pooled blocks are bins ``0..m-1`` in
+    order, the zero block bin ``m``, and each positive singleton a bin of
+    its own from ``m+1`` on, in increasing original position ``perm[k]``;
+    ``inv_sizes`` as in ``BallJacobian``."""
     pooled = [(s, e) for s, e, v in cone.blocks if v > 0.0 and e - s > 1]
+    singles = sorted(int(perm[s]) for s, e, v in cone.blocks if v > 0.0 and e - s == 1)
     m = len(pooled)
-    label = np.full(cone.n, m, dtype=np.intp)
-    keep = np.zeros(cone.n)
+    label = np.full(cone.n, -1, dtype=np.intp)
     for j, (s, e) in enumerate(pooled):
-        label[s:e] = j
+        label[perm[s:e]] = j
     for s, e, v in cone.blocks:
         if v == 0.0:
-            label[s:e] = m + 1
-        elif e - s == 1:
-            keep[s] = 1.0
-    inv_sizes = np.array([1.0 / (e - s) for s, e in pooled] + [0.0, 0.0])
-    return label, inv_sizes, keep
+            label[perm[s:e]] = m
+    for j, pos in enumerate(singles):
+        label[pos] = m + 1 + j
+    assert label.min() >= 0
+    inv_sizes = np.array([1.0 / (e - s) for s, e in pooled] + [0.0] + [1.0] * len(singles))
+    return label, inv_sizes
+
+
+def cone_hb(cone, perm, lam) -> np.ndarray:
+    """``hb`` of ``BallJacobian`` read off ``cone.blocks`` in the bin order
+    of :func:`cone_table`, each block sum by ``math.fsum``."""
+    pooled = [(s, e) for s, e, v in cone.blocks if v > 0.0 and e - s > 1]
+    singles = sorted((int(perm[s]), lam[s]) for s, e, v in cone.blocks
+                     if v > 0.0 and e - s == 1)
+    means = [math.fsum(lam[s:e]) / (e - s) for s, e in pooled]
+    hb = np.array(means + [0.0] + [w for _, w in singles])
+    sq = math.fsum([(e - s) * mean ** 2 for (s, e), mean in zip(pooled, means)]
+                   + [w ** 2 for _, w in singles])
+    return hb / math.sqrt(sq)
 
 
 def dense_ball_reference(inst: Instance, cone) -> np.ndarray:
@@ -320,6 +337,28 @@ def dense_ball_reference(inst: Instance, cone) -> np.ndarray:
     hlam = H @ inst.weights.values
     u = hlam / np.linalg.norm(hlam)
     return P.T @ (H - np.outer(u, u)) @ P
+
+
+@st.composite
+def ball_cases(draw):
+    """Instances with n 1-40, Gaussian ``b`` (maybe with ties and
+    zeros), L1, Linf, top-k or Gaussian weights, and radii from 1% to
+    99% of ``owl_norm(b)``."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal(n)
+    if draw(st.booleans()):
+        b = np.round(b, 1)                  # ties in |b|, some zeros
+    family = draw(st.sampled_from(["l1", "linf", "top k", "gauss"]))
+    if family == "gauss":
+        lam = np.sort(np.abs(rng.standard_normal(n)))[::-1] + 0.01
+    else:
+        k = {"l1": n, "linf": 1}.get(family) or draw(st.integers(1, n))
+        lam = np.where(np.arange(n) < k, 1.0, 0.0)
+    w = Weights(lam)
+    kappa = owl_norm(b, w)
+    assume(kappa > 0.0)
+    return Instance(b, w, draw(st.floats(0.01, 0.99)) * kappa)
 
 
 class TestBallJacobianFromReport:
@@ -371,28 +410,94 @@ class TestBallJacobianFromReport:
             seen["one_pooled"] += int(np.sum(live > 1)) == 1
         assert min(seen.values()) >= 20, seen
 
+    # (b, weights, tau, pooled blocks, singletons, zero tail) with the
+    # block structure of the cone projection at the solution.
+    SHAPES = {
+        # b reversed, so the singletons' bins run against the sort.
+        "all singletons": ([1.0, -2.0, 3.0], [1.0, 1.0, 1.0], 4.5, 0, 3, False),
+        "singletons and a zero tail": ([3.0, -2.0, 1.0], [1.0, 1.0, 1.0], 2.0, 0, 2, True),
+        "pooled only": ([2.0, 2.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0], 4.0, 2, 0, False),
+        "pooled and a zero tail": ([2.0, -2.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], 1.0,
+                                   1, 0, True),
+        "n = 1": ([-3.0], [2.0], 2.0, 0, 1, False),
+        "ties and zeros in b": ([0.0, 1.5, -1.0, 0.0, 2.0, -2.0, 1.0, 0.5, 3.0],
+                                [2.0, 1.9, 1.5, 1.2, 1.2, 1.0, 0.4, 0.3, 0.1], 8.0,
+                                2, 3, True),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_matches_dense_reference_on_each_block_shape(self, shape):
+        b, lam, tau, pooled, singles, zero_tail = self.SHAPES[shape]
+        inst = Instance(b, Weights(lam), tau)
+        res = project_ball(inst)
+        assert not res.trivial and res.report.converged
+        cone = res.report.cone
+        lengths = cone.block_lengths[:cone.num_blocks - int(cone.zero_tail)]
+        assert (int(np.sum(lengths > 1)), int(np.sum(lengths == 1)), cone.zero_tail) \
+            == (pooled, singles, zero_tail)
+        s = ball_jacobian(inst, res.report)
+        assert s.hb.size == pooled + 1 + singles
+        assert np.max(np.abs(ball_dense(s) - dense_ball_reference(inst, cone))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=ball_cases())
+    def test_symmetric_idempotent_and_annihilates_the_weights(self, inst):
+        # S is the orthogonal projector onto the tangent space of the
+        # ball's face at the solution, which is orthogonal to P.T lam.
+        res = project_ball(inst)
+        assume(not res.trivial)
+        s = ball_jacobian(inst, res.report)
+        S = ball_dense(s)
+        assert np.max(np.abs(S - S.T)) <= 1e-12
+        assert np.max(np.abs(S @ S - S)) <= 1e-12
+        lam = inst.weights.values
+        normal = res.report.sort.apply_inverse(lam)
+        assert np.max(np.abs(apply_ball_jacobian(s, normal))) <= 1e-12 * np.linalg.norm(lam)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (4,), (2,), ()], ids=str)
+    def test_apply_rejects_wrong_shape(self, shape):
+        # A (3, 1) column used to fail inside numpy ("object too deep for
+        # desired array"); every shape but (n,) is refused by name.
+        inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 3.0)
+        s = ball_jacobian(inst, project_ball(inst).report)
+        with pytest.raises(ValueError, match="expected shape"):
+            apply_ball_jacobian(s, np.ones(shape))
+
     def test_table_is_the_cone_table_relabelled(self):
-        # The ball operator holds the table of H read off the cone
-        # projection's blocks, with sorted position k's entries moved to
-        # coordinate perm[k].
+        # The ball operator holds the bins of H read off the cone
+        # projection's blocks, in original coordinates, and the value of
+        # u on each bin.
         rng = np.random.default_rng(40)
-        checked = 0
+        checked = singles = 0
         for k in range(300):
             inst = self.random_instance(rng, k)
             res = project_ball(inst)
             if res.trivial:
                 continue
             s = ball_jacobian(inst, res.report)
-            label, inv_sizes, keep = cone_table(res.report.cone)
-            perm = res.report.sort.perm
-            for got, want in ((s.label, label), (s.keep, keep)):
-                moved = np.empty_like(want)
-                moved[perm] = want
-                assert got.dtype == moved.dtype
-                assert np.array_equal(got, moved)
+            cone, perm = res.report.cone, res.report.sort.perm
+            label, inv_sizes = cone_table(cone, perm)
+            assert s.label.dtype == label.dtype
+            assert np.array_equal(s.label, label)
             assert np.array_equal(s.inv_sizes, inv_sizes)
+            hb = cone_hb(cone, perm, inst.weights.values)
+            assert s.hb.shape == hb.shape
+            assert np.max(np.abs(s.hb - hb)) <= 4 * EPS
+            # signs * hb[label] is P.T u, u = H lam / ||H lam||.
+            assert np.array_equal(s.signs, sign_or_one(inst.b))
+            hlam = apply_cone_jacobian(cone, inst.weights.values)
+            unit = res.report.sort.apply_inverse(hlam / np.linalg.norm(hlam))
+            assert np.max(np.abs(s.signs * s.hb[s.label] - unit)) <= 4 * EPS
+            singles += int(np.sum(inv_sizes == 1.0))
             checked += 1
-        assert checked >= 200
+        assert checked >= 200 and singles >= 1000
+
+    def test_holds_only_label_and_signs_per_coordinate(self):
+        inst = Instance([1.0, -2.0, 3.0, 3.0, 0.5], Weights([3.0, 2.0, 2.0, 1.0, 0.5]), 3.0)
+        s = ball_jacobian(inst, project_ball(inst).report)
+        assert [f.name for f in fields(BallJacobian)] == ["label", "signs", "inv_sizes", "hb"]
+        assert s.label.shape == s.signs.shape == (inst.n,)
+        assert s.inv_sizes.shape == s.hb.shape == (int(s.label.max()) + 1,)
 
     def test_rejects_bare_solver_report(self):
         rng = np.random.default_rng(38)
@@ -409,7 +514,7 @@ class TestBallJacobianFromReport:
     def test_reuses_sort_and_projection_of_the_report(self):
         # ball_jacobian reads the sort and the cone projection off the
         # report and recomputes neither: a report carrying another
-        # signed sort or projection of the same length gives the table
+        # signed sort or projection of the same length gives the bins
         # of those.
         rng = np.random.default_rng(39)
         b = rng.standard_normal(30)
@@ -417,14 +522,16 @@ class TestBallJacobianFromReport:
         inst = Instance(b, w, 0.3 * owl_norm(b, w))
         report = project_ball(inst).report
         other = SignedSort(rng.permutation(30), rng.choice([-1.0, 1.0], 30))
-        cone = project_cone(np.repeat([3.0, 1.0, 2.0, -1.0, 0.5], 6))
+        cone = project_cone(np.concatenate(([5.0] * 4, [4.5, 4.2], [3.0] * 4,
+                                            [2.9, 2.8, 2.7], [2.0] * 5,
+                                            [1.9, 1.5, 1.2], [-1.0] * 9)))
         s = ball_jacobian(inst, replace(report, sort=other, cone=cone))
-        label, inv_sizes, _ = cone_table(cone)
-        assert inv_sizes.size > 2      # the projection has pooled blocks
-        moved = np.empty_like(label)
-        moved[other.perm] = label
-        assert np.array_equal(s.label, moved)
+        label, inv_sizes = cone_table(cone, other.perm)
+        assert inv_sizes.tolist() == [0.25, 0.25, 0.2, 0.0] + [1.0] * 8
+        assert np.sum(s.label == 3) == 9           # the zero tail
+        assert np.array_equal(s.label, label)
         assert np.array_equal(s.inv_sizes, inv_sizes)
+        assert np.max(np.abs(s.hb - cone_hb(cone, other.perm, w.values))) <= 4 * EPS
 
     def test_rejects_the_missing_report_of_a_feasible_input(self):
         inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 10.0)

@@ -387,6 +387,13 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="finite"):
             solve(np.array([3.0, 1.0]), Weights([1.0, 1.0]), tau)
 
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 1.0], [3.0, -np.inf]])
+    def test_rejects_nonfinite_w(self, w):
+        # [nan, 1] used to give stop="cap" after 0 iterations, and
+        # [inf, 1] a RuntimeWarning and y_star = -inf.
+        with pytest.raises(ValueError, match="finite"):
+            solve(np.array(w), Weights([1.0, 1.0]), 1.0)
+
     def test_nonconvergence_is_reported_not_raised(self):
         rng = np.random.default_rng(44)
         w, weights, tau = random_sorted_instance(rng, 50, beta=0.3)
