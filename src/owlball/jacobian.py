@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .core import sign_or_one
 from .isotonic import ConeProjection, positive_block_sums
@@ -174,27 +175,32 @@ def ball_jacobian(inst, report) -> BallJacobian:
     # The only two scatters through the sort: the labels and lam.  The
     # singletons are renumbered in original order, and their weights
     # read in the same order, through one index array: a boolean mask
-    # would be turned into indices on each of the two uses.
+    # would be turned into indices on each of the two uses.  (``clip``
+    # as in :func:`apply_ball_jacobian`: every index is in range.)
     label = np.empty(n, dtype=np.intp)
     label[sort.perm] = sorted_label
     del sorted_label
     at_single = np.flatnonzero(label > m)
     label[at_single] = np.arange(m + 1, m + 1 + singles)
+    hb = np.empty(m + 1 + singles)
+    pooled_hb, single_lam = hb[:m], hb[m + 1:]
     moved = np.empty(n)
     moved[sort.perm] = lam
-    single_lam = moved[at_single]
+    np.take(moved, at_single, out=single_lam, mode="clip")
     del moved, at_single
 
     # ||H lam||^2: (sum of lam)^2 / L per pooled block, lam^2 per singleton.
-    pooled_hb = pooled_sums * pooled_inv
+    np.multiply(pooled_sums, pooled_inv, out=pooled_hb)
     norm = math.sqrt(float(np.dot(pooled_sums, pooled_hb))
                      + float(np.dot(single_lam, single_lam)))
     if norm == 0.0:
         raise ValueError("H lam = 0: the report's cone projection is zero, "
                          "so it is no solution on the ball's boundary")
-    hb = np.concatenate((pooled_hb, [0.0], single_lam))
+    hb[m] = 0.0
     hb /= norm
-    inv_sizes = np.concatenate((pooled_inv, [0.0], np.ones(singles)))
+    inv_sizes = np.ones(hb.size)
+    inv_sizes[:m] = pooled_inv
+    inv_sizes[m] = 0.0
     return BallJacobian(label=label, signs=sign_or_one(inst.b),
                         inv_sizes=inv_sizes, hb=hb)
 
@@ -212,7 +218,9 @@ def apply_ball_jacobian(s: BallJacobian, v) -> np.ndarray:
     sums = np.bincount(s.label, weights=tmp, minlength=s.hb.size)
     c = float(np.dot(s.hb, sums))
     sums *= s.inv_sizes
-    sums -= c * s.hb
+    # sums -= c * hb in place: a temporary would be bin-sized, and there
+    # are as many bins as coordinates when all blocks are singletons.
+    sums = daxpy(s.hb, sums, a=-c)
     # The gather goes into tmp, which is no longer needed: one fresh
     # n-sized array per matvec, not two.  Every label is a bin, so
     # ``clip`` changes no index; it spares the copy of ``out`` that
