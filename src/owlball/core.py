@@ -39,7 +39,7 @@ def _clean_vector(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise ValueError(f"{name} must contain only finite values")
     arr.flags.writeable = False
     return arr

@@ -160,7 +160,6 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
 
     res = isotonic_regression(d, increasing=False)
     bounds = np.asarray(res.blocks, dtype=np.intp)
-    starts = bounds[:-1]
     # scipy's x holds each block's mean on the whole block already.  Clamp
     # at zero; given two zeros, np.maximum may return either (numpy 2.4 on
     # x86 returns the second), so +0.0 is added to make every zero +0.0,
@@ -171,45 +170,35 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
     head = np.maximum(res.x, 0.0, out=x[:k])
     head += 0.0
     x[k:] = 0.0
-    values = head[starts]
 
-    # Repair pooled runs of identical entries to the exact common value,
-    # in values and in x.  Singletons are exact already, and a pooled
-    # block whose end points differ is no such run, so only the remaining
-    # candidates are checked.
+    # Repair pooled runs of identical entries to the exact common value.
+    # Singletons are exact already, and a pooled block whose end points
+    # differ is no such run, so only the remaining candidates are checked.
     pooled = np.flatnonzero(np.diff(bounds) > 1)
     first, stop = bounds[pooled], bounds[pooled + 1]
     cand = d[first] == d[stop - 1]
     if cand.any():
-        pooled, first, stop = pooled[cand], first[cand], stop[cand]
+        first, stop = first[cand], stop[cand]
         tied = (reduce_spans(np.minimum, d, first, stop)
                 == reduce_spans(np.maximum, d, first, stop))
         if tied.any():
-            pooled, first, stop = pooled[tied], first[tied], stop[tied]
+            first, stop = first[tied], stop[tied]
             repaired = np.maximum(d[first], 0.0)
             repaired += 0.0
-            values[pooled] = repaired
             x[span_members(first, stop - first)] = np.repeat(repaired, stop - first)
 
-    # Canonical structure: merge adjacent blocks whose clamped values tie
-    # (in particular the all-nonpositive tail collapses into one zero block)
-    # by keeping only the bounds where the value changes, and both ends.
-    if values.size > 1:
-        edge = np.empty(bounds.size, dtype=bool)
-        edge[0] = edge[-1] = True
-        np.not_equal(values[1:], values[:-1], out=edge[1:-1])
-        if not edge.all():
-            values = values[edge[:-1]]
-            bounds = bounds[edge]
-            starts = bounds[:-1]
-    if k < n and values[-1] != 0.0:
-        # The zero tail past d is a block of its own, starting at
-        # bounds[-1] = k where x is +0.0.  x holds each block's value, so
-        # one gather gives them all; the old values go first, so that the
-        # peak memory stays that of one values array.
-        starts = bounds
-        del values
-        values = x[starts]
+    # Canonical structure: x is constant on each of scipy's blocks and on
+    # the zero pad from k on, so a block starts at each of their starts
+    # where x differs from the entry before.  Adjacent blocks whose clamped
+    # values tie merge (in particular the all-nonpositive tail collapses
+    # into one zero block, which the pad joins).
+    starts = bounds if k < n else bounds[:-1]
+    values = x[starts]
+    keep = np.empty(starts.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    if not keep.all():
+        starts, values = starts[keep], values[keep]
     return ConeProjection(x, starts, values)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import INSIDE_RTOL, Instance, Weights, signed_sort
+from .core import INSIDE_RTOL, Instance, Weights, all_finite, signed_sort
 from .isotonic import project_cone
 from .ssn import SsnParams, SsnReport, solve
 
@@ -73,7 +73,7 @@ def prox_owl(v, weights: Weights, mu: float) -> np.ndarray:
         weights = Weights(weights)
     if v.ndim != 1 or v.size != weights.n:
         raise ValueError(f"v must be a vector of length {weights.n}")
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise ValueError("v must contain only finite values")
     mu = float(mu)
     if not 0.0 <= mu < np.inf:

@@ -97,8 +97,7 @@ def dual_norm(y, weights: Weights) -> float:
     return sorted_dual_norm(np.sort(np.abs(y))[::-1], weights.values)
 
 
-def solve_root(inst: Instance, tol: float = 1e-9,
-               max_evals: int = _MAX_EVALS) -> RootfindReport:
+def solve_root(inst: Instance, tol: float = 1e-9) -> RootfindReport:
     """Brent's method on the radius equation ``owl_norm(prox_mu(b)) = tau``.
 
     Requires an infeasible instance (norm of ``b`` strictly above the
@@ -111,8 +110,8 @@ def solve_root(inst: Instance, tol: float = 1e-9,
     is piecewise linear the final interpolation step typically lands on
     the root to full precision.  The report holds the evaluated point with the smallest
     ``|owl_norm(x) - tau|`` and its projection, so nothing is evaluated
-    twice.  Raises :class:`NonConvergenceError` after ``max_evals`` prox
-    evaluations.
+    twice.  Raises :class:`NonConvergenceError` after ``_MAX_EVALS`` (200)
+    prox evaluations.
     """
     tol = float(tol)
     if not 0.0 < tol < np.inf:
@@ -128,7 +127,7 @@ def solve_root(inst: Instance, tol: float = 1e-9,
     track = SimpleNamespace(evals=0, abs_grad=np.inf, t=0.0, cone=None, top=w.size)
     try:
         _, info = brentq(_scaled_gap, 0.0, 1.0, xtol=4.0 * np.finfo(np.float64).eps,
-                         maxiter=max(max_evals - 2, 0), full_output=True,
+                         maxiter=_MAX_EVALS - 2, full_output=True,
                          disp=False, args=(w, inst.weights, tau, hi, tol, track))
     except ValueError as exc:   # the gap is positive at t = 0 and at t = 1
         raise BracketError(
@@ -136,7 +135,7 @@ def solve_root(inst: Instance, tol: float = 1e-9,
             "not bracket the radius crossing") from exc
     if not info.converged:
         raise NonConvergenceError(
-            f"no root to tolerance {tol} within {max_evals} prox evaluations")
+            f"no root to tolerance {tol} within {_MAX_EVALS} prox evaluations")
     return RootfindReport(mu_star=track.t * hi, x=sort.apply_inverse(track.cone.x),
                           evaluations=track.evals,
                           residual=residual(track.abs_grad, tau))

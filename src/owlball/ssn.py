@@ -243,6 +243,8 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     """
     if params is None:
         params = SsnParams()
+    if not isinstance(weights, Weights):
+        weights = Weights(weights)
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or w.size != weights.n:
         raise ValueError(f"w must be a vector of length {weights.n}")

@@ -154,6 +154,35 @@ def test_nonincreasing_exit_matches_the_pava_route(case):
     assert fast.x.tobytes() == np.repeat(fast.block_values, fast.block_lengths).tobytes()
 
 
+@st.composite
+def violating_vectors(draw):
+    """Vectors with an ascent, so that :func:`project_cone` takes the PAVA
+    route, with a result length ``n >= len(d)``: ties, +0.0 and -0.0 and
+    negative tails."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]),
+                      st.floats(-1e6, 1e6))
+    d = draw(st.lists(entry, min_size=1, max_size=60))
+    tail = draw(st.integers(0, len(d)))
+    d[tail:] = [-abs(v) for v in d[tail:]]
+    i = draw(st.integers(1, len(d)))
+    d.insert(i, d[i - 1] + draw(st.sampled_from([0.5, 1.0, 3.0])))
+    return np.array(d), len(d) + draw(st.sampled_from([0, 1, 5]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(violating_vectors())
+def test_pava_route_reads_its_blocks_off_x(case):
+    # The blocks start at 0 and wherever x differs from the entry before,
+    # zero pad included, and hold x's own bytes.
+    d, n = case
+    assert not isotonic._nonincreasing(d)
+    p = project_cone(d, n)
+    x = p.x
+    change = np.flatnonzero(x[1:] != x[:-1]) + 1
+    assert p.block_starts.tolist() == [0, *change.tolist()]
+    assert p.block_values.tobytes() == x[p.block_starts].tobytes()
+
+
 def test_zero_padded_result_is_the_projection_of_the_whole():
     # project_cone(d[:k], n) is the projection of d when that vanishes
     # from k on, as a full-length result with canonical blocks: the pad

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -27,6 +29,13 @@ def test_public_surface_is_the_user_facing_calls():
     assert len(owlball.__all__) == len(set(owlball.__all__))
     for name in owlball.__all__:
         assert getattr(owlball, name) is not None
+
+
+def test_public_solvers_settable_values_are_pinned():
+    # As the names above: a knob cannot be added or come back unnoticed.
+    assert list(inspect.signature(owlball.solve_root).parameters) == ["inst", "tol"]
+    assert [f.name for f in dataclasses.fields(owlball.SsnParams)] == [
+        "eps", "max_iter", "y0"]
 
 
 def test_demos_found():

@@ -136,6 +136,38 @@ class TestProjectBall:
             again = project_ball(Instance(x, inst.weights, inst.tau)).x
             assert np.max(np.abs(again - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40),
+           family=st.sampled_from(["l1", "linf", "top-k", "trailing-zero", "gauss"]),
+           ties=st.booleans(), gap=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+           beta=st.floats(0.01, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_nonexpansive(self, n, family, ties, gap, beta, seed):
+        # ||P(a) - P(b)|| <= ||a - b|| on one ball, for near and far pairs;
+        # rounding to one decimal gives ties (and, at times, a == b).
+        rng = np.random.default_rng(seed)
+        lam = np.zeros(n)
+        if family == "l1":
+            lam[:] = 1.0
+        elif family == "linf":
+            lam[0] = 1.0
+        elif family == "top-k":
+            lam[:rng.integers(1, n + 1)] = 1.0
+        else:
+            lam[:] = np.sort(np.abs(rng.standard_normal(n)))[::-1]
+            lam[0] += 0.01
+            if family == "trailing-zero":
+                lam[rng.integers(1, n + 1):] = 0.0
+        weights = Weights(lam)
+        a = rng.standard_normal(n)
+        b = a + gap * rng.standard_normal(n)
+        if ties:
+            a, b = np.round(a, 1), np.round(b, 1)
+        tau = beta * max(owl_norm(a, weights), owl_norm(b, weights))
+        assume(tau > 0.0)
+        pa = project_ball(Instance(a, weights, tau)).x
+        pb = project_ball(Instance(b, weights, tau)).x
+        assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) * (1.0 + 1e-12)
+
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(68)
         betas = (1e-3, 1e-2, 1e-1, 0.5, 0.8)

@@ -218,11 +218,12 @@ class TestSolveRoot:
                 gc.enable()
         assert kept == []
 
-    def test_eval_budget_exhaustion_raises(self):
+    def test_eval_budget_exhaustion_raises(self, monkeypatch):
         rng = np.random.default_rng(89)
         inst = random_instance(rng, 50, beta=0.37)
-        with pytest.raises(NonConvergenceError):
-            solve_root(inst, tol=1e-15, max_evals=4)
+        monkeypatch.setattr(rootfind_mod, "_MAX_EVALS", 4)
+        with pytest.raises(NonConvergenceError, match="within 4 prox evaluations"):
+            solve_root(inst, tol=1e-15)
 
     def test_bracket_error_is_exposed(self, monkeypatch):
         # BracketError signals an internal inconsistency, here a dual

@@ -394,6 +394,17 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="finite"):
             solve(np.array(w), Weights([1.0, 1.0]), 1.0)
 
+    def test_raw_weights_are_validated_as_weights(self):
+        # As owl_norm, dual_norm and prox_owl do; a list used to raise
+        # AttributeError on its missing .n.
+        report = solve(np.array([3.0, 1.0]), [1.0, 1.0], 1.0)
+        expected = solve(np.array([3.0, 1.0]), Weights([1.0, 1.0]), 1.0)
+        assert report.converged
+        assert report.x_star.tobytes() == expected.x_star.tobytes()
+        for bad in ([1.0, 2.0], [0.0, 0.0], [1.0, -1.0]):
+            with pytest.raises(ValueError):
+                solve(np.array([3.0, 1.0]), bad, 1.0)
+
     def test_nonconvergence_is_reported_not_raised(self):
         rng = np.random.default_rng(44)
         w, weights, tau = random_sorted_instance(rng, 50, beta=0.3)
