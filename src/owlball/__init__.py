@@ -16,8 +16,9 @@ Typical use::
     inst = Instance(np.random.randn(5), w, tau=1.5)
     x = project_ball(inst).x
 
-Everything else (signed sorts, active sets, the dual objective, the
-oracles) stays importable from its submodule.
+Everything else (signed sorts, active sets, the dual gradient) stays
+importable from its submodule; the brute-force oracles live in the test
+suite (``tests/oracle.py``).
 """
 
 from .core import Instance, Weights, owl_norm

@@ -38,16 +38,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part)
-
-
-def _int_list(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part)
-
-
-def _str_list(text: str) -> tuple:
-    return tuple(part for part in text.split(",") if part)
+def _split(cast):
+    """An argparse type: a comma-separated list, each part passed to ``cast``."""
+    def split(text: str) -> tuple:
+        return tuple(cast(part) for part in text.split(",") if part)
+    split.__name__ = f"{cast.__name__} list"    # argparse names it in errors
+    return split
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,13 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help="run the solver comparison grid")
-    b.add_argument("--n", type=_int_list,
+    b.add_argument("--n", type=_split(int),
                    default=bench_mod.DEFAULT_N_LIST, metavar="N1,N2,...",
                    help="dimensions (default: 10000,100000,1000000)")
-    b.add_argument("--sigma", type=_float_list,
+    b.add_argument("--sigma", type=_split(float),
                    default=bench_mod.DEFAULT_SIGMA_LIST, metavar="S1,S2,...",
                    help="input scales (default: 1e-3,1,1e3)")
-    b.add_argument("--beta", type=_float_list,
+    b.add_argument("--beta", type=_split(float),
                    default=bench_mod.DEFAULT_BETA_LIST, metavar="B1,B2,...",
                    help="radius fractions in (0,1) "
                         "(default: 1e-3,1e-2,1e-1,0.5,0.8)")
@@ -70,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repetitions per cell (default: 3)")
     b.add_argument("--seed", type=int, default=0,
                    help="base seed of the counter-based streams (default: 0)")
-    b.add_argument("--solvers", type=_str_list, default=bench_mod.SOLVERS,
+    b.add_argument("--solvers", type=_split(str), default=bench_mod.SOLVERS,
                    metavar="NAME,...", help="subset of: ssn,rootfind")
     b.add_argument("--eps", type=float, default=1e-12,
                    help="shared target for both solvers on |owl_norm(x) - "

@@ -12,15 +12,13 @@ this stack algorithm) and keep two guarantees on top of it:
 * pooling a run of bitwise-identical entries returns that entry
   bit-for-bit (no ``sum/k`` roundoff), so projecting an already feasible
   vector is exactly the identity;
-* the reported blocks are canonical: values strictly decrease from one
-  block to the next, with at most one trailing zero block, so the active
-  set read off the block structure is the maximal one.
+* the blocks are canonical: values strictly decrease from one block to
+  the next, with at most one trailing zero block, so the active set read
+  off them is the maximal one.  They are the runs of equal entries of
+  ``x``, so a projection keeps only ``x`` and reads them off it on use.
 
 A nonincreasing vector skips the PAVA pass: its projection is
-``max(d, 0)``, and its blocks are the runs of equal entries of that,
-exactly what the PAVA route reports for it (a pooled run of equal
-entries is repaired to its entry, and clamped blocks that tie are
-merged).  The dual solvers start from such a vector (the sorted
+``max(d, 0)``.  The dual solvers start from such a vector (the sorted
 magnitudes of the input), and with constant weights every point they
 project is one.
 
@@ -33,6 +31,7 @@ a point above the root.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -43,19 +42,21 @@ __all__ = ["ConeProjection", "project_cone", "strictly_decreasing", "reduce_span
            "positive_block_sums", "active_set"]
 
 class ConeProjection:
-    """Result of :func:`project_cone`.
+    """Result of :func:`project_cone`: ``x``, and its blocks, which are
+    its runs of equal entries, read off it on first use.
 
     Attributes
     ----------
     x : ndarray
         The projection; nonincreasing with nonnegative entries.
     block_starts : ndarray of int
-        First index of each constant block.  Blocks are half-open
-        ``[block_starts[k], block_starts[k+1])`` runs partitioning
-        ``range(n)``; values strictly decrease across blocks.
+        First index of each constant block: each index where ``x``
+        changes, after 0.  Blocks are half-open ``[block_starts[k],
+        block_starts[k+1])`` runs partitioning ``range(n)``; values
+        strictly decrease across blocks.  Computed on first use and kept.
     block_values : ndarray
-        Common value of ``x`` on each block (the mean of the input over
-        the block, clamped at zero).
+        ``x[block_starts]``, the mean of the input over each block,
+        clamped at zero.
     block_lengths : ndarray of int
         Length of each block, computed on first use and kept.
     zero_tail : bool
@@ -65,13 +66,9 @@ class ConeProjection:
         First index of the zero block, ``n`` when there is none.
     """
 
-    def __init__(self, x, block_starts, block_values):
+    def __init__(self, x):
         self.x = x
-        self.block_starts = block_starts
-        self.block_values = block_values
-        self._lengths = None
-        for arr in (x, block_starts, block_values):
-            arr.flags.writeable = False
+        x.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -81,31 +78,38 @@ class ConeProjection:
     def num_blocks(self) -> int:
         return self.block_starts.size
 
-    @property
-    def block_lengths(self) -> np.ndarray:
-        if self._lengths is None:
-            starts = self.block_starts
-            lengths = np.empty_like(starts)
-            np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
-            lengths[-1] = self.n - starts[-1]
-            lengths.flags.writeable = False
-            self._lengths = lengths
-        return self._lengths
+    @cached_property
+    def zero_start(self) -> int:
+        return bisect_left(self.x, True, key=lambda v: v <= 0.0)
 
     @property
     def zero_tail(self) -> bool:
-        return bool(self.block_values[-1] == 0.0)
+        return bool(self.x[-1] == 0.0)
+
+    @cached_property
+    def block_starts(self) -> np.ndarray:
+        # x[zero_start:] is one block, so x[zero_start + 1:] is not read.
+        x = self.x
+        m = min(self.zero_start + 1, x.size)
+        change = np.empty(m, dtype=bool)
+        change[0] = True
+        np.not_equal(x[1:m], x[:m - 1], out=change[1:])
+        starts = np.flatnonzero(change)
+        starts.flags.writeable = False
+        return starts
 
     @property
-    def zero_start(self) -> int:
-        return int(self.block_starts[-1]) if self.zero_tail else self.n
+    def block_values(self) -> np.ndarray:
+        return self.x[self.block_starts]
 
-    @property
-    def blocks(self) -> list[tuple[int, int, float]]:
-        """Blocks as ``(start, end, value)`` tuples with half-open ends."""
-        ends = np.append(self.block_starts[1:], self.n)
-        return [(int(s), int(e), float(v))
-                for s, e, v in zip(self.block_starts, ends, self.block_values)]
+    @cached_property
+    def block_lengths(self) -> np.ndarray:
+        starts = self.block_starts
+        lengths = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+        lengths[-1] = self.n - starts[-1]
+        lengths.flags.writeable = False
+        return lengths
 
 
 def project_cone(d, n: int | None = None) -> ConeProjection:
@@ -144,22 +148,14 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
 
     if _nonincreasing(d):
         # The projection is max(d, 0): d up to its first entry <= 0, +0.0
-        # from there on, as on the PAVA route.  Its blocks are its runs of
-        # equal entries, and x[m:] repeats the zero x[m - 1].
+        # from there on, as on the PAVA route.
         j = bisect_left(d, True, key=lambda v: v <= 0.0)
         x = np.empty(n)
         x[:j] = d[:j]
         x[j:] = 0.0
-        m = min(j + 1, n)
-        change = np.empty(m, dtype=bool)
-        change[0] = True
-        np.not_equal(x[1:m], x[:m - 1], out=change[1:])
-        starts = np.flatnonzero(change)
-        values = x[:m] if starts.size == m else x[starts]
-        return ConeProjection(x, starts, values)
+        return ConeProjection(x)
 
     res = isotonic_regression(d, increasing=False)
-    bounds = np.asarray(res.blocks, dtype=np.intp)
     # scipy's x holds each block's mean on the whole block already.  Clamp
     # at zero; given two zeros, np.maximum may return either (numpy 2.4 on
     # x86 returns the second), so +0.0 is added to make every zero +0.0,
@@ -174,6 +170,8 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
     # Repair pooled runs of identical entries to the exact common value.
     # Singletons are exact already, and a pooled block whose end points
     # differ is no such run, so only the remaining candidates are checked.
+    # Neighbours that then tie are one run of x, and so one block.
+    bounds = np.asarray(res.blocks, dtype=np.intp)
     pooled = np.flatnonzero(np.diff(bounds) > 1)
     first, stop = bounds[pooled], bounds[pooled + 1]
     cand = d[first] == d[stop - 1]
@@ -186,20 +184,7 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
             repaired = np.maximum(d[first], 0.0)
             repaired += 0.0
             x[span_members(first, stop - first)] = np.repeat(repaired, stop - first)
-
-    # Canonical structure: x is constant on each of scipy's blocks and on
-    # the zero pad from k on, so a block starts at each of their starts
-    # where x differs from the entry before.  Adjacent blocks whose clamped
-    # values tie merge (in particular the all-nonpositive tail collapses
-    # into one zero block, which the pad joins).
-    starts = bounds if k < n else bounds[:-1]
-    values = x[starts]
-    keep = np.empty(starts.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    if not keep.all():
-        starts, values = starts[keep], values[keep]
-    return ConeProjection(x, starts, values)
+    return ConeProjection(x)
 
 
 def _nonincreasing(d: np.ndarray) -> bool:

@@ -38,8 +38,8 @@ of ``signs * v``.  A matvec is one bin sum, O(bins) work on the bins
 and one gather back, with no permutation.
 
 The dense reference ``I - B_G.T (B_G B_G.T)^-1 B_G`` for a tight set
-``G`` lives in :mod:`owlball.oracle`, which also maps ``G`` to a cone
-projection on its piece.
+``G`` lives in the test suite's ``tests/oracle.py``, which also maps
+``G`` to a cone projection on its piece.
 """
 
 from __future__ import annotations

@@ -92,28 +92,28 @@ NOOP_RTOL = 8.0 * np.finfo(np.float64).eps   # a Newton step below this * |y| is
 RESIDUAL = "residual"      # residual(phi', tau) <= eps
 NOOP = "noop"              # the next Newton step is a no-op
 BRACKET = "bracket"        # roundoff sent a step out of the sign bracket
-CAP = "cap"                # max_iter steps taken
+CAP = "cap"                # _MAX_ITER steps taken
+
+# Iteration cap; hitting it is reported, not raised.  A solve takes a
+# handful of steps whatever n is (module docstring).
+_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class SsnParams:
     """Solver knobs.
 
     eps : converged when ``residual(phi'(y), tau) <= eps`` (or on a no-op).
-    max_iter : iteration cap; hitting it is reported, not raised.
     y0 : starting dual point.
 
     The iteration itself has no knobs (see the module docstring).
     """
 
     eps: float = 1e-12
-    max_iter: int = 100
     y0: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.eps < np.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not np.isfinite(self.y0):
             raise ValueError(f"y0 must be finite, got {self.y0}")
 
@@ -146,7 +146,9 @@ class SsnReport:
     feasible for the hyperplane only up to ``residual_eta`` (relative to
     ``tau``).  ``stop`` says which stop fired: ``"residual"`` (it met
     ``eps``), ``"noop"`` (the next Newton step was a no-op; the residual
-    may then exceed ``eps`` by the roundoff of ``phi'``), ``"bracket"``
+    may then exceed ``eps`` by the roundoff of ``phi'``; once ``x_star``
+    has subnormal entries, each is off by up to one subnormal ulp, so it
+    can reach about ``5e-324 * n / tau``), ``"bracket"``
     (roundoff sent a step out of the sign bracket) or ``"cap"`` (the
     iteration cap).  ``converged`` is True for the first two; callers
     decide whether the others are fatal.  ``y_start`` is where the
@@ -286,7 +288,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     trace: list[StepRecord] = []
     stop = None
 
-    while eta > params.eps and len(trace) < params.max_iter:
+    while eta > params.eps and len(trace) < _MAX_ITER:
         if m is None:
             m = block_curvature(p, lam)
         if grad < 0.0:

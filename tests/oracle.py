@@ -26,19 +26,20 @@ and 1e3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
-from .core import Instance, Weights, owl_norm, signed_sort
-from .isotonic import ConeProjection, project_cone
+from owlball.core import Instance, Weights, owl_norm, signed_sort
+from owlball.isotonic import ConeProjection, project_cone
 
 __all__ = [
     "KktCertificate",
     "difference_matrix",
     "dense_cone_jacobian",
     "tight_set_blocks",
+    "block_tuples",
     "oracle_cone",
     "cone_certificate",
     "oracle_ball",
@@ -57,6 +58,12 @@ DENSE_CAP = 200
 # below this; the true tight set lands around machine epsilon, so the
 # threshold only has to reject genuinely wrong candidates.
 _ACCEPT_TOL = 1e-10
+
+# A candidate this close is the true tight set, and the enumeration stops
+# there; otherwise it goes on to the least violation, since a wrong
+# candidate can pass _ACCEPT_TOL by coming first (d = [200, -1.5e-8]
+# kept as it is violates x[1] >= 0 by only 7e-11 of the data scale).
+_EXACT_TOL = 1e-13
 
 # Solutions whose linear system was too ill-conditioned to trust are
 # rejected by the residual of the solve itself.
@@ -120,7 +127,8 @@ def tight_set_blocks(gamma, n: int) -> ConeProjection:
     result is a canonical projection whose maximal tight set is
     ``gamma``, and ``apply_cone_jacobian`` on it is the implicit form of
     ``dense_cone_jacobian(gamma, n)``.  Built with the plain
-    ``ConeProjection`` constructor: no cone projector runs.
+    ``ConeProjection`` constructor from its ``x``: no cone projector
+    runs.
     """
     slack = np.ones(n, dtype=bool)
     slack[_check_tight_set(gamma, n)] = False
@@ -128,8 +136,15 @@ def tight_set_blocks(gamma, n: int) -> ConeProjection:
     values = np.arange(starts.size, 0, -1, dtype=np.float64)
     if not slack[-1]:
         values[-1] = 0.0
-    x = np.repeat(values, np.diff(starts, append=n))
-    return ConeProjection(x, starts, values)
+    return ConeProjection(np.repeat(values, np.diff(starts, append=n)))
+
+
+def block_tuples(p: ConeProjection) -> list[tuple[int, int, float]]:
+    """Blocks of ``p`` as ``(start, end, value)`` tuples with half-open
+    ends, from its public block attributes."""
+    ends = p.block_starts + p.block_lengths
+    return [(int(s), int(e), float(v))
+            for s, e, v in zip(p.block_starts, ends, p.block_values)]
 
 
 def _subsets(n: int):
@@ -143,9 +158,10 @@ def _subsets(n: int):
 def cone_certificate(d) -> KktCertificate:
     """Projection of ``d`` onto the monotone nonnegative cone, certified.
 
-    Enumerates all 2**n tight sets; for each, projects onto the
-    corresponding subspace by a dense solve and accepts the first
-    candidate whose multipliers and slacks check out.
+    Enumerates the 2**n tight sets; for each, projects onto the
+    corresponding subspace by a dense solve, and accepts the candidate
+    whose multipliers and slacks check out best (the first one within
+    ``_EXACT_TOL``).
     """
     d = np.asarray(d, dtype=np.float64)
     n = d.size
@@ -170,13 +186,15 @@ def cone_certificate(d) -> KktCertificate:
             z = np.zeros(n)
             z[gamma] = -s
         viol = _kkt_violation_cone(big, d, x, z, scale)
-        if viol <= _ACCEPT_TOL:
-            return KktCertificate(x=x, y=None, z=z, max_violation=viol)
-        if best is None or viol < best:
-            best = viol
-    raise RuntimeError(
-        f"no tight set satisfied the cone KKT conditions (best violation "
-        f"{best}); this indicates a bug in the oracle itself")
+        if best is None or viol < best.max_violation:
+            best = KktCertificate(x=x, y=None, z=z, max_violation=viol)
+            if viol <= _EXACT_TOL:
+                break
+    if best is None or best.max_violation > _ACCEPT_TOL:
+        raise RuntimeError(
+            f"no tight set satisfied the cone KKT conditions (best violation "
+            f"{best and best.max_violation}); this indicates a bug in the oracle itself")
+    return best
 
 
 def _kkt_violation_cone(big, d, x, z, scale) -> float:
@@ -200,8 +218,9 @@ def ball_certificate(inst: Instance) -> KktCertificate:
     Feasible inputs short-circuit to ``b`` with zero multipliers.
     Otherwise the projection is computed in sorted coordinates, where
     it solves the cone-and-hyperplane problem: for each tight set the
-    bordered system in (x, y, z) is solved densely, and the first
-    candidate passing all KKT checks is mapped back through the sort.
+    bordered system in (x, y, z) is solved densely, and the candidate
+    that passes the KKT checks best (the first one within
+    ``_EXACT_TOL``) is mapped back through the sort.
     Near-singular candidate systems are rejected by the residual of
     their own solve.
     """
@@ -243,14 +262,15 @@ def ball_certificate(inst: Instance) -> KktCertificate:
         z = np.zeros(n)
         z[gamma] = sol[n + 1:]
         viol = _kkt_violation_ball(big, lam, tau, w, x, y, z, scale)
-        if viol <= _ACCEPT_TOL:
-            return KktCertificate(x=sort.apply_inverse(x), y=y, z=z,
-                                  max_violation=viol)
-        if best is None or viol < best:
-            best = viol
-    raise RuntimeError(
-        f"no tight set satisfied the ball KKT conditions (best violation "
-        f"{best}); this indicates a bug in the oracle itself")
+        if best is None or viol < best.max_violation:
+            best = KktCertificate(x=x, y=y, z=z, max_violation=viol)
+            if viol <= _EXACT_TOL:
+                break
+    if best is None or best.max_violation > _ACCEPT_TOL:
+        raise RuntimeError(
+            f"no tight set satisfied the ball KKT conditions (best violation "
+            f"{best and best.max_violation}); this indicates a bug in the oracle itself")
+    return replace(best, x=sort.apply_inverse(best.x))
 
 
 def _kkt_violation_ball(big, lam, tau, w, x, y, z, scale) -> float:

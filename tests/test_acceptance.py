@@ -27,14 +27,15 @@ from owlball import (
 from owlball.bench import ExperimentConfig, cell_rng, generate_instance, run_experiment
 from owlball.core import signed_sort
 from owlball.isotonic import active_set
-from owlball.oracle import (
+from owlball.ssn import block_curvature, dual_gradient
+
+from oracle import (
     dense_cone_jacobian,
     difference_matrix,
     oracle_ball,
     oracle_cone,
     tight_set_blocks,
 )
-from owlball.ssn import block_curvature, dual_gradient
 
 pytestmark = pytest.mark.acceptance
 

@@ -1,11 +1,7 @@
-import functools
-
 import numpy as np
 import pytest
 
-import owlball.cli as cli_mod
-from owlball import SsnParams
-from owlball import bench as bench_mod
+import owlball.ssn as ssn_mod
 from owlball.cli import main
 from owlball.io import read_vector, write_vector
 
@@ -76,8 +72,7 @@ class TestProjectCommand:
     def test_nonconvergence_names_the_stop(self, tmp_path, monkeypatch, capsys):
         # One Newton step from 0 cannot reach the root of this
         # non-affine phi', so the solve stops at the iteration cap.
-        monkeypatch.setattr(cli_mod, "SsnParams",
-                            functools.partial(SsnParams, max_iter=1))
+        monkeypatch.setattr(ssn_mod, "_MAX_ITER", 1)
         rng = np.random.default_rng(3)
         b = rng.standard_normal(200)
         lam = np.sort(np.abs(rng.standard_normal(200)))[::-1] + 0.01
@@ -147,8 +142,7 @@ class TestBenchCommand:
     def test_nonconvergence_exits_two(self, tmp_path, monkeypatch):
         # A Newton solver capped at one iteration stops short of the
         # root, which the harness reports as exit code 2.
-        monkeypatch.setattr(bench_mod, "SsnParams",
-                            functools.partial(SsnParams, max_iter=1))
+        monkeypatch.setattr(ssn_mod, "_MAX_ITER", 1)
         out = tmp_path / "t.csv"
         code = main(["bench", "--n", "500", "--sigma", "1.0",
                      "--beta", "0.3,0.7", "--reps", "3",

@@ -2,24 +2,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owlball import ConeProjection, isotonic, project_cone
 from owlball.isotonic import active_set, positive_block_sums, reduce_spans
-from owlball.oracle import oracle_cone
+
+from oracle import block_tuples, oracle_cone
 
 
 def test_feasible_input_is_fixed_point():
     p = project_cone(np.array([5.0, 3.0, 1.0]))
     assert np.array_equal(p.x, [5.0, 3.0, 1.0])
-    assert p.blocks == [(0, 1, 5.0), (1, 2, 3.0), (2, 3, 1.0)]
+    assert block_tuples(p) == [(0, 1, 5.0), (1, 2, 3.0), (2, 3, 1.0)]
 
 
 def test_pooling_example():
     p = project_cone(np.array([1.0, 3.0, 2.0]))
     assert np.array_equal(p.x, [2.0, 2.0, 2.0])
-    assert p.blocks == [(0, 3, 2.0)]
+    assert block_tuples(p) == [(0, 3, 2.0)]
 
 
 def test_polar_cone_input_projects_to_zero():
@@ -56,7 +57,7 @@ def test_identity_with_alternating_pooled_and_singleton_runs(tail):
                  + [0.5] + [0.1] * 3 + tail)
     p = project_cone(x)
     assert x.tobytes() == p.x.tobytes()
-    pooled = [(s, e) for s, e, _ in p.blocks if e - s > 1]
+    pooled = [(s, e) for s, e, _ in block_tuples(p) if e - s > 1]
     assert pooled[:4] == [(0, 6), (7, 13), (14, 17), (18, 21)]
 
 
@@ -169,18 +170,34 @@ def violating_vectors(draw):
     return np.array(d), len(d) + draw(st.sampled_from([0, 1, 5]))
 
 
-@settings(max_examples=400, deadline=None)
-@given(violating_vectors())
+@st.composite
+def zero_vectors(draw):
+    """All-zero vectors of mixed sign, with a result length ``n >= len(d)``."""
+    d = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=60)))
+    return d, d.size + draw(st.sampled_from([0, 1, 5]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(violating_vectors().map(lambda case: (*case, False)),
+                 nonincreasing_vectors().map(lambda case: (*case, True)),
+                 zero_vectors().map(lambda case: (*case, True))))
+@example((np.array([2.5]), 1, True))
+@example((np.array([-2.5]), 1, True))
+@example((np.array([-0.0]), 1, True))
 def test_pava_route_reads_its_blocks_off_x(case):
-    # The blocks start at 0 and wherever x differs from the entry before,
-    # zero pad included, and hold x's own bytes.
-    d, n = case
-    assert not isotonic._nonincreasing(d)
+    # On both routes, zero pad included, the blocks start at 0 and
+    # wherever x differs from the entry before, and hold x's own bytes;
+    # the zero block starts at the first zero of x, if there is one.
+    d, n, exit_route = case
+    assert isotonic._nonincreasing(d) == exit_route
     p = project_cone(d, n)
     x = p.x
     change = np.flatnonzero(x[1:] != x[:-1]) + 1
     assert p.block_starts.tolist() == [0, *change.tolist()]
     assert p.block_values.tobytes() == x[p.block_starts].tobytes()
+    zeros = np.flatnonzero(x == 0.0)
+    assert p.zero_start == (zeros[0] if zeros.size else n)
+    assert p.zero_tail == (zeros.size > 0)
 
 
 def test_zero_padded_result_is_the_projection_of_the_whole():
@@ -231,7 +248,7 @@ def test_late_violation_is_not_taken_for_cone_input():
     d[900], d[901] = d[901], d[900]
     p = project_cone(d)
     assert p.num_blocks == 999
-    assert p.blocks[900] == (900, 902, 0.5 * (d[900] + d[901]))
+    assert block_tuples(p)[900] == (900, 902, 0.5 * (d[900] + d[901]))
 
 
 def test_reduce_spans_matches_slices():
@@ -298,7 +315,7 @@ class TestPositiveBlocks:
             p = project_cone(d)
             v = rng.standard_normal(n)
             sums, pooled = positive_block_sums(p, v)
-            spans = [(s, t) for s, t, value in p.blocks if value > 0.0]
+            spans = [(s, t) for s, t, value in block_tuples(p) if value > 0.0]
             assert p.zero_tail == (len(spans) < p.num_blocks)
             assert sums == pytest.approx([math.fsum(v[s:t]) for s, t in spans],
                                          rel=1e-14, abs=1e-14)
@@ -322,13 +339,15 @@ def test_nonexpansiveness():
         assert lhs <= rhs * (1.0 + 1e-12)
 
 
-def test_matches_enumeration_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        n = int(rng.integers(1, 11))
-        d = rng.standard_normal(n) * rng.choice([0.01, 1.0, 100.0])
-        gap = np.max(np.abs(project_cone(d).x - oracle_cone(d)))
-        assert gap <= 1e-9
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                          st.floats(-4.0, 4.0)), min_size=1, max_size=10),
+       st.sampled_from([0.01, 1.0, 100.0]))
+@example([2.0, -1.4581759732859718e-10], 100.0)   # the oracle once kept the -1.5e-8
+def test_matches_enumeration_oracle(d, scale):
+    d = np.array(d) * scale
+    gap = np.max(np.abs(project_cone(d).x - oracle_cone(d)))
+    assert gap <= 1e-9
 
 
 def test_block_consistency():
@@ -336,9 +355,9 @@ def test_block_consistency():
     for _ in range(300):
         d = rng.standard_normal(rng.integers(1, 50))
         p = project_cone(d)
-        rebuilt = np.concatenate([np.full(e - s, v) for s, e, v in p.blocks])
+        rebuilt = np.concatenate([np.full(e - s, v) for s, e, v in block_tuples(p)])
         assert np.array_equal(rebuilt, p.x)
-        for s, e, v in p.blocks:
+        for s, e, v in block_tuples(p):
             assert v == pytest.approx(max(np.mean(d[s:e]), 0.0),
                                       rel=1e-13, abs=1e-13)
         # canonical: strictly decreasing block values, so the partition

@@ -20,13 +20,15 @@ from owlball import (
 )
 from owlball.core import SignedSort, sign_or_one, signed_sort
 from owlball.isotonic import active_set
-from owlball.oracle import (
+from owlball.ssn import block_curvature
+
+from oracle import (
     DENSE_CAP,
+    block_tuples,
     dense_cone_jacobian,
     difference_matrix,
     tight_set_blocks,
 )
-from owlball.ssn import block_curvature
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -111,7 +113,7 @@ class TestConeJacobian:
         v = np.concatenate((np.full(1000, 1e8), [1e-3, 3e-3, 2e-3]))
         p = project_cone(d)
         out = apply_cone_jacobian(p, v)
-        pooled = [(s, e) for s, e, _ in p.blocks if e - s > 1]
+        pooled = [(s, e) for s, e, _ in block_tuples(p) if e - s > 1]
         assert pooled == [(1000, 1002)]
         mean = math.fsum(v[1000:1002]) / 2
         assert np.all(np.abs(out[1000:1002] - mean) <= 4 * EPS * mean)
@@ -293,18 +295,19 @@ class TestBallJacobian:
 
 
 def cone_table(cone, perm):
-    """The bins of ``H`` in original coordinates, read off ``cone.blocks``
-    one block at a time: positive pooled blocks are bins ``0..m-1`` in
+    """The bins of ``H`` in original coordinates, read off the blocks of
+    ``cone`` one at a time: positive pooled blocks are bins ``0..m-1`` in
     order, the zero block bin ``m``, and each positive singleton a bin of
     its own from ``m+1`` on, in increasing original position ``perm[k]``;
     ``inv_sizes`` as in ``BallJacobian``."""
-    pooled = [(s, e) for s, e, v in cone.blocks if v > 0.0 and e - s > 1]
-    singles = sorted(int(perm[s]) for s, e, v in cone.blocks if v > 0.0 and e - s == 1)
+    blocks = block_tuples(cone)
+    pooled = [(s, e) for s, e, v in blocks if v > 0.0 and e - s > 1]
+    singles = sorted(int(perm[s]) for s, e, v in blocks if v > 0.0 and e - s == 1)
     m = len(pooled)
     label = np.full(cone.n, -1, dtype=np.intp)
     for j, (s, e) in enumerate(pooled):
         label[perm[s:e]] = j
-    for s, e, v in cone.blocks:
+    for s, e, v in blocks:
         if v == 0.0:
             label[perm[s:e]] = m
     for j, pos in enumerate(singles):
@@ -315,10 +318,11 @@ def cone_table(cone, perm):
 
 
 def cone_hb(cone, perm, lam) -> np.ndarray:
-    """``hb`` of ``BallJacobian`` read off ``cone.blocks`` in the bin order
-    of :func:`cone_table`, each block sum by ``math.fsum``."""
-    pooled = [(s, e) for s, e, v in cone.blocks if v > 0.0 and e - s > 1]
-    singles = sorted((int(perm[s]), lam[s]) for s, e, v in cone.blocks
+    """``hb`` of ``BallJacobian`` read off the blocks of ``cone`` in the bin
+    order of :func:`cone_table`, each block sum by ``math.fsum``."""
+    blocks = block_tuples(cone)
+    pooled = [(s, e) for s, e, v in blocks if v > 0.0 and e - s > 1]
+    singles = sorted((int(perm[s]), lam[s]) for s, e, v in blocks
                      if v > 0.0 and e - s == 1)
     means = [math.fsum(lam[s:e]) / (e - s) for s, e in pooled]
     hb = np.array(means + [0.0] + [w for _, w in singles])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from owlball import Instance, Weights, owl_norm
-from owlball.oracle import (
+
+from oracle import (
     MAX_N_BALL,
     MAX_N_CONE,
     ball_certificate,

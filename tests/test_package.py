@@ -35,7 +35,7 @@ def test_public_solvers_settable_values_are_pinned():
     # As the names above: a knob cannot be added or come back unnoticed.
     assert list(inspect.signature(owlball.solve_root).parameters) == ["inst", "tol"]
     assert [f.name for f in dataclasses.fields(owlball.SsnParams)] == [
-        "eps", "max_iter", "y0"]
+        "eps", "y0"]
 
 
 def test_demos_found():

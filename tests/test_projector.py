@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import owlball.isotonic as isotonic_mod
+import owlball.ssn as ssn_mod
 from owlball import (
     Instance,
     SsnParams,
@@ -16,8 +17,9 @@ from owlball import (
     prox_owl,
 )
 from owlball.core import INSIDE_RTOL, signed_sort
-from owlball.oracle import oracle_ball
 from owlball.rootfind import dual_norm, solve_root
+
+from oracle import oracle_ball
 
 
 def random_instance(rng, n, sigma=1.0, beta=None):
@@ -128,13 +130,14 @@ class TestProjectBall:
                 assert float(np.dot(inst.b - x, z - x)) <= 1e-10 * (
                     1.0 + float(np.dot(inst.b, inst.b)))
 
-    def test_idempotence(self):
-        rng = np.random.default_rng(67)
-        for _ in range(50):
-            inst = random_instance(rng, int(rng.integers(1, 40)))
-            x = project_ball(inst).x
-            again = project_ball(Instance(x, inst.weights, inst.tau)).x
-            assert np.max(np.abs(again - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 39), beta=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    def test_idempotence(self, n, beta, seed):
+        inst = random_instance(np.random.default_rng(seed), n, beta=beta)
+        x = project_ball(inst).x
+        again = project_ball(Instance(x, inst.weights, inst.tau)).x
+        assert np.max(np.abs(again - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 40),
@@ -178,10 +181,11 @@ class TestProjectBall:
             want = oracle_ball(inst)
             assert np.max(np.abs(got - want)) <= 1e-8
 
-    def test_propagates_solver_report(self):
+    def test_propagates_solver_report(self, monkeypatch):
+        monkeypatch.setattr(ssn_mod, "_MAX_ITER", 1)
         rng = np.random.default_rng(69)
         inst = random_instance(rng, 20, beta=0.3)
-        res = project_ball(inst, SsnParams(max_iter=1, eps=1e-15))
+        res = project_ball(inst, SsnParams(eps=1e-15))
         assert not res.report.converged
 
     def test_report_carries_sort_and_final_projection(self):

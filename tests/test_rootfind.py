@@ -8,13 +8,14 @@ from owlball import rootfind as rootfind_mod
 from owlball import ssn as ssn_mod
 from owlball.bench import cell_rng, generate_instance
 from owlball.core import signed_sort, sorted_dual_norm
-from owlball.oracle import oracle_dual_norm
 from owlball.rootfind import (
     BracketError,
     NonConvergenceError,
     dual_norm,
     solve_root,
 )
+
+from oracle import oracle_dual_norm
 
 
 def random_instance(rng, n, sigma=1.0, beta=None):
