@@ -19,7 +19,6 @@ from owlball import (
     ball_jacobian,
     project_ball,
 )
-from owlball.isotonic import active_set
 
 
 def main():
@@ -35,9 +34,12 @@ def main():
     print(f"projected {n} coordinates in "
           f"{res.report.iterations} Newton iterations")
 
-    # The combinatorial state at the solution: which sorted-difference
-    # constraints are tight decides the affine piece we are on.
-    print(f"tight constraint set: {active_set(res.report.cone).tolist()}")
+    # The combinatorial state at the solution: the blocks of the cone
+    # projection (which sorted-difference constraints are tight) decide
+    # the affine piece we are on.
+    cone = res.report.cone
+    print(f"cone blocks start at {cone.block_starts.tolist()} "
+          f"(zero tail: {cone.zero_tail})")
 
     s = ball_jacobian(inst, res.report)
     dense = np.column_stack([apply_ball_jacobian(s, e) for e in np.eye(n)])

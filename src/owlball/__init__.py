@@ -16,19 +16,16 @@ Typical use::
     inst = Instance(np.random.randn(5), w, tau=1.5)
     x = project_ball(inst).x
 
-Everything else (signed sorts, active sets, the dual gradient) stays
-importable from its submodule; the brute-force oracles live in the test
-suite (``tests/oracle.py``).
+Everything else (signed sorts, the dual gradient, the block curvature)
+stays importable from its submodule; the brute-force oracles and the
+test-only references (the tight set of a cone projection, its block
+values and the cone Jacobian's matvec) live in the test suite
+(``tests/oracle.py``).
 """
 
 from .core import Instance, Weights, owl_norm
 from .isotonic import ConeProjection, project_cone
-from .jacobian import (
-    BallJacobian,
-    apply_ball_jacobian,
-    apply_cone_jacobian,
-    ball_jacobian,
-)
+from .jacobian import BallJacobian, apply_ball_jacobian, ball_jacobian
 from .projector import ProjectionResult, project_ball, prox_owl
 from .rootfind import (
     BracketError,
@@ -62,6 +59,5 @@ __all__ = [
     "ball_jacobian",
     "apply_ball_jacobian",
     "BallJacobian",
-    "apply_cone_jacobian",
     "__version__",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "signed_sort",
     "sign_or_one",
     "sorted_dual_norm",
-    "plateau_model_root",
 ]
 
 # Relative slack used by the trivial-case gate: a point whose norm exceeds
@@ -211,8 +210,8 @@ def owl_norm(x, weights) -> float:
     if not isinstance(weights, Weights):
         weights = Weights(weights)
     lam = weights.values
-    if x.size != lam.size:
-        raise ValueError(f"x has length {x.size} but weights has length {lam.size}")
+    if x.shape != lam.shape:
+        raise ValueError(f"x must be a vector of length {lam.size}, got shape {x.shape}")
     mags = np.sort(np.abs(x))[::-1]
     return float(np.dot(mags, lam))
 
@@ -222,10 +221,7 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
 
     The permutation equals ``np.argsort(-|b|, kind="stable")`` on every
     finite input.  ``b`` must be finite: a NaN would sort first here and
-    last there.  When ``|b|`` is already nonincreasing the permutation
-    is ``arange(n)``; the in-order test stops at the first violation, so
-    other inputs pay only for the first few hundred pairs.  Otherwise it
-    is computed with one SIMD sort of packed uint64 keys:
+    last there.  It is computed with one SIMD sort of packed uint64 keys:
 
     1. Nonnegative doubles order like their bit patterns read as
        unsigned integers, so ``~bits(|b|)`` sorts ascending in the order
@@ -245,16 +241,20 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     Gaussian input at n = 1e6 has a few dozen collisions, so the fix-up
     costs well under a millisecond.  The worst case is every key
     colliding, as with ``|b| = 1 + j * ulp``: then the fix-up sorts all
-    n entries once more, with a second packed key, or with a stable
-    argsort where that key would not fit in 64 bits.  In position order
-    those magnitudes increase, so the in-order test does not reach them.
-    The arrays are built in place where possible and handed to
-    ``SignedSort`` uncopied, since each fresh n-vector costs page faults
-    as well as a pass.  At n = 1e6 on a loaded 2-vCPU Xeon with numpy
-    2.4.6 (best of 7) this function takes 34 ms on Gaussian b, 35 ms on b
-    rounded to 2 decimals, 29 ms with 6 distinct magnitudes, 9 ms with
-    all magnitudes equal, and 113 and 82 ms on ``1 + j * ulp`` in random
-    and in position order.
+    n entries once more by a stable argsort.  Input that is already in
+    order takes the same route as any other.  The arrays are built in
+    place where possible and handed to ``SignedSort`` uncopied, since
+    each fresh n-vector costs page faults as well as a pass.  At
+    n = 1e6 on a 2-vCPU Xeon with numpy 2.4.6 (best of 7 in one process)
+    this function takes 14 ms on Gaussian b and on b rounded to 2
+    decimals, 13 ms with 6 distinct magnitudes, 12 ms on presorted
+    Gaussian b and with all magnitudes equal, and 127 and 23 ms on
+    ``1 + j * ulp`` in random and in position order.  No input the
+    benchmark draws is in order or collides in every key, so two
+    shortcuts for those cases are left out: an in-order test returning
+    ``arange(n)`` (4.2 ms on presorted or all-equal magnitudes), and a
+    second packed key in the fix-up (43 ms on ``1 + j * ulp`` in random
+    order, but 34 ms in position order).
 
     Returns
     -------
@@ -266,12 +266,9 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.size
-    mags = np.abs(b)
-    if pairs_hold(np.less_equal, mags):
-        return _presorted(b, mags)
     k = (n - 1).bit_length()
     low = np.uint64((1 << k) - 1)
-    key = mags.view(np.uint64)
+    key = np.abs(b).view(np.uint64)
     np.invert(key, out=key)
     key &= ~low
     key |= np.arange(n, dtype=np.uint64)
@@ -286,16 +283,6 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     return SignedSort._adopt(order, signs), w
 
 
-def _presorted(b: np.ndarray, mags: np.ndarray) -> tuple[SignedSort, np.ndarray]:
-    """:func:`signed_sort` of a ``b`` whose magnitudes ``mags`` are
-    nonincreasing: the stable permutation is ``arange(n)``.  The sorted
-    magnitudes overwrite ``mags``; as in the gather, they keep the -0.0
-    of a negative zero."""
-    order = np.arange(b.size, dtype=np.intp)
-    signs = sign_or_one(b)
-    return SignedSort._adopt(order, signs), np.multiply(signs, b, out=mags)
-
-
 def _sort_collisions(order, signs, w, k: int, inverted) -> None:
     """Put the colliding runs of a packed-key sort in stable order, in place.
 
@@ -306,11 +293,10 @@ def _sort_collisions(order, signs, w, k: int, inverted) -> None:
     entries stand in position order.  Every run holding an inversion is
     re-sorted by magnitude, keeping position order among equal ones.
 
-    The members of those runs are sorted together by one packed key:
-    run rank, then the complemented low ``k`` bits of the magnitude,
-    then the member's index.  When the three do not fit in 64 bits (only
-    possible above n = 2**21, with over 2**(64-2k) colliding runs), a
-    stable argsort of the members' negated magnitudes does the same job.
+    The members of those runs are sorted together by one stable argsort
+    of their negated magnitudes.  Runs are disjoint in magnitude, so this
+    sorts each run in place among the members, and equal magnitudes (the
+    zeros of both signs among them) keep their position order.
     """
     # Each run holding an inversion, found from its first inversion
     # (leftwards) and its last (rightwards).  Inversions are ascending
@@ -323,22 +309,7 @@ def _sort_collisions(order, signs, w, k: int, inverted) -> None:
     lo = first - _run_reach(w, k, first, -1)
     sizes = last + _run_reach(w, k, last, 1) + 1 - lo
     members = span_members(lo, sizes)
-    m = members.size
-    index_bits = (m - 1).bit_length()
-    if (lo.size - 1).bit_length() + k + index_bits <= 64:
-        key = np.repeat(np.arange(lo.size, dtype=np.uint64) << (k + index_bits), sizes)
-        low = np.uint64((1 << k) - 1)
-        rest = w[members].view(np.uint64)
-        rest &= low
-        np.subtract(low, rest, out=rest)
-        rest <<= index_bits
-        key |= rest
-        key |= np.arange(m, dtype=np.uint64)
-        key.sort()
-        key &= np.uint64((1 << index_bits) - 1)
-        src = members[key.view(np.int64)]
-    else:
-        src = members[np.argsort(-w[members], kind="stable")]
+    src = members[np.argsort(-w[members], kind="stable")]
     order[members] = order[src]
     signs[members] = signs[src]
     w[members] = w[src]
@@ -448,39 +419,3 @@ def sorted_dual_norm(mags, lam) -> float:
     of ``mags`` it is minus the largest ``y`` with ``Pi_C(y lam + w) = 0``,
     where every prefix sum of ``y lam + w`` is nonpositive."""
     return float(np.max(np.cumsum(mags) / np.cumsum(lam)))
-
-
-def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
-    """Start point of the Newton solve for plateau weights
-    ``lam = lam0 * 1[:k]``: ``min(r1, r2)``, the roots of two lower
-    bounds on ``phi'(y) = <Pi_C(y lam + w), lam> - tau`` for ``y <= 0``
-    that need no cone projection.  ``v = Pi_C(w)``, and
-    ``phi'(0) = lam0 * sum(v[:k]) - tau`` must be positive.
-
-    ``Pi_C`` is order-preserving, ``y lam >= y lam0`` for ``y <= 0``,
-    and the projection of ``w`` shifted by a constant is ``v`` shifted
-    and clamped, so ``phi' >= psi1(y) = lam0 * sum((v + y lam0)_+[:k])
-    - tau``.  Its root is ``-s / lam0`` for the L1-ball threshold ``s``
-    of ``v[:k]`` at radius ``z = tau / lam0`` (Duchi et al. 2008, Condat
-    2016), ``s = max_t (cumsum(v)[t] - z) / (t + 1)`` over ``t < k``.  It
-    is exact for the L1 norm.
-
-    Every entry of the projection is nonnegative and its first is the
-    largest prefix mean of ``y lam + w`` or zero, so ``phi' >= psi2(y) =
-    lam0 * max_t mean((y lam + w)[:t+1]) - tau``, exact for the Linf
-    norm.  Its root is ``min_t ((t + 1) z - cumsum(w)[t]) / cumsum(lam)[t]``
-    with ``cumsum(lam)[t] = lam0 * min(t + 1, k)``: the max-ratio formula
-    of :func:`sorted_dual_norm`, which it is at ``tau = 0`` (negated).
-
-    So both roots are at least ``y*``, and ``r1 < 0`` since
-    ``psi1(0) = phi'(0) > 0``: the start lies in ``[y*, 0)``.
-    """
-    lam0, k = float(weights.values[0]), weights.plateau
-    z = tau / lam0
-    count = np.arange(1, w.size + 1, dtype=np.float64)
-    r1 = np.min((z - np.cumsum(v[:k])) / count[:k]) / lam0
-    gaps = count * z
-    gaps -= np.cumsum(w)
-    gaps /= np.minimum(count, k, out=count)
-    r2 = np.min(gaps) / lam0
-    return float(min(r1, r2))

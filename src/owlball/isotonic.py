@@ -39,7 +39,7 @@ from scipy.optimize import isotonic_regression
 from .core import all_finite, pairs_hold, span_members
 
 __all__ = ["ConeProjection", "project_cone", "strictly_decreasing", "reduce_spans",
-           "positive_block_sums", "active_set"]
+           "positive_block_sums"]
 
 class ConeProjection:
     """Result of :func:`project_cone`: ``x``, and its blocks, which are
@@ -54,9 +54,6 @@ class ConeProjection:
         changes, after 0.  Blocks are half-open ``[block_starts[k],
         block_starts[k+1])`` runs partitioning ``range(n)``; values
         strictly decrease across blocks.  Computed on first use and kept.
-    block_values : ndarray
-        ``x[block_starts]``, the mean of the input over each block,
-        clamped at zero.
     block_lengths : ndarray of int
         Length of each block, computed on first use and kept.
     zero_tail : bool
@@ -97,10 +94,6 @@ class ConeProjection:
         starts = np.flatnonzero(change)
         starts.flags.writeable = False
         return starts
-
-    @property
-    def block_values(self) -> np.ndarray:
-        return self.x[self.block_starts]
 
     @cached_property
     def block_lengths(self) -> np.ndarray:
@@ -218,13 +211,11 @@ def positive_block_sums(p: ConeProjection, v) -> tuple[np.ndarray, np.ndarray]:
     """Sums of ``v`` over the blocks of ``p`` with a positive value (all
     but a zero tail), and the indices of the pooled ones among them.
 
-    A singleton's sum is its own entry (a view of ``v`` when all blocks
-    are singletons); pooled blocks are summed directly by one
-    :func:`reduce_spans`, so no error grows with the coordinates before."""
+    A singleton's sum is its own entry; pooled blocks are summed directly
+    by one :func:`reduce_spans`, so no error grows with the coordinates
+    before."""
     v = np.asarray(v, dtype=np.float64)
     live = p.num_blocks - int(p.zero_tail)
-    if p.num_blocks == p.n:
-        return v[:live], np.empty(0, dtype=np.intp)
     starts, lengths = p.block_starts[:live], p.block_lengths[:live]
     sums = v[starts]
     pooled = np.flatnonzero(lengths > 1)
@@ -232,24 +223,3 @@ def positive_block_sums(p: ConeProjection, v) -> tuple[np.ndarray, np.ndarray]:
         first = starts[pooled]
         sums[pooled] = reduce_spans(np.add, v, first, first + lengths[pooled])
     return sums, pooled
-
-
-def active_set(p: ConeProjection) -> np.ndarray:
-    """Indices of the cone constraints that are tight at ``p.x``.
-
-    Constraint ``i < n-1`` is ``x[i] - x[i+1] >= 0`` and constraint
-    ``n-1`` is ``x[n-1] >= 0`` (0-based).  The answer is read off the
-    block structure, never from float comparisons on ``x``: equality
-    constraints are exactly the within-block positions, and the last
-    constraint is tight iff the final block value is zero.
-
-    Returns
-    -------
-    ndarray of int
-        Sorted tight-constraint indices.
-    """
-    n = p.n
-    tight = np.ones(n, dtype=bool)
-    tight[p.block_starts[1:] - 1] = False      # slack between adjacent blocks
-    tight[n - 1] = p.zero_tail
-    return np.flatnonzero(tight)

@@ -1,4 +1,4 @@
-"""Generalized Jacobians of the cone and ball projectors as O(n) operators.
+"""Generalized Jacobian of the ball projector as an O(n) operator.
 
 The projector onto the monotone nonnegative cone is piecewise linear,
 and on the piece of a projection ``p`` its Jacobian ``H`` is fixed by
@@ -12,8 +12,9 @@ the blocks of ``p`` (``block_starts`` and ``zero_tail``):
 So ``H = D + U U.T`` with ``D`` a 0/1 diagonal (the positive singletons)
 and one column of ``U`` per positive pooled block of length ``L``,
 holding ``1/sqrt(L)`` on it.  ``H`` is never formed: the
-:class:`~owlball.isotonic.ConeProjection` is its own representation,
-and :func:`apply_cone_jacobian` is the one matvec, in block form.
+:class:`~owlball.isotonic.ConeProjection` is its own representation.
+The Newton curvature (:func:`owlball.ssn.block_curvature`) and
+:func:`ball_jacobian` read ``lam.T H lam`` and ``H lam`` off its blocks.
 
 The ball projector's Jacobian is ``S = P.T (H - u u.T) P``, with ``P``
 the signed sort of the input and ``u = H lam / ||H lam||``.  Through
@@ -38,8 +39,9 @@ of ``signs * v``.  A matvec is one bin sum, O(bins) work on the bins
 and one gather back, with no permutation.
 
 The dense reference ``I - B_G.T (B_G B_G.T)^-1 B_G`` for a tight set
-``G`` lives in the test suite's ``tests/oracle.py``, which also maps
-``G`` to a cone projection on its piece.
+``G`` lives in the test suite's ``tests/oracle.py``, with the map from
+``G`` to a cone projection on its piece, the tight set of a projection
+and the block-form matvec ``H v``.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .core import sign_or_one
-from .isotonic import ConeProjection, positive_block_sums
 
 __all__ = [
     "BallJacobian",
-    "apply_cone_jacobian",
     "ball_jacobian",
     "apply_ball_jacobian",
 ]
@@ -103,24 +103,6 @@ class BallJacobian:
     @property
     def n(self) -> int:
         return self.label.size
-
-
-def apply_cone_jacobian(p: ConeProjection, v) -> np.ndarray:
-    """Matvec ``H v`` in O(n), ``H`` the cone projector's Jacobian on the
-    piece of ``p``: the mean of ``v`` on each positive pooled block,
-    ``v`` itself on positive singletons, and 0 on the zero block.  Each
-    mean is a direct block sum (:func:`positive_block_sums`), so its
-    error does not grow with the coordinates before it."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (p.n,):
-        raise ValueError(f"expected length {p.n}, got shape {v.shape}")
-    lengths = p.block_lengths
-    sums, pooled = positive_block_sums(p, v)
-    block_hv = np.zeros(p.num_blocks)
-    block_hv[:sums.size] = sums
-    if pooled.size:
-        block_hv[pooled] /= lengths[pooled]
-    return np.repeat(block_hv, lengths)
 
 
 def ball_jacobian(inst, report) -> BallJacobian:

@@ -51,7 +51,7 @@ start above the root at ``y = 0`` moves to ``y_s = min(r1, r2, y1)``
 before the first projection, where ``y1 = -phi'(0) / M(0)`` is the
 Newton step from 0 and ``r1``, ``r2`` are the roots of two lower bounds
 on ``phi'`` that need no PAVA pass
-(:func:`owlball.core.plateau_model_root`): the sort-based L1-ball
+(:func:`plateau_model_root`): the sort-based L1-ball
 threshold of ``Pi_C(w)`` at radius ``tau / lam0``, exact for the L1
 norm, and ``lam0`` times the leading block mean ``x[0]``, exact for the
 Linf norm.  A root of a lower bound, like a Newton step, lies at or
@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SignedSort, Weights, all_finite, plateau_model_root, sorted_dual_norm
+from .core import SignedSort, Weights, all_finite, sorted_dual_norm
 from .isotonic import ConeProjection, positive_block_sums, project_cone, strictly_decreasing
 
 __all__ = [
@@ -215,14 +215,49 @@ def block_curvature(p: ConeProjection, lam) -> float:
         M = sum over blocks with value > 0 of (sum of lam over block)**2 / length.
 
     Each pooled block's sum (:func:`positive_block_sums`) enters the dot
-    as ``sum / sqrt(length)``; O(n).  Equals ``lam @
-    apply_cone_jacobian(p, lam)`` up to roundoff, and is exactly ``0.0``
-    when ``p.x`` is all zero.
+    as ``sum / sqrt(length)``; O(n).  Equals ``lam @ H lam`` up to
+    roundoff, and is exactly ``0.0`` when ``p.x`` is all zero.
     """
     terms, pooled = positive_block_sums(p, lam)
     if pooled.size:
         terms[pooled] /= np.sqrt(p.block_lengths[pooled])
     return float(np.dot(terms, terms))
+
+
+def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
+    """Start point of the Newton solve for plateau weights
+    ``lam = lam0 * 1[:k]``: ``min(r1, r2)``, the roots of two lower
+    bounds on ``phi'(y) = <Pi_C(y lam + w), lam> - tau`` for ``y <= 0``
+    that need no cone projection.  ``v = Pi_C(w)``, and
+    ``phi'(0) = lam0 * sum(v[:k]) - tau`` must be positive.
+
+    ``Pi_C`` is order-preserving, ``y lam >= y lam0`` for ``y <= 0``,
+    and the projection of ``w`` shifted by a constant is ``v`` shifted
+    and clamped, so ``phi' >= psi1(y) = lam0 * sum((v + y lam0)_+[:k])
+    - tau``.  Its root is ``-s / lam0`` for the L1-ball threshold ``s``
+    of ``v[:k]`` at radius ``z = tau / lam0`` (Duchi et al. 2008, Condat
+    2016), ``s = max_t (cumsum(v)[t] - z) / (t + 1)`` over ``t < k``.  It
+    is exact for the L1 norm.
+
+    Every entry of the projection is nonnegative and its first is the
+    largest prefix mean of ``y lam + w`` or zero, so ``phi' >= psi2(y) =
+    lam0 * max_t mean((y lam + w)[:t+1]) - tau``, exact for the Linf
+    norm.  Its root is ``min_t ((t + 1) z - cumsum(w)[t]) / cumsum(lam)[t]``
+    with ``cumsum(lam)[t] = lam0 * min(t + 1, k)``: the max-ratio formula
+    of :func:`sorted_dual_norm`, which it is at ``tau = 0`` (negated).
+
+    So both roots are at least ``y*``, and ``r1 < 0`` since
+    ``psi1(0) = phi'(0) > 0``: the start lies in ``[y*, 0)``.
+    """
+    lam0, k = float(weights.values[0]), weights.plateau
+    z = tau / lam0
+    count = np.arange(1, w.size + 1, dtype=np.float64)
+    r1 = np.min((z - np.cumsum(v[:k])) / count[:k]) / lam0
+    gaps = count * z
+    gaps -= np.cumsum(w)
+    gaps /= np.minimum(count, k, out=count)
+    r2 = np.min(gaps) / lam0
+    return float(min(r1, r2))
 
 
 def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> SsnReport:

@@ -11,7 +11,11 @@ small-n caps.
 The dense reference for the cone projector's Jacobian on a tight set
 also lives here, with the map from a tight set to a cone projection on
 its piece, which is what the implicit Jacobian in
-:mod:`owlball.jacobian` reads its blocks from.
+:mod:`owlball.jacobian` reads its blocks from.  So do the readers that
+only tests call: a projection's tight set (:func:`active_set`), its
+block values (:func:`block_values`) and the cone Jacobian's block-form
+matvec (:func:`apply_cone_jacobian`), which read the production blocks
+and are checked against the dense forms here.
 
 So does :func:`dual_value`, the objective ``phi`` whose derivative the
 Newton solver drives to zero.  The solver never evaluates ``phi``, so
@@ -32,14 +36,17 @@ from itertools import combinations
 import numpy as np
 
 from owlball.core import Instance, Weights, owl_norm, signed_sort
-from owlball.isotonic import ConeProjection, project_cone
+from owlball.isotonic import ConeProjection, positive_block_sums, project_cone
 
 __all__ = [
     "KktCertificate",
     "difference_matrix",
     "dense_cone_jacobian",
     "tight_set_blocks",
+    "block_values",
     "block_tuples",
+    "active_set",
+    "apply_cone_jacobian",
     "oracle_cone",
     "cone_certificate",
     "oracle_ball",
@@ -139,12 +146,57 @@ def tight_set_blocks(gamma, n: int) -> ConeProjection:
     return ConeProjection(np.repeat(values, np.diff(starts, append=n)))
 
 
+def block_values(p: ConeProjection) -> np.ndarray:
+    """``x[block_starts]`` of ``p``: the mean of the input over each
+    block, clamped at zero."""
+    return p.x[p.block_starts]
+
+
 def block_tuples(p: ConeProjection) -> list[tuple[int, int, float]]:
     """Blocks of ``p`` as ``(start, end, value)`` tuples with half-open
     ends, from its public block attributes."""
     ends = p.block_starts + p.block_lengths
     return [(int(s), int(e), float(v))
-            for s, e, v in zip(p.block_starts, ends, p.block_values)]
+            for s, e, v in zip(p.block_starts, ends, block_values(p))]
+
+
+def active_set(p: ConeProjection) -> np.ndarray:
+    """Indices of the cone constraints that are tight at ``p.x``.
+
+    Constraint ``i < n-1`` is ``x[i] - x[i+1] >= 0`` and constraint
+    ``n-1`` is ``x[n-1] >= 0`` (0-based).  The answer is read off the
+    block structure, never from float comparisons on ``x``: equality
+    constraints are exactly the within-block positions, and the last
+    constraint is tight iff the final block value is zero.
+
+    Returns
+    -------
+    ndarray of int
+        Sorted tight-constraint indices.
+    """
+    n = p.n
+    tight = np.ones(n, dtype=bool)
+    tight[p.block_starts[1:] - 1] = False      # slack between adjacent blocks
+    tight[n - 1] = p.zero_tail
+    return np.flatnonzero(tight)
+
+
+def apply_cone_jacobian(p: ConeProjection, v) -> np.ndarray:
+    """Matvec ``H v`` in O(n), ``H`` the cone projector's Jacobian on the
+    piece of ``p``: the mean of ``v`` on each positive pooled block,
+    ``v`` itself on positive singletons, and 0 on the zero block.  Each
+    mean is a direct block sum (:func:`positive_block_sums`), so its
+    error does not grow with the coordinates before it."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (p.n,):
+        raise ValueError(f"expected length {p.n}, got shape {v.shape}")
+    lengths = p.block_lengths
+    sums, pooled = positive_block_sums(p, v)
+    block_hv = np.zeros(p.num_blocks)
+    block_hv[:sums.size] = sums
+    if pooled.size:
+        block_hv[pooled] /= lengths[pooled]
+    return np.repeat(block_hv, lengths)
 
 
 def _subsets(n: int):

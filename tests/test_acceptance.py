@@ -18,7 +18,6 @@ from owlball import (
     Instance,
     SsnParams,
     apply_ball_jacobian,
-    apply_cone_jacobian,
     ball_jacobian,
     project_ball,
     project_cone,
@@ -26,10 +25,11 @@ from owlball import (
 )
 from owlball.bench import ExperimentConfig, cell_rng, generate_instance, run_experiment
 from owlball.core import signed_sort
-from owlball.isotonic import active_set
 from owlball.ssn import block_curvature, dual_gradient
 
 from oracle import (
+    active_set,
+    apply_cone_jacobian,
     dense_cone_jacobian,
     difference_matrix,
     oracle_ball,

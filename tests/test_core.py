@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import owlball.core as core_mod
 from owlball import Instance, Weights, owl_norm
 from owlball.core import SignedSort, signed_sort
 
@@ -122,8 +123,8 @@ class TestSignedSort:
     @staticmethod
     def in_order_cases():
         """Vectors whose ``|b|`` is nonincreasing, so that the sort is
-        ``arange(n)`` without sorting: ties, mixed signs, +0.0 and -0.0
-        runs, n = 1 and lengths past the in-order test's first stretches."""
+        ``arange(n)``: ties, mixed signs, +0.0 and -0.0 runs, n = 1 and
+        lengths past the first few hundred entries."""
         rng = np.random.default_rng(73)
         cases = [np.array([-0.0]), np.array([0.0, -0.0, 0.0]), np.array([-2.5]),
                  np.array([3.0, -3.0, 2.0, 2.0, -1.0, 0.0, -0.0, 0.0])]
@@ -132,41 +133,30 @@ class TestSignedSort:
             cases.append(np.where(rng.random(n) < 0.5, -mags, mags))
         return cases
 
-    def test_in_order_input_takes_no_sort(self, monkeypatch):
-        # perm, signs and w are bitwise those of the packed sort.
-        cases = self.in_order_cases()
-        fast = [signed_sort(b) for b in cases]
-        monkeypatch.setattr(core_mod, "pairs_hold", lambda compare, d: False)
-        for b, (sort, w) in zip(cases, fast):
-            slow, w_slow = signed_sort(b)
-            assert np.array_equal(sort.perm, np.arange(b.size))
-            assert sort.perm.dtype == slow.perm.dtype and not sort.perm.flags.writeable
-            assert sort.perm.tobytes() == slow.perm.tobytes()
-            assert sort.signs.tobytes() == slow.signs.tobytes()
-            assert w.tobytes() == w_slow.tobytes()
-
-    def test_in_order_path_gathers_nothing(self, monkeypatch):
-        def gather(*args):
-            raise AssertionError("in-order input was gathered")
-
-        monkeypatch.setattr(core_mod, "_gather_signed", gather)
+    def test_in_order_input_matches_stable_argsort(self):
+        # Presorted input and its reversal go through the one packed sort;
+        # perm, signs and w are bitwise those of the stable argsort.
         for b in self.in_order_cases():
-            signed_sort(b)
+            for case, in_order in ((b, True), (b[::-1].copy(), False)):
+                sort, w = signed_sort(case)
+                perm = np.argsort(-np.abs(case), kind="stable")
+                signs = np.sign(case[perm])
+                signs[signs == 0.0] = 1.0
+                if in_order:
+                    assert np.array_equal(sort.perm, np.arange(case.size))
+                assert sort.perm.dtype == perm.dtype and not sort.perm.flags.writeable
+                assert sort.perm.tobytes() == perm.tobytes()
+                assert sort.signs.tobytes() == signs.tobytes()
+                assert w.tobytes() == (signs * case[perm]).tobytes()
 
     @pytest.mark.parametrize("n", [3, 257, 1000])
     @pytest.mark.parametrize("direction", [1, -1])
-    def test_one_violation_at_the_end_is_sorted(self, n, direction, monkeypatch):
-        # |b| nonincreasing but for its last pair, or strictly
-        # increasing: the sort must run.
-        gathered = []
-        inner = core_mod._gather_signed
-        monkeypatch.setattr(core_mod, "_gather_signed",
-                            lambda b, order: gathered.append(1) or inner(b, order))
+    def test_one_violation_at_the_end_is_sorted(self, n, direction):
+        # |b| nonincreasing but for its last pair, or strictly increasing.
         b = -np.linspace(3.0, 1.0, n)[::direction].copy()
         if direction > 0:
             b[-2], b[-1] = b[-1], b[-2]
         sort, w = signed_sort(b)
-        assert gathered
         assert np.array_equal(sort.perm, np.argsort(-np.abs(b), kind="stable"))
         assert np.all(w[1:] <= w[:-1])
 
@@ -188,8 +178,9 @@ class TestSignedSort:
         # 2**20 + 1 triples (v, v + ulp, v), 2**22 ulps apart: every
         # triple collides in its own run, holds an inversion and an exact
         # tie.  Run rank (21 bits), low magnitude bits (22) and member
-        # index (22) need 65 bits, so the fix-up sorts the members by a
-        # stable argsort instead of a second packed key.
+        # index (22) would need 65 bits, more than one packed key holds,
+        # so the fix-up's stable argsort of the members is what orders
+        # them.
         n = 3 * (2**20 + 1)
         base = 1.0 + np.arange(n // 3) * (2.0**22 * np.finfo(np.float64).eps)
         b = np.repeat(base, 3)
@@ -282,6 +273,11 @@ class TestOwlNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             owl_norm([1.0, 2.0, 3.0], Weights([1.0, 1.0]))
+        # An x that is not one-dimensional is rejected by its shape, even
+        # with as many entries as weights.
+        for shape in [(1, 3), (3, 1)]:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                owl_norm(np.ones(shape), Weights([1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize("lam", [[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]])
     def test_rejects_raw_weights_that_define_no_norm(self, lam):

@@ -19,7 +19,6 @@ PUBLIC = [
     "SsnParams", "SsnReport", "ssn_solve",
     "project_cone", "ConeProjection",
     "ball_jacobian", "apply_ball_jacobian", "BallJacobian",
-    "apply_cone_jacobian",
     "__version__",
 ]
 
@@ -36,6 +35,14 @@ def test_public_solvers_settable_values_are_pinned():
     assert list(inspect.signature(owlball.solve_root).parameters) == ["inst", "tol"]
     assert [f.name for f in dataclasses.fields(owlball.SsnParams)] == [
         "eps", "y0"]
+
+
+def test_test_only_readers_stay_out_of_the_package():
+    # Only tests read a projection's tight set, its block values or the
+    # cone Jacobian's matvec; their references live in tests/oracle.py.
+    assert not hasattr(owlball.jacobian, "apply_cone_jacobian")
+    assert not hasattr(owlball.isotonic, "active_set")
+    assert not hasattr(owlball.ConeProjection, "block_values")
 
 
 def test_demos_found():
