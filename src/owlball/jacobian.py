@@ -18,25 +18,29 @@ The Newton curvature (:func:`owlball.ssn.block_curvature`) and
 
 The ball projector's Jacobian is ``S = P.T (H - u u.T) P``, with ``P``
 the signed sort of the input and ``u = H lam / ||H lam||``.  Through
-the sort's permutation the blocks are no longer contiguous, so
-:class:`BallJacobian` puts each original coordinate in the bin of its
-block, one bin per block of ``H``:
+the sort's permutation the blocks are no longer contiguous, and each
+coordinate carries a sign, so :class:`BallJacobian` puts each original
+coordinate in a bin of its block and its sign, with ``m`` the number of
+positive pooled blocks:
 
-======================  ==========================  =========  ==========
-block of ``H``          bin                         inv_sizes  hb
-======================  ==========================  =========  ==========
-positive pooled, ``j``  ``j`` in ``0..m-1``         ``1/L``    mean of
-                                                               ``lam``
-zero block              ``m``                       0          0
-positive singleton      ``m+1, ...``, in increasing 1          its
-                        original position                      ``lam``
-======================  ==========================  =========  ==========
+======================  ================================  ===============
+block of ``H``          bins                              hb
+======================  ================================  ===============
+positive pooled, ``j``  ``2j`` (sign +1), ``2j+1`` (-1)   +- the mean of
+                                                          ``lam`` on it
+zero block              ``2m`` (sign +1), ``2m+1`` (-1)   0
+positive singleton      one from ``2m+2`` on, in          its sign times
+                        increasing original position      its ``lam``
+======================  ================================  ===============
 
-with ``hb`` divided by ``||H lam||``.  ``u`` is constant on each block,
-so ``hb`` holds it per bin, and the rank-one term folds into the bin
-sums: ``<P.T u, v>`` is ``<hb, sums>``, where ``sums`` are the bin sums
-of ``signs * v``.  A matvec is one bin sum, O(bins) work on the bins
-and one gather back, with no permutation.
+with ``hb`` divided by ``||H lam||``, and ``inv_sizes`` holding ``1/L``
+per positive pooled block of length ``L``.  ``u`` is constant on each
+block, so ``hb`` holds it per bin with the bin's sign, and the rank-one
+term folds into the bin sums: ``<P.T u, v>`` is ``<hb, sums>``, where
+``sums`` are the bin sums of ``v``.  A pooled block's signed sum is the
+difference of its two bins.  A matvec is one bin sum, O(bins) work on
+the bins and one gather back, with no permutation and no per-coordinate
+sign.
 
 The dense reference ``I - B_G.T (B_G B_G.T)^-1 B_G`` for a tight set
 ``G`` lives in the test suite's ``tests/oracle.py``, with the map from
@@ -52,8 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .core import sign_or_one
-
 __all__ = [
     "BallJacobian",
     "ball_jacobian",
@@ -67,36 +69,37 @@ class BallJacobian:
 
     ``P`` is the signed sort of the instance, ``H`` the cone-projector
     Jacobian at the solution, and ``u = H lam / ||H lam||``.  ``S`` is
-    symmetric positive semidefinite.  Each block of ``H`` has a bin of
-    its own (see the table in :mod:`owlball.jacobian`), and ``u`` is
-    constant on each, so with ``sums`` the bin sums of ``signs * v`` the
-    matvec is
+    symmetric positive semidefinite.  Each block of ``H`` has a bin per
+    sign, or one bin if it is a singleton (see the table in
+    :mod:`owlball.jacobian`), and ``u`` is constant on each.  With
+    ``sums`` the bin sums of ``v`` and ``c = <hb, sums>``, the matvec
+    gathers back, in the original coordinates and with no permutation,
 
-        S v = signs * (inv_sizes * sums - <hb, sums> hb)[label]
-
-    in the original coordinates, with no permutation.
+    * ``G_j = (sums[2j] - sums[2j+1]) * inv_sizes[j] - c hb[2j]`` to bin
+      ``2j`` and ``-G_j`` to bin ``2j+1`` of pooled block ``j``;
+    * 0 to the zero block's two bins;
+    * ``sums[k] - c hb[k]`` to a singleton's bin ``k``.
 
     Attributes
     ----------
     label : ndarray of int
-        Per coordinate, its bin: ``0`` to ``m-1`` for the positive pooled
-        blocks, in sorted order, ``m`` for the zero block, and one bin
-        from ``m+1`` on for each positive singleton, numbered in
-        increasing original position, so a matvec visits those bins in
-        sequence.  ``m`` is the number of positive pooled blocks.
-    signs : ndarray
-        ``sign(b)``, with zeros counted as ``+1``.
+        Per coordinate, its bin: ``2j`` or ``2j+1`` on the ``j``-th
+        positive pooled block in sorted order, for sign +1 or -1,
+        ``2m`` or ``2m+1`` on the zero block, and one bin from ``2m+2``
+        on for each positive singleton, numbered in increasing original
+        position, so a matvec visits those bins in sequence.  ``m`` is
+        the number of positive pooled blocks.  It is the only array of
+        length ``n``.
     inv_sizes : ndarray
-        Per bin, ``1/L`` on a pooled block of length ``L``, ``0`` on the
-        zero block and ``1`` on a singleton: ``H`` as a bin scaling.
+        Per positive pooled block, ``1/L`` for its length ``L``.
     hb : ndarray
-        Per bin, the value of ``u`` on its block, without signs: the
-        block's mean of ``lam`` (its own weight on a singleton, ``0`` on
-        the zero block) over ``||H lam||``.
+        Per bin, the value of ``u`` on its block times the bin's sign:
+        ``+-`` the block's mean of ``lam`` on a pooled block's two bins,
+        ``0`` on the zero block's, and a singleton's sign times its own
+        weight, all over ``||H lam||``.
     """
 
     label: np.ndarray
-    signs: np.ndarray
     inv_sizes: np.ndarray
     hb: np.ndarray
 
@@ -138,75 +141,91 @@ def ball_jacobian(inst, report) -> BallJacobian:
         raise ValueError(f"report has length {sort.n} (sort) and {cone.n} "
                          f"(cone projection), instance has length {n}")
 
-    # Sorted-order labels: the pooled blocks 0..m-1, the zero block m,
-    # and m+1 for every singleton until they are renumbered below.  Each
-    # pooled block's sum of lam is a direct sum, in one sequential pass.
+    # Sorted-order labels: 2j for pooled block j, 2m for the zero block,
+    # and first_single for every singleton until they are renumbered
+    # below.  Each pooled block's sum of lam is a direct sum, in one
+    # sequential pass.  Adding 1 where the sign is -1 then moves each
+    # coordinate to the bin of its sign, in the same pass for all.
     lam = inst.weights.values
     lengths = cone.block_lengths
     live = lengths.size - int(cone.zero_tail)
     pooled = np.flatnonzero(lengths[:live] > 1)
     m = pooled.size
     singles = live - m
-    block_label = np.full(lengths.size, m + 1, dtype=np.intp)
-    block_label[pooled] = np.arange(m)
-    block_label[live:] = m
+    zero = 2 * m
+    first_single = zero + 2
+    block_label = np.full(lengths.size, first_single, dtype=np.intp)
+    block_label[pooled] = np.arange(0, zero, 2)
+    block_label[live:] = zero
     sorted_label = np.repeat(block_label, lengths)
-    pooled_sums = np.bincount(sorted_label, weights=lam, minlength=m + 2)[:m]
+    pooled_sums = np.bincount(sorted_label, weights=lam, minlength=zero)[:zero:2]
     pooled_inv = 1.0 / lengths[pooled]
+    sorted_label += sort.signs < 0
 
-    # The only two scatters through the sort: the labels and lam.  The
-    # singletons are renumbered in original order, and their weights
-    # read in the same order, through one index array: a boolean mask
-    # would be turned into indices on each of the two uses.  (``clip``
-    # as in :func:`apply_ball_jacobian`: every index is in range.)
+    # Scatter the labels through the sort.  The singletons are
+    # renumbered in original order through one index array: a boolean
+    # mask would be turned into indices on each use.
     label = np.empty(n, dtype=np.intp)
     label[sort.perm] = sorted_label
     del sorted_label
-    at_single = np.flatnonzero(label > m)
-    label[at_single] = np.arange(m + 1, m + 1 + singles)
-    hb = np.empty(m + 1 + singles)
-    pooled_hb, single_lam = hb[:m], hb[m + 1:]
-    moved = np.empty(n)
-    moved[sort.perm] = lam
-    np.take(moved, at_single, out=single_lam, mode="clip")
-    del moved, at_single
+    at_single = np.flatnonzero(label >= first_single)
+    hb = np.empty(first_single + singles)
+    single_hb = hb[first_single:]
+    label[at_single] = np.arange(first_single, hb.size)
+    if 4 * singles <= n:
+        # Few singletons: write each weight, with its sign, straight
+        # into its bin through its sorted position.
+        sp = cone.block_starts[np.flatnonzero(lengths[:live] == 1)]
+        hb[label[sort.perm[sp]]] = lam[sp] * sort.signs[sp]
+    else:
+        # Many: scatter all of the signed weights and read them in
+        # original order.  (``clip`` as in :func:`apply_ball_jacobian`:
+        # every index is in range.)
+        moved = np.empty(n)
+        moved[sort.perm] = lam * sort.signs
+        np.take(moved, at_single, out=single_hb, mode="clip")
+        del moved
+    del at_single
 
     # ||H lam||^2: (sum of lam)^2 / L per pooled block, lam^2 per singleton.
-    np.multiply(pooled_sums, pooled_inv, out=pooled_hb)
-    norm = math.sqrt(float(np.dot(pooled_sums, pooled_hb))
-                     + float(np.dot(single_lam, single_lam)))
+    means = pooled_sums * pooled_inv
+    norm = math.sqrt(float(np.dot(pooled_sums, means))
+                     + float(np.dot(single_hb, single_hb)))
     if norm == 0.0:
         raise ValueError("H lam = 0: the report's cone projection is zero, "
                          "so it is no solution on the ball's boundary")
-    hb[m] = 0.0
+    hb[:zero:2] = means
+    np.negative(means, out=hb[1:zero:2])
+    hb[zero:first_single] = 0.0
     hb /= norm
-    inv_sizes = np.ones(hb.size)
-    inv_sizes[:m] = pooled_inv
-    inv_sizes[m] = 0.0
-    return BallJacobian(label=label, signs=sign_or_one(inst.b),
-                        inv_sizes=inv_sizes, hb=hb)
+    return BallJacobian(label=label, inv_sizes=pooled_inv, hb=hb)
 
 
 def apply_ball_jacobian(s: BallJacobian, v) -> np.ndarray:
     """Matvec ``S v`` in O(n), in the original coordinates (see
-    :class:`BallJacobian`): sum ``signs * v`` per bin, then on the bins
-    alone take the rank-one coefficient ``<hb, sums>``, scale by
-    ``inv_sizes`` and subtract the rank-one term, and gather the bins
-    back with the signs restored."""
+    :class:`BallJacobian`): sum ``v`` per bin, then on the bins alone
+    take the rank-one coefficient ``<hb, sums>``, fold each pooled
+    block's two bins into its scaled signed sum, clear the zero block
+    and subtract the rank-one term, and gather the bins back."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (s.n,):
         raise ValueError(f"expected shape ({s.n},), got {v.shape}")
-    tmp = np.multiply(s.signs, v)
-    sums = np.bincount(s.label, weights=tmp, minlength=s.hb.size)
+    # The result is allocated before the bin sums, so that the bin sums,
+    # freed on return, leave no hole in the heap under it.
+    out = np.empty(s.n)
+    sums = np.bincount(s.label, weights=v, minlength=s.hb.size)
     c = float(np.dot(s.hb, sums))
-    sums *= s.inv_sizes
+    zero = 2 * s.inv_sizes.size
+    pairs = sums[:zero].reshape(-1, 2)
+    pairs[:, 0] -= pairs[:, 1]
+    pairs[:, 0] *= s.inv_sizes
+    np.negative(pairs[:, 0], out=pairs[:, 1])
+    sums[zero:zero + 2] = 0.0
     # sums -= c * hb in place: a temporary would be bin-sized, and there
     # are as many bins as coordinates when all blocks are singletons.
+    # There are always the zero block's two bins, so hb is never empty,
+    # which scipy's daxpy would refuse.
     sums = daxpy(s.hb, sums, a=-c)
-    # The gather goes into tmp, which is no longer needed: one fresh
-    # n-sized array per matvec, not two.  Every label is a bin, so
-    # ``clip`` changes no index; it spares the copy of ``out`` that
-    # ``take`` makes in its default ``raise`` mode.
-    out = np.take(sums, s.label, out=tmp, mode="clip")
-    out *= s.signs
-    return out
+    # Every label is a bin, so ``clip`` changes no index; it spares the
+    # copy of ``out`` that ``take`` makes in its default ``raise`` mode.
+    return np.take(sums, s.label, out=out, mode="clip")

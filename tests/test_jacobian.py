@@ -17,7 +17,7 @@ from owlball import (
     project_cone,
     ssn_solve,
 )
-from owlball.core import SignedSort, sign_or_one, signed_sort
+from owlball.core import SignedSort, signed_sort
 from owlball.ssn import block_curvature
 
 from oracle import (
@@ -295,38 +295,42 @@ class TestBallJacobian:
             done += 1
 
 
-def cone_table(cone, perm):
+def cone_table(cone, sort):
     """The bins of ``H`` in original coordinates, read off the blocks of
-    ``cone`` one at a time: positive pooled blocks are bins ``0..m-1`` in
-    order, the zero block bin ``m``, and each positive singleton a bin of
-    its own from ``m+1`` on, in increasing original position ``perm[k]``;
-    ``inv_sizes`` as in ``BallJacobian``."""
+    ``cone`` one coordinate at a time: positive pooled block ``j`` holds
+    bins ``2j`` and ``2j+1`` for the signs +1 and -1 of ``sort``, the zero
+    block bins ``2m`` and ``2m+1``, and each positive singleton a bin of
+    its own from ``2m+2`` on, in increasing original position
+    ``perm[k]``; ``inv_sizes`` as in ``BallJacobian``."""
+    perm, signs = sort.perm, sort.signs
     blocks = block_tuples(cone)
     pooled = [(s, e) for s, e, v in blocks if v > 0.0 and e - s > 1]
+    zero = [(s, e) for s, e, v in blocks if v == 0.0]
     singles = sorted(int(perm[s]) for s, e, v in blocks if v > 0.0 and e - s == 1)
     m = len(pooled)
     label = np.full(cone.n, -1, dtype=np.intp)
-    for j, (s, e) in enumerate(pooled):
-        label[perm[s:e]] = j
-    for s, e, v in blocks:
-        if v == 0.0:
-            label[perm[s:e]] = m
+    for first, (s, e) in [(2 * j, block) for j, block in enumerate(pooled)] \
+            + [(2 * m, block) for block in zero]:
+        for k in range(s, e):
+            label[perm[k]] = first + int(signs[k] < 0)
     for j, pos in enumerate(singles):
-        label[pos] = m + 1 + j
+        label[pos] = 2 * m + 2 + j
     assert label.min() >= 0
-    inv_sizes = np.array([1.0 / (e - s) for s, e in pooled] + [0.0] + [1.0] * len(singles))
+    inv_sizes = np.array([1.0 / (e - s) for s, e in pooled])
     return label, inv_sizes
 
 
-def cone_hb(cone, perm, lam) -> np.ndarray:
+def cone_hb(cone, sort, lam) -> np.ndarray:
     """``hb`` of ``BallJacobian`` read off the blocks of ``cone`` in the bin
     order of :func:`cone_table`, each block sum by ``math.fsum``."""
+    perm, signs = sort.perm, sort.signs
     blocks = block_tuples(cone)
     pooled = [(s, e) for s, e, v in blocks if v > 0.0 and e - s > 1]
-    singles = sorted((int(perm[s]), lam[s]) for s, e, v in blocks
+    singles = sorted((int(perm[s]), signs[s] * lam[s]) for s, e, v in blocks
                      if v > 0.0 and e - s == 1)
     means = [math.fsum(lam[s:e]) / (e - s) for s, e in pooled]
-    hb = np.array(means + [0.0] + [w for _, w in singles])
+    hb = np.array([h for mean in means for h in (mean, -mean)] + [0.0, 0.0]
+                  + [w for _, w in singles])
     sq = math.fsum([(e - s) * mean ** 2 for (s, e), mean in zip(pooled, means)]
                    + [w ** 2 for _, w in singles])
     return hb / math.sqrt(sq)
@@ -441,7 +445,8 @@ class TestBallJacobianFromReport:
         assert (int(np.sum(lengths > 1)), int(np.sum(lengths == 1)), cone.zero_tail) \
             == (pooled, singles, zero_tail)
         s = ball_jacobian(inst, res.report)
-        assert s.hb.size == pooled + 1 + singles
+        assert s.inv_sizes.size == pooled
+        assert s.hb.size == 2 * pooled + 2 + singles
         assert np.max(np.abs(ball_dense(s) - dense_ball_reference(inst, cone))) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -470,39 +475,48 @@ class TestBallJacobianFromReport:
 
     def test_table_is_the_cone_table_relabelled(self):
         # The ball operator holds the bins of H read off the cone
-        # projection's blocks, in original coordinates, and the value of
-        # u on each bin.
+        # projection's blocks and the sort's signs, in original
+        # coordinates, and the signed value of u on each bin.
         rng = np.random.default_rng(40)
         checked = singles = 0
+        # ball_jacobian gathers the singletons' weights at their sorted
+        # positions when 4 * singles <= n, and scatters all of the signed
+        # weights when there are more: both routes must run.
+        routes = dict(gathered=0, scattered=0)
         for k in range(300):
             inst = self.random_instance(rng, k)
             res = project_ball(inst)
             if res.trivial:
                 continue
             s = ball_jacobian(inst, res.report)
-            cone, perm = res.report.cone, res.report.sort.perm
-            label, inv_sizes = cone_table(cone, perm)
+            cone, sort = res.report.cone, res.report.sort
+            label, inv_sizes = cone_table(cone, sort)
             assert s.label.dtype == label.dtype
             assert np.array_equal(s.label, label)
             assert np.array_equal(s.inv_sizes, inv_sizes)
-            hb = cone_hb(cone, perm, inst.weights.values)
+            hb = cone_hb(cone, sort, inst.weights.values)
             assert s.hb.shape == hb.shape
             assert np.max(np.abs(s.hb - hb)) <= 4 * EPS
-            # signs * hb[label] is P.T u, u = H lam / ||H lam||.
-            assert np.array_equal(s.signs, sign_or_one(inst.b))
+            # hb[label] is P.T u, u = H lam / ||H lam||.
             hlam = apply_cone_jacobian(cone, inst.weights.values)
-            unit = res.report.sort.apply_inverse(hlam / np.linalg.norm(hlam))
-            assert np.max(np.abs(s.signs * s.hb[s.label] - unit)) <= 4 * EPS
-            singles += int(np.sum(inv_sizes == 1.0))
+            unit = sort.apply_inverse(hlam / np.linalg.norm(hlam))
+            assert np.max(np.abs(s.hb[s.label] - unit)) <= 4 * EPS
+            found = hb.size - 2 * inv_sizes.size - 2
+            if found:
+                routes["gathered" if 4 * found <= inst.n else "scattered"] += 1
+            singles += found
             checked += 1
         assert checked >= 200 and singles >= 1000
+        assert min(routes.values()) >= 20, routes
 
-    def test_holds_only_label_and_signs_per_coordinate(self):
+    def test_holds_only_label_per_coordinate(self):
         inst = Instance([1.0, -2.0, 3.0, 3.0, 0.5], Weights([3.0, 2.0, 2.0, 1.0, 0.5]), 3.0)
         s = ball_jacobian(inst, project_ball(inst).report)
-        assert [f.name for f in fields(BallJacobian)] == ["label", "signs", "inv_sizes", "hb"]
-        assert s.label.shape == s.signs.shape == (inst.n,)
-        assert s.inv_sizes.shape == s.hb.shape == (int(s.label.max()) + 1,)
+        assert [f.name for f in fields(BallJacobian)] == ["label", "inv_sizes", "hb"]
+        # One pooled block, of 3.0 and 3.0; singletons at -2.0, 1.0, 0.5.
+        assert s.label.shape == (inst.n,)
+        assert s.inv_sizes.shape == (1,)
+        assert s.hb.shape == (int(s.label.max()) + 1,) == (2 + 2 + 3,)
 
     def test_rejects_bare_solver_report(self):
         rng = np.random.default_rng(38)
@@ -531,12 +545,13 @@ class TestBallJacobianFromReport:
                                             [2.9, 2.8, 2.7], [2.0] * 5,
                                             [1.9, 1.5, 1.2], [-1.0] * 9)))
         s = ball_jacobian(inst, replace(report, sort=other, cone=cone))
-        label, inv_sizes = cone_table(cone, other.perm)
-        assert inv_sizes.tolist() == [0.25, 0.25, 0.2, 0.0] + [1.0] * 8
-        assert np.sum(s.label == 3) == 9           # the zero tail
+        label, inv_sizes = cone_table(cone, other)
+        assert inv_sizes.tolist() == [0.25, 0.25, 0.2]
+        assert np.sum((s.label == 6) | (s.label == 7)) == 9     # the zero tail
+        assert s.hb.size == 6 + 2 + 8
         assert np.array_equal(s.label, label)
         assert np.array_equal(s.inv_sizes, inv_sizes)
-        assert np.max(np.abs(s.hb - cone_hb(cone, other.perm, w.values))) <= 4 * EPS
+        assert np.max(np.abs(s.hb - cone_hb(cone, other, w.values))) <= 4 * EPS
 
     def test_rejects_the_missing_report_of_a_feasible_input(self):
         inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 10.0)

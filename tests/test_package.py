@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import owlball
@@ -35,6 +36,19 @@ def test_public_solvers_settable_values_are_pinned():
     assert list(inspect.signature(owlball.solve_root).parameters) == ["inst", "tol"]
     assert [f.name for f in dataclasses.fields(owlball.SsnParams)] == [
         "eps", "y0"]
+
+
+def test_ball_jacobian_holds_one_array_of_length_n():
+    # As the knobs above: a second per-coordinate array cannot come back
+    # unnoticed.  This instance has 5 coordinates, 1 pooled block and 7
+    # bins, so no other field can be n long by chance.
+    inst = owlball.Instance([1.0, -2.0, 3.0, 3.0, 0.5],
+                            owlball.Weights([3.0, 2.0, 2.0, 1.0, 0.5]), 3.0)
+    s = owlball.ball_jacobian(inst, owlball.project_ball(inst).report)
+    arrays = {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+    assert all(isinstance(a, np.ndarray) for a in arrays.values())
+    assert [name for name, a in arrays.items() if a.size == inst.n] == ["label"]
+    assert arrays["label"].shape == (inst.n,)
 
 
 def test_test_only_readers_stay_out_of_the_package():
