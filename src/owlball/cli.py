@@ -19,11 +19,12 @@ files, invalid weights).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import bench as bench_mod
 from .core import Instance, Weights
-from .io import read_vector, write_vector
+from .io import read_vector, vector_format, write_vector
 from .projector import project_ball
 from .ssn import SsnParams
 
@@ -97,14 +98,13 @@ def _cmd_bench(args) -> int:
         n_list=args.n, sigma_list=args.sigma, beta_list=args.beta,
         reps=args.reps, seed=args.seed, solvers=args.solvers,
         eps=args.eps)
-    cells = bench_mod.run_experiment(cfg)
     render = bench_mod.render_csv if args.format == "csv" else bench_mod.render_markdown
-    text = render(cells)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    # Open the output before the grid runs, so a bad path fails at once.
+    out = (contextlib.nullcontext(sys.stdout) if args.out is None
+           else open(args.out, "w"))
+    with out as fh:
+        cells = bench_mod.run_experiment(cfg)
+        fh.write(render(cells))
     if any(cell.any_nonconverged for cell in cells):
         print("warning: some solves did not converge", file=sys.stderr)
         return 2
@@ -112,6 +112,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    vector_format(args.out)     # reject a bad output format before the solve
     b = read_vector(args.input)
     lam = read_vector(args.lam)
     inst = Instance(b, Weights(lam), args.tau)

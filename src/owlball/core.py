@@ -18,7 +18,6 @@ __all__ = [
     "SignedSort",
     "owl_norm",
     "signed_sort",
-    "sign_or_one",
     "sorted_dual_norm",
 ]
 
@@ -235,26 +234,27 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
        magnitude order.  These are the only inversions there can be,
        and each lies inside a run of equal high bits, so the gathered
        magnitudes are nonincreasing iff ``order`` is the stable
-       permutation (an O(n) check).  Otherwise each run holding an
-       inversion is re-sorted, see :func:`_sort_collisions`.
+       permutation (an O(n) check).  Otherwise the bounds of each run
+       holding an inversion are found by one binary search per end, and
+       the runs are re-sorted, see :func:`_sort_collisions`.
 
-    Gaussian input at n = 1e6 has a few dozen collisions, so the fix-up
-    costs well under a millisecond.  The worst case is every key
-    colliding, as with ``|b| = 1 + j * ulp``: then the fix-up sorts all
-    n entries once more by a stable argsort.  Input that is already in
-    order takes the same route as any other.  The arrays are built in
-    place where possible and handed to ``SignedSort`` uncopied, since
-    each fresh n-vector costs page faults as well as a pass.  At
-    n = 1e6 on a 2-vCPU Xeon with numpy 2.4.6 (best of 7 in one process)
-    this function takes 14 ms on Gaussian b and on b rounded to 2
-    decimals, 13 ms with 6 distinct magnitudes, 12 ms on presorted
-    Gaussian b and with all magnitudes equal, and 127 and 23 ms on
-    ``1 + j * ulp`` in random and in position order.  No input the
-    benchmark draws is in order or collides in every key, so two
-    shortcuts for those cases are left out: an in-order test returning
-    ``arange(n)`` (4.2 ms on presorted or all-equal magnitudes), and a
-    second packed key in the fix-up (43 ms on ``1 + j * ulp`` in random
-    order, but 34 ms in position order).
+    Gaussian input at n = 1e6 has about a dozen inversions, so the
+    fix-up costs about 0.03 ms.  The worst case is every key colliding,
+    as with ``|b| = 1 + j * ulp``: then the fix-up sorts all n entries
+    once more by a stable argsort.  Input that is already in order takes
+    the same route as any other.  The arrays are built in place where
+    possible and handed to ``SignedSort`` uncopied, since each fresh
+    n-vector costs page faults as well as a pass.  At n = 1e6 on a
+    2-vCPU Xeon with numpy 2.4.6 (best of 9 in one process) this
+    function takes 14 ms on Gaussian b and on b rounded to 2 decimals,
+    13 ms with 6 distinct magnitudes, 12 ms on presorted Gaussian b and
+    with all magnitudes equal, and 125 and 26 ms on ``1 + j * ulp`` in
+    random and in position order.  No input the benchmark draws is in
+    order or collides in every key, so two shortcuts for those cases
+    are left out: an in-order test returning ``arange(n)`` (4.2 ms on
+    presorted or all-equal magnitudes), and a second packed key in the
+    fix-up (43 ms on ``1 + j * ulp`` in random order, but 34 ms in
+    position order).
 
     Returns
     -------
@@ -262,7 +262,9 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
         The signed permutation ``P`` with ``P b`` sorted (stable
         tie-break on original position; zero entries get sign ``+1``).
     sorted : ndarray
-        ``|b|`` in nonincreasing order, equal to ``sort.apply(b)``.
+        The magnitudes in nonincreasing order, equal to
+        ``sort.apply(b)``.  It is not bitwise ``|b|``: a negative zero
+        in ``b`` stays -0.0 in it.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.size
@@ -276,7 +278,11 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     key &= low
     # Positions fit in 63 bits; the cast copies only where intp is narrower.
     order = key.view(np.int64).astype(np.intp, copy=False)
-    w, signs = _gather_signed(b, order)
+    # w = signs * b[order] with zeros signed +1, formed in place of the gather.
+    w = b[order]
+    signs = np.sign(w)
+    signs[signs == 0.0] = 1.0
+    w *= signs
     inverted = np.flatnonzero(w[1:] > w[:-1])
     if inverted.size:
         _sort_collisions(order, signs, w, k, inverted)
@@ -288,75 +294,36 @@ def _sort_collisions(order, signs, w, k: int, inverted) -> None:
 
     ``w`` holds the gathered magnitudes, nonincreasing except at the
     ``inverted`` positions ``i`` where ``w[i] < w[i+1]``.  A run is a
-    maximal stretch whose magnitudes share all bits above the low ``k``;
-    runs follow each other in decreasing magnitude, and inside a run the
-    entries stand in position order.  Every run holding an inversion is
-    re-sorted by magnitude, keeping position order among equal ones.
+    maximal stretch whose magnitudes share their bits above the low
+    ``k``, sign bit aside: with those bits ``H``, the doubles whose bits
+    lie in ``[H << k, (H + 1) << k)``.  Outside the runs ``w`` is
+    nonincreasing, so ``w`` compared with either end of a run changes
+    exactly once along ``w``.  One ``np.searchsorted`` of the ascending
+    view ``w[::-1]`` against both ends read as float64 therefore returns
+    both bounds of every run holding an inversion.  The top run's upper
+    end reads as +inf, and 0.0 and -0.0 compare equal.  numpy 2.4.6
+    reads the reversed view strided, without a copy: 40 keys take
+    1.9 us at n = 1e6, as on a contiguous array.
 
-    The members of those runs are sorted together by one stable argsort
-    of their negated magnitudes.  Runs are disjoint in magnitude, so this
-    sorts each run in place among the members, and equal magnitudes (the
-    zeros of both signs among them) keep their position order.
+    Inside a run the entries stand in position order.  The members of
+    the runs are sorted together by one stable argsort of their negated
+    magnitudes.  Runs are disjoint in magnitude, so this sorts each run
+    in place, and equal magnitudes (the zeros of both signs among them)
+    keep their position order.
     """
-    # Each run holding an inversion, found from its first inversion
-    # (leftwards) and its last (rightwards).  Inversions are ascending
-    # and the runs contiguous, so those of one run are consecutive.
-    high = _high_bits(w, inverted, k)
-    cut = np.flatnonzero(high[1:] != high[:-1]) + 1
-    del high
-    first = inverted[np.append(0, cut)]
-    last = inverted[np.append(cut - 1, inverted.size - 1)]
-    lo = first - _run_reach(w, k, first, -1)
-    sizes = last + _run_reach(w, k, last, 1) + 1 - lo
-    members = span_members(lo, sizes)
+    # One high part per run, formed in place of the gather; the
+    # inversions of one run are neighbours.
+    high = w[inverted].view(np.uint64)
+    high <<= 1
+    high >>= k + 1
+    high = high[np.append(True, high[1:] != high[:-1])]
+    ends = np.array([high, high + 1]) << k
+    stop, start = w.size - np.searchsorted(w[::-1], ends.view(np.float64))
+    members = span_members(start, stop - start)
     src = members[np.argsort(-w[members], kind="stable")]
     order[members] = order[src]
     signs[members] = signs[src]
     w[members] = w[src]
-
-
-def _high_bits(w: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
-    """The bits of ``w[at]`` above the low ``k``, sign bit shifted out
-    first, so that -0.0 (left in ``w`` by a negative zero in ``b``) and
-    0.0 agree.  Formed in place of the gather."""
-    high = w[at].view(np.uint64)
-    high <<= 1
-    high >>= k + 1
-    return high
-
-
-def _run_reach(w: np.ndarray, k: int, at: np.ndarray, step: int) -> np.ndarray:
-    """How far each run extends from ``at`` in the direction ``step``.
-
-    For each index ``i`` of ``at``, the largest ``r`` such that
-    ``w[i + step * j]`` has the high bits of ``w[i]`` for all
-    ``0 <= j <= r``.  ``w`` is nonincreasing in its high bits, so that
-    set of ``j`` is a prefix.  The search gallops (offsets 1, 2, 4, ...)
-    until it leaves the run or ``w``, then bisects, all vectorized over
-    ``at``; it reads O(log(run length)) entries of ``w`` per index.
-    """
-    high = _high_bits(w, at, k)
-    room = w.size - 1 - at if step > 0 else at       # largest offset in w
-    inside = np.zeros(at.size, dtype=np.intp)          # offset known in the run
-    beyond = np.ones(at.size, dtype=np.intp)           # offset not known yet
-    todo = np.arange(at.size)
-    while todo.size:
-        todo = todo[beyond[todo] <= room[todo]]
-        probe = beyond[todo]
-        same = _high_bits(w, at[todo] + step * probe, k) == high[todo]
-        todo = todo[same]
-        inside[todo] = beyond[todo]
-        beyond[todo] *= 2
-    # Now inside is in the run and beyond is past it or past the edge.
-    np.minimum(beyond, room + 1, out=beyond)
-    todo = np.flatnonzero(beyond - inside > 1)
-    while todo.size:
-        mid = (inside[todo] + beyond[todo]) // 2
-        same = _high_bits(w, at[todo] + step * mid, k) == high[todo]
-        inside[todo[same]] = mid[same]
-        beyond[todo[~same]] = mid[~same]
-        todo = todo[beyond[todo] - inside[todo] > 1]
-    return inside
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -395,22 +362,6 @@ def span_members(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     least one span."""
     ends = np.cumsum(sizes)
     return np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
-
-
-def _gather_signed(b: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(signs * b[order], signs)`` with ``signs = sign(b[order])``, zeros
-    counted as ``+1``; the product is formed in place of the gather."""
-    sorted_b = b[order]
-    signs = sign_or_one(sorted_b)
-    return np.multiply(signs, sorted_b, out=sorted_b), signs
-
-
-def sign_or_one(x: np.ndarray) -> np.ndarray:
-    """``sign(x)`` with zeros counted as ``+1``, the convention of
-    :class:`SignedSort`."""
-    signs = np.sign(x)
-    signs[signs == 0.0] = 1.0
-    return signs
 
 
 def sorted_dual_norm(mags, lam) -> float:

@@ -15,30 +15,32 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["read_vector", "write_vector"]
+__all__ = ["read_vector", "write_vector", "vector_format"]
+
+
+def vector_format(path) -> str:
+    """The format of the vector file ``path``, ``".csv"`` or ``".f64"``,
+    read off its extension; any other extension raises ValueError."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".csv", ".f64"):
+        raise ValueError(f"unsupported vector format {suffix!r} (use .csv or .f64)")
+    return suffix
 
 
 def read_vector(path) -> np.ndarray:
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
+    if vector_format(path) == ".csv":
         return np.loadtxt(path, dtype=np.float64, ndmin=1)
-    if suffix == ".f64":
-        size = path.stat().st_size
-        if size % 8:
-            raise ValueError(f"{path}: size {size} bytes is not a multiple of 8, "
-                             "so it is not a float64 vector")
-        return np.fromfile(path, dtype="<f8")
-    raise ValueError(f"unsupported vector format {suffix!r} (use .csv or .f64)")
+    size = path.stat().st_size
+    if size % 8:
+        raise ValueError(f"{path}: size {size} bytes is not a multiple of 8, "
+                         "so it is not a float64 vector")
+    return np.fromfile(path, dtype="<f8")
 
 
 def write_vector(path, x) -> None:
-    path = Path(path)
     x = np.asarray(x, dtype=np.float64)
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
+    if vector_format(path) == ".csv":
         np.savetxt(path, x, fmt="%.17g")
-    elif suffix == ".f64":
-        x.astype("<f8").tofile(path)
     else:
-        raise ValueError(f"unsupported vector format {suffix!r} (use .csv or .f64)")
+        x.astype("<f8").tofile(path)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+import owlball.bench as bench_mod
+import owlball.cli as cli_mod
 import owlball.ssn as ssn_mod
 from owlball.cli import main
 from owlball.io import read_vector, write_vector
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command did its work before checking --out")
 
 
 class TestVectorIO:
@@ -112,6 +118,18 @@ class TestProjectCommand:
                      "--tau", "1.0", "--out", str(tmp_path / "x.f64")])
         assert code == 1
 
+    def test_bad_out_format_fails_before_the_solve(self, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setattr(cli_mod, "project_ball", _must_not_run)
+        write_vector(tmp_path / "b.f64", np.array([3.0, 1.0]))
+        write_vector(tmp_path / "lam.f64", np.array([1.0, 1.0]))
+        code = main(["project", "--input", str(tmp_path / "b.f64"),
+                     "--lambda", str(tmp_path / "lam.f64"),
+                     "--tau", "2.0", "--out", str(tmp_path / "x.txt")])
+        assert code == 1
+        assert "unsupported vector format '.txt'" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
 
 class TestBenchCommand:
     def test_writes_csv_file(self, tmp_path):
@@ -159,6 +177,15 @@ class TestBenchCommand:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 1
+
+    def test_bad_out_path_fails_before_the_grid(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setattr(bench_mod, "run_experiment", _must_not_run)
+        out = tmp_path / "missing" / "dir" / "r.csv"
+        code = main(["bench", "--n", "50", "--sigma", "1.0", "--beta", "0.5",
+                     "--reps", "1", "--out", str(out)])
+        assert code == 1
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_bad_grid_value_exits_one(self, tmp_path):
         code = main(["bench", "--n", "50", "--sigma", "1.0", "--beta", "1.5",

@@ -103,6 +103,36 @@ def colliding_vectors(draw):
     return np.where(rng.random(n) < 0.5, -mags, mags)
 
 
+def colliding_runs(rng):
+    """Inputs whose magnitudes collide in runs of shared high bits."""
+    ulp = np.finfo(np.float64).eps
+    for _ in range(40):
+        sizes = rng.integers(1, 700, int(rng.integers(1, 12)))
+        n = int(sizes.sum())
+        field = 2 ** (n - 1).bit_length()
+        bases = 1.0 + field * ulp * rng.choice(1000, sizes.size, replace=False)
+        mags = np.repeat(bases, sizes) + rng.integers(0, field, n) * ulp
+        yield rng.permutation(np.where(rng.random(n) < 0.5, -mags, mags))
+    top = np.finfo(np.float64).max.view(np.uint64)
+    for _ in range(20):
+        # Within 2**12 ulps below the largest double.
+        n = int(rng.integers(2, 2000))
+        mags = (top - rng.integers(0, 2**12, n).astype(np.uint64)).view(np.float64)
+        yield np.where(rng.random(n) < 0.5, -mags, mags)
+    for _ in range(20):
+        # Subnormals, about a third of them zeros of either sign.
+        n = int(rng.integers(2, 2000))
+        mags = rng.integers(0, 2 ** int(rng.integers(1, 14)), n) * 5e-324
+        mags[rng.random(n) < 0.3] = 0.0
+        yield np.where(rng.random(n) < 0.5, -mags, mags)
+    for j in range(1, 13):
+        for n in (2**j - 1, 2**j, 2**j + 1):
+            ones = 1.0 + rng.integers(0, 2 * n, n) * ulp
+            subnormal = rng.integers(0, 2 * n, n) * 5e-324
+            for mags in (ones, subnormal):
+                yield np.where(rng.random(n) < 0.5, -mags, mags)
+
+
 class TestSignedSort:
     def test_basic_example(self):
         sort, w = signed_sort(np.array([-3.0, 1.0, 2.0]))
@@ -196,19 +226,18 @@ class TestSignedSort:
         # Runs of 1 to 700 magnitudes that share their high bits, one run
         # per base value, shuffled: the fix-up must find each run's
         # bounds (first and last entry included) from its inversions.
-        rng = np.random.default_rng(71)
-        ulp = np.finfo(np.float64).eps
-        for _ in range(40):
-            sizes = rng.integers(1, 700, int(rng.integers(1, 12)))
-            n = int(sizes.sum())
-            field = 2 ** (n - 1).bit_length()
-            bases = 1.0 + field * ulp * rng.choice(1000, sizes.size, replace=False)
-            mags = np.repeat(bases, sizes) + rng.integers(0, field, n) * ulp
-            b = rng.permutation(np.where(rng.random(n) < 0.5, -mags, mags))
+        # Then the ends of the float range: runs just below the largest
+        # double, whose upper end reads as +inf, and subnormal runs mixed
+        # with 0.0 and -0.0, whose lower end is 0.0; and n around powers
+        # of two, where the number k of position bits steps.
+        for b in colliding_runs(np.random.default_rng(71)):
             sort, w = signed_sort(b)
             perm = np.argsort(-np.abs(b), kind="stable")
+            signs = np.where(b[perm] < 0.0, -1.0, 1.0)
             assert np.array_equal(sort.perm, perm)
-            assert w.tobytes() == np.abs(b[perm]).tobytes()
+            assert sort.signs.tobytes() == signs.tobytes()
+            # A negative zero stays -0.0 in w, so |b[perm]| is no reference.
+            assert w.tobytes() == (signs * b[perm]).tobytes()
 
     def test_zero_entries_get_positive_sign(self):
         sort, w = signed_sort(np.array([0.0, -1.0]))
