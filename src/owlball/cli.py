@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from . import bench as bench_mod
@@ -112,12 +113,24 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    vector_format(args.out)     # reject a bad output format before the solve
-    b = read_vector(args.input)
-    lam = read_vector(args.lam)
-    inst = Instance(b, Weights(lam), args.tau)
-    result = project_ball(inst, SsnParams(eps=args.eps))
-    write_vector(args.out, result.x)
+    # Check the output's format and open it before the inputs are read
+    # and solved, so a bad --out fails at once, as in _cmd_bench.  It is
+    # opened to append, which truncates nothing until the result is in,
+    # and a file that this command created is removed if it fails.
+    vector_format(args.out)
+    created = not os.path.exists(args.out)
+    try:
+        with open(args.out, "ab") as out:
+            b = read_vector(args.input)
+            lam = read_vector(args.lam)
+            inst = Instance(b, Weights(lam), args.tau)
+            result = project_ball(inst, SsnParams(eps=args.eps))
+            out.truncate(0)
+            write_vector(args.out, result.x, out)
+    except BaseException:
+        if created and os.path.isfile(args.out):
+            os.remove(args.out)
+        raise
     if result.report is not None and not result.report.converged:
         print(f"warning: solver stopped on {result.report.stop!r} at "
               f"residual {result.report.residual_eta:.3e} without converging",

@@ -130,62 +130,47 @@ class Instance:
 class SignedSort:
     """Signed permutation sending a vector to its sorted magnitudes.
 
-    ``apply(v)`` computes ``P v`` where ``P`` is the orthogonal matrix
-    with ``P b = |b| sorted nonincreasing``; ``apply_inverse`` computes
-    ``P.T v``.  Ties in ``|b|`` are broken by original position and the
-    sign of a zero entry is recorded as ``+1``, so the permutation is a
-    deterministic function of ``b``.
+    ``P`` is the orthogonal matrix with ``P b = |b| sorted
+    nonincreasing``: row ``k`` holds ``-1`` at column ``perm[k]`` where
+    ``b[perm[k]]`` has its sign bit set (a -0.0 included) and ``+1``
+    elsewhere.  Ties in ``|b|`` are broken by original position, so the
+    permutation is a deterministic function of ``b``.  The signs are
+    read off ``b`` itself, so the sort stores no array of them.
 
     Attributes
     ----------
     perm : ndarray of int
         ``perm[k]`` is the original position of the k-th sorted entry.
-    signs : ndarray
-        ``+1.0`` or ``-1.0`` per sorted position.
+    b : ndarray
+        The vector that was sorted, held by reference and not copied: it
+        must not change while the sort is in use.
     """
 
-    def __init__(self, perm, signs):
-        perm = np.array(perm, dtype=np.intp, copy=True)
-        signs = np.array(signs, dtype=np.float64, copy=True)
-        if perm.ndim != 1 or perm.shape != signs.shape:
-            raise ValueError("perm and signs must be 1-d arrays of equal length")
-        if not np.all(np.abs(signs) == 1.0):
-            raise ValueError("signs must be +1 or -1")
-        perm.flags.writeable = False
-        signs.flags.writeable = False
+    def __init__(self, perm, b):
+        perm = np.asarray(perm, dtype=np.intp)
+        b = np.asarray(b, dtype=np.float64)
+        if perm.ndim != 1 or perm.shape != b.shape:
+            raise ValueError("perm and b must be 1-d arrays of equal length")
         self.perm = perm
-        self.signs = signs
-
-    @classmethod
-    def _adopt(cls, perm: np.ndarray, signs: np.ndarray) -> SignedSort:
-        """Wrap fresh, valid arrays from :func:`signed_sort` without copying
-        or re-checking them (both would cost passes over n-sized arrays)."""
-        self = cls.__new__(cls)
-        perm.flags.writeable = False
-        signs.flags.writeable = False
-        self.perm = perm
-        self.signs = signs
-        return self
+        self.b = b
 
     @property
     def n(self) -> int:
         return self.perm.size
 
-    def apply(self, v) -> np.ndarray:
-        """Return ``P v``: permute then flip signs."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.size != self.n:
-            raise ValueError(f"expected length {self.n}, got {v.size}")
-        return self.signs * v[self.perm]
-
     def apply_inverse(self, u) -> np.ndarray:
-        """Return ``P.T u``; exact inverse of :meth:`apply` (P is orthogonal)."""
+        """Return ``P.T |u|``: ``|u[k]|`` at position ``perm[k]``, with
+        the sign of ``b`` there.  Every vector mapped back is nonnegative
+        (sorted magnitudes and their cone projections), and for those
+        this is ``P.T u``.  The scatter is followed by one sequential
+        ``copysign`` pass; where ``b`` is zero the result is a zero of
+        the sign of ``b``."""
         u = np.asarray(u, dtype=np.float64)
         if u.size != self.n:
             raise ValueError(f"expected length {self.n}, got {u.size}")
         out = np.empty_like(u)
-        out[self.perm] = self.signs * u
-        return out
+        out[self.perm] = u
+        return np.copysign(out, self.b, out=out)
 
 
 def owl_norm(x, weights) -> float:
@@ -227,8 +212,10 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
        of nonincreasing magnitude.  Its low ``k = bit_length(n-1)`` bits
        are replaced by the position, which makes the keys distinct and
        breaks exact ties by position, the stable tie-break.
-    2. After ``np.sort``, ``order = key & (2**k - 1)`` is read in place
-       and ``b`` is gathered once.
+    2. After ``np.sort``, ``order = key & (2**k - 1)`` is read in place,
+       ``b`` is gathered once and its magnitudes are taken in place,
+       ``w = |b[order]|``.  The signs are not stored: the sort keeps
+       ``b`` and reads them off it (see :class:`SignedSort`).
     3. Magnitudes that differ only in their low ``k`` bits collide
        after the truncation and come out in position order, not in
        magnitude order.  These are the only inversions there can be,
@@ -244,11 +231,16 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     once more by a stable argsort.  Input that is already in order takes
     the same route as any other.  The arrays are built in place where
     possible and handed to ``SignedSort`` uncopied, since each fresh
-    n-vector costs page faults as well as a pass.  At n = 1e6 on a
+    n-vector costs page faults as well as a pass; the sort holds ``b``
+    itself, so ``b`` must not change while the sort is in use.  Two
+    numpy routes were timed and rejected: ``np.take`` for the gather
+    took 2.6-3.7 ms against 2.45 ms for fancy indexing at n = 1e6, and
+    ``np.put`` for the inverse sort's scatter 3.46 against 3.85 ms at
+    n = 1e6, but 0.29 against 0.17 ms at n = 1e5.  At n = 1e6 on a
     2-vCPU Xeon with numpy 2.4.6 (best of 9 in one process) this
-    function takes 14 ms on Gaussian b and on b rounded to 2 decimals,
-    13 ms with 6 distinct magnitudes, 12 ms on presorted Gaussian b and
-    with all magnitudes equal, and 125 and 26 ms on ``1 + j * ulp`` in
+    function takes 12 ms on Gaussian b and on b rounded to 2 decimals,
+    11 ms with 6 distinct magnitudes, 10 ms on presorted Gaussian b and
+    with all magnitudes equal, and 120 and 20 ms on ``1 + j * ulp`` in
     random and in position order.  No input the benchmark draws is in
     order or collides in every key, so two shortcuts for those cases
     are left out: an in-order test returning ``arange(n)`` (4.2 ms on
@@ -260,11 +252,12 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     -------
     sort : SignedSort
         The signed permutation ``P`` with ``P b`` sorted (stable
-        tie-break on original position; zero entries get sign ``+1``).
+        tie-break on original position), holding ``perm`` and ``b``.
     sorted : ndarray
-        The magnitudes in nonincreasing order, equal to
-        ``sort.apply(b)``.  It is not bitwise ``|b|``: a negative zero
-        in ``b`` stays -0.0 in it.
+        The magnitudes in nonincreasing order, ``|b[perm]|`` bit for
+        bit: it holds +0.0 where ``b`` holds -0.0.  Mapped back by
+        ``sort.apply_inverse``, a zero there becomes -0.0 again, so a
+        projection holds -0.0 where ``b`` does.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.size
@@ -278,51 +271,46 @@ def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
     key &= low
     # Positions fit in 63 bits; the cast copies only where intp is narrower.
     order = key.view(np.int64).astype(np.intp, copy=False)
-    # w = signs * b[order] with zeros signed +1, formed in place of the gather.
     w = b[order]
-    signs = np.sign(w)
-    signs[signs == 0.0] = 1.0
-    w *= signs
+    np.abs(w, out=w)
     inverted = np.flatnonzero(w[1:] > w[:-1])
     if inverted.size:
-        _sort_collisions(order, signs, w, k, inverted)
-    return SignedSort._adopt(order, signs), w
+        _sort_collisions(order, w, k, inverted)
+    order.flags.writeable = False
+    return SignedSort(order, b), w
 
 
-def _sort_collisions(order, signs, w, k: int, inverted) -> None:
+def _sort_collisions(order, w, k: int, inverted) -> None:
     """Put the colliding runs of a packed-key sort in stable order, in place.
 
     ``w`` holds the gathered magnitudes, nonincreasing except at the
     ``inverted`` positions ``i`` where ``w[i] < w[i+1]``.  A run is a
     maximal stretch whose magnitudes share their bits above the low
-    ``k``, sign bit aside: with those bits ``H``, the doubles whose bits
-    lie in ``[H << k, (H + 1) << k)``.  Outside the runs ``w`` is
+    ``k``: with those bits ``H``, the doubles whose bits lie in
+    ``[H << k, (H + 1) << k)``.  Outside the runs ``w`` is
     nonincreasing, so ``w`` compared with either end of a run changes
     exactly once along ``w``.  One ``np.searchsorted`` of the ascending
     view ``w[::-1]`` against both ends read as float64 therefore returns
     both bounds of every run holding an inversion.  The top run's upper
-    end reads as +inf, and 0.0 and -0.0 compare equal.  numpy 2.4.6
-    reads the reversed view strided, without a copy: 40 keys take
-    1.9 us at n = 1e6, as on a contiguous array.
+    end reads as +inf.  numpy 2.4.6 reads the reversed view strided,
+    without a copy: 40 keys take 1.9 us at n = 1e6, as on a contiguous
+    array.
 
     Inside a run the entries stand in position order.  The members of
     the runs are sorted together by one stable argsort of their negated
     magnitudes.  Runs are disjoint in magnitude, so this sorts each run
-    in place, and equal magnitudes (the zeros of both signs among them)
-    keep their position order.
+    in place, and equal magnitudes keep their position order.
     """
-    # One high part per run, formed in place of the gather; the
-    # inversions of one run are neighbours.
+    # One high part per run, formed in place of the gather (w holds no
+    # sign bit); the inversions of one run are neighbours.
     high = w[inverted].view(np.uint64)
-    high <<= 1
-    high >>= k + 1
+    high >>= k
     high = high[np.append(True, high[1:] != high[:-1])]
     ends = np.array([high, high + 1]) << k
     stop, start = w.size - np.searchsorted(w[::-1], ends.view(np.float64))
     members = span_members(start, stop - start)
     src = members[np.argsort(-w[members], kind="stable")]
     order[members] = order[src]
-    signs[members] = signs[src]
     w[members] = w[src]
 
 

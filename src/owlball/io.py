@@ -38,9 +38,12 @@ def read_vector(path) -> np.ndarray:
     return np.fromfile(path, dtype="<f8")
 
 
-def write_vector(path, x) -> None:
+def write_vector(path, x, file=None) -> None:
+    """Write ``x`` in the format of ``path``'s extension: to ``path``,
+    or into ``file`` when given, a binary file already open for it."""
     x = np.asarray(x, dtype=np.float64)
+    target = path if file is None else file
     if vector_format(path) == ".csv":
-        np.savetxt(path, x, fmt="%.17g")
+        np.savetxt(target, x, fmt="%.17g")
     else:
-        x.astype("<f8").tofile(path)
+        x.astype("<f8").tofile(target)

@@ -19,9 +19,10 @@ The Newton curvature (:func:`owlball.ssn.block_curvature`) and
 The ball projector's Jacobian is ``S = P.T (H - u u.T) P``, with ``P``
 the signed sort of the input and ``u = H lam / ||H lam||``.  Through
 the sort's permutation the blocks are no longer contiguous, and each
-coordinate carries a sign, so :class:`BallJacobian` puts each original
-coordinate in a bin of its block and its sign, with ``m`` the number of
-positive pooled blocks:
+coordinate carries a sign, -1 where ``b`` has its sign bit set (-0.0
+included), so :class:`BallJacobian` puts each original coordinate in a
+bin of its block and its sign, with ``m`` the number of positive pooled
+blocks:
 
 ======================  ================================  ===============
 block of ``H``          bins                              hb
@@ -144,8 +145,8 @@ def ball_jacobian(inst, report) -> BallJacobian:
     # Sorted-order labels: 2j for pooled block j, 2m for the zero block,
     # and first_single for every singleton until they are renumbered
     # below.  Each pooled block's sum of lam is a direct sum, in one
-    # sequential pass.  Adding 1 where the sign is -1 then moves each
-    # coordinate to the bin of its sign, in the same pass for all.
+    # sequential pass that stops at the end of the last pooled block:
+    # the singletons and the zero block after it add no pooled sum.
     lam = inst.weights.values
     lengths = cone.block_lengths
     live = lengths.size - int(cone.zero_tail)
@@ -158,16 +159,20 @@ def ball_jacobian(inst, report) -> BallJacobian:
     block_label[pooled] = np.arange(0, zero, 2)
     block_label[live:] = zero
     sorted_label = np.repeat(block_label, lengths)
-    pooled_sums = np.bincount(sorted_label, weights=lam, minlength=zero)[:zero:2]
+    stop = int(cone.block_starts[pooled[-1]] + lengths[pooled[-1]]) if m else 0
+    pooled_sums = np.bincount(sorted_label[:stop], weights=lam[:stop],
+                              minlength=zero)[:zero:2]
     pooled_inv = 1.0 / lengths[pooled]
-    sorted_label += sort.signs < 0
 
-    # Scatter the labels through the sort.  The singletons are
+    # Scatter the labels through the sort.  Adding 1 where b has its
+    # sign bit set then moves each coordinate to the bin of its sign, in
+    # one sequential pass in original order.  The singletons are
     # renumbered in original order through one index array: a boolean
     # mask would be turned into indices on each use.
     label = np.empty(n, dtype=np.intp)
     label[sort.perm] = sorted_label
     del sorted_label
+    label += np.signbit(sort.b)
     at_single = np.flatnonzero(label >= first_single)
     hb = np.empty(first_single + singles)
     single_hb = hb[first_single:]
@@ -176,13 +181,15 @@ def ball_jacobian(inst, report) -> BallJacobian:
         # Few singletons: write each weight, with its sign, straight
         # into its bin through its sorted position.
         sp = cone.block_starts[np.flatnonzero(lengths[:live] == 1)]
-        hb[label[sort.perm[sp]]] = lam[sp] * sort.signs[sp]
+        at = sort.perm[sp]
+        hb[label[at]] = np.copysign(lam[sp], sort.b[at])
     else:
-        # Many: scatter all of the signed weights and read them in
-        # original order.  (``clip`` as in :func:`apply_ball_jacobian`:
-        # every index is in range.)
+        # Many: scatter all of the weights, give them the signs of b and
+        # read them in original order.  (``clip`` as in
+        # :func:`apply_ball_jacobian`: every index is in range.)
         moved = np.empty(n)
-        moved[sort.perm] = lam * sort.signs
+        moved[sort.perm] = lam
+        np.copysign(moved, sort.b, out=moved)
         np.take(moved, at_single, out=single_hb, mode="clip")
         del moved
     del at_single

@@ -30,7 +30,8 @@ class ProjectionResult:
     ``report`` is the dual solver's report, or None when the input was
     already feasible and no solve happened (``trivial`` flags this).
     ``report.sort``, the signed sort of the input, maps the solver's
-    sorted-space quantities back to the original coordinates.
+    sorted-space quantities back to the original coordinates; it holds
+    ``inst.b`` itself, which is read-only.
     """
 
     x: np.ndarray
@@ -81,5 +82,5 @@ def prox_owl(v, weights: Weights, mu: float) -> np.ndarray:
     if mu == 0.0:
         return v.copy()
     sort, w = signed_sort(v)
-    p = project_cone(w - mu * weights.values)
-    return sort.apply_inverse(p.x)
+    w -= mu * weights.values
+    return sort.apply_inverse(project_cone(w).x)

@@ -28,13 +28,15 @@ the iterates fall monotonically onto ``y*``.  Near the root the active
 piece is identified and one full Newton step lands on ``y*`` up to
 roundoff, in a handful of iterations regardless of n.  *Stop rule:*
 converged once ``|phi'| / tau <= eps``, or once the Newton step is a
-no-op, ``|step| <= 8 * eps_mach * |y|`` (finite termination, which
-also holds where the roundoff of ``phi'`` exceeds ``eps * tau``); both
-tests are scale-free.  The solve stops unconverged at the iteration cap
-or when a step would leave the sign bracket ``lo < y* < hi`` of the
-points evaluated so far, which only roundoff can cause.  No step is
-ever rejected, so an iteration costs exactly one cone projection (a
-no-op costs none).  It covers
+no-op, ``|step| <= 8 * eps_mach * |y|`` with ``0 < M < inf`` (finite
+termination, which also holds where the roundoff of ``phi'`` exceeds
+``eps * tau``); both tests are scale-free.  The solve stops unconverged
+at the iteration cap or when a step would leave the sign bracket
+``lo < y* < hi`` of the points evaluated so far, which only roundoff
+can cause, or an ``M`` that overflowed to inf: with weights from about
+1e154 on, the zero step it gives is no no-op and leaves the bracket.
+No step is ever rejected, so an iteration costs exactly one cone
+projection (a no-op costs none).  It covers
 only the coordinates ahead of the zero block of the projection at
 ``hi``: every step lands below ``hi``, and ``Pi_C`` is order-preserving,
 so the rest stays zero (see :func:`dual_gradient`).  With constant
@@ -155,8 +157,11 @@ class SsnReport:
     steps started: ``y0``, or the model start (module docstring).
     ``iterations`` is ``len(step_trace)``.  ``sort`` is the signed sort
     that produced ``w``; :func:`owlball.project_ball` fills it in, a bare
-    :func:`solve` leaves it None.  Together with ``cone`` it is all that
-    :func:`owlball.ball_jacobian` needs.
+    :func:`solve` leaves it None.  It holds only ``perm`` and the
+    instance's ``b``, by reference (``b`` is read-only, and must not
+    change while the sort is in use), and reads the signs off ``b``.
+    Together with ``cone`` it is all that :func:`owlball.ball_jacobian`
+    needs.
     """
 
     y_star: float
@@ -221,7 +226,8 @@ def block_curvature(p: ConeProjection, lam) -> float:
     terms, pooled = positive_block_sums(p, lam)
     if pooled.size:
         terms[pooled] /= np.sqrt(p.block_lengths[pooled])
-    return float(np.dot(terms, terms))
+    with np.errstate(over="ignore"):    # inf past about 1e154; solve checks
+        return float(np.dot(terms, terms))
 
 
 def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
@@ -252,9 +258,12 @@ def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
     lam0, k = float(weights.values[0]), weights.plateau
     z = tau / lam0
     count = np.arange(1, w.size + 1, dtype=np.float64)
-    r1 = np.min((z - np.cumsum(v[:k])) / count[:k]) / lam0
+    sums = np.cumsum(w)
+    # A prefix of a cumulative sum is bitwise the prefix's own.
+    head = sums[:k] if v is w else np.cumsum(v[:k])
+    r1 = np.min((z - head) / count[:k]) / lam0
     gaps = count * z
-    gaps -= np.cumsum(w)
+    gaps -= sums
     gaps /= np.minimum(count, k, out=count)
     r2 = np.min(gaps) / lam0
     return float(min(r1, r2))
@@ -300,7 +309,8 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         p = None
         grad = float(np.dot(w, lam)) - tau
         w_top = w.size - int(w[-1] == 0.0)     # Pi_C(w) is zero from here on
-        m = float(np.dot(lam[:w_top], lam[:w_top]))
+        with np.errstate(over="ignore"):        # M = inf: see the no-op test
+            m = float(np.dot(lam[:w_top], lam[:w_top]))
     else:
         grad, p = dual_gradient(y, w, weights, tau)
         m = None
@@ -339,8 +349,9 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         else:
             y_next, kind = max(y, -sorted_dual_norm(w, lam)) - grad, GRADIENT
         # Finite termination.  A gradient step is never a no-op: it would
-        # accept the zero projection of the flat piece.
-        if kind is NEWTON and abs(y_next - y) <= NOOP_RTOL * abs(y):
+        # accept the zero projection of the flat piece.  Nor is a step
+        # whose M overflowed to inf: -phi'/M is then 0 whatever phi' is.
+        if 0.0 < m < np.inf and abs(y_next - y) <= NOOP_RTOL * abs(y):
             stop = NOOP
             break
         if not lo < y_next < hi:

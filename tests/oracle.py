@@ -15,7 +15,9 @@ its piece, which is what the implicit Jacobian in
 only tests call: a projection's tight set (:func:`active_set`), its
 block values (:func:`block_values`) and the cone Jacobian's block-form
 matvec (:func:`apply_cone_jacobian`), which read the production blocks
-and are checked against the dense forms here.
+and are checked against the dense forms here, and the forward signed
+sort ``P v`` (:func:`apply_signed_sort`), whose inverse alone the
+package needs.
 
 So does :func:`dual_value`, the objective ``phi`` whose derivative the
 Newton solver drives to zero.  The solver never evaluates ``phi``, so
@@ -35,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from owlball.core import Instance, Weights, owl_norm, signed_sort
+from owlball.core import Instance, SignedSort, Weights, owl_norm, signed_sort
 from owlball.isotonic import ConeProjection, positive_block_sums, project_cone
 
 __all__ = [
@@ -322,7 +324,12 @@ def ball_certificate(inst: Instance) -> KktCertificate:
         raise RuntimeError(
             f"no tight set satisfied the ball KKT conditions (best violation "
             f"{best and best.max_violation}); this indicates a bug in the oracle itself")
-    return replace(best, x=sort.apply_inverse(best.x))
+    # P.T x by its definition: the dense solve's x may hold roundoff below
+    # zero, which apply_inverse, defined on nonnegative vectors, reads by
+    # magnitude.
+    x = np.empty(n)
+    x[sort.perm] = np.where(np.signbit(b[sort.perm]), -1.0, 1.0) * best.x
+    return replace(best, x=x)
 
 
 def _kkt_violation_ball(big, lam, tau, w, x, y, z, scale) -> float:
@@ -367,6 +374,17 @@ def oracle_dual_norm(y, weights: Weights) -> float:
         point[order[:k]] = signs[:k] / float(np.sum(lam[:k]))
         best = max(best, float(np.dot(point, y)))
     return best
+
+
+def apply_signed_sort(sort: SignedSort, v) -> np.ndarray:
+    """``P v`` for the signed sort ``P`` of ``sort.b``: permute by
+    ``perm``, then negate where ``b`` has its sign bit set, so that
+    ``P b`` is ``|b[perm]|`` bit for bit.  The production code only maps
+    back, by :meth:`SignedSort.apply_inverse`."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size != sort.n:
+        raise ValueError(f"expected length {sort.n}, got {v.size}")
+    return np.where(np.signbit(sort.b[sort.perm]), -1.0, 1.0) * v[sort.perm]
 
 
 def dual_value(y: float, w, weights: Weights, tau: float) -> float:

@@ -238,7 +238,8 @@ class TestAcceptance:
         def structure(inst, report):
             sort, w = signed_sort(inst.b)
             p = project_cone(report.y_star * inst.weights.values + w)
-            return (sort.perm.tobytes(), sort.signs.tobytes(),
+            return (sort.perm.tobytes(),
+                    np.signbit(inst.b[sort.perm]).tobytes(),
                     active_set(p).tobytes())
 
         rng = np.random.default_rng(61)

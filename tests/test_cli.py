@@ -131,6 +131,36 @@ class TestProjectCommand:
         assert not (tmp_path / "x.txt").exists()
 
 
+    def test_missing_out_directory_fails_before_the_solve(self, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "project_ball", _must_not_run)
+        monkeypatch.setattr(cli_mod, "read_vector", _must_not_run)
+        out = tmp_path / "missing" / "dir" / "x.f64"
+        code = main(["project", "--input", str(tmp_path / "b.f64"),
+                     "--lambda", str(tmp_path / "lam.f64"),
+                     "--tau", "2.0", "--out", str(out)])
+        assert code == 1
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_failed_solve_keeps_an_existing_out_file(self, tmp_path):
+        # --out is opened before the inputs are read, but to append: a
+        # command that fails leaves an earlier file as it was.
+        out = tmp_path / "x.f64"
+        write_vector(out, np.array([7.0, 8.0]))
+        code = main(["project", "--input", str(tmp_path / "absent.f64"),
+                     "--lambda", str(tmp_path / "absent.f64"),
+                     "--tau", "1.0", "--out", str(out)])
+        assert code == 1
+        assert np.array_equal(read_vector(out), [7.0, 8.0])
+
+    def test_overwrites_an_existing_out_file(self, tmp_path):
+        code, x = self.run_project(tmp_path, [3.0, 1.0], [1.0, 1.0], 2.0)
+        assert code == 0
+        code, x = self.run_project(tmp_path, [-3.0], [1.0], 2.0)
+        assert code == 0
+        assert np.array_equal(x, [-2.0])
+
+
 class TestBenchCommand:
     def test_writes_csv_file(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from owlball import Instance, Weights, owl_norm
 from owlball.core import SignedSort, signed_sort
 
+from oracle import apply_signed_sort
+
 
 class TestWeights:
     def test_valid_construction(self):
@@ -145,10 +147,13 @@ class TestSignedSort:
         assert np.array_equal(sort.perm, [0, 1, 2])
 
     def test_stable_tie_break(self):
-        sort, w = signed_sort(np.array([2.0, -2.0]))
+        b = np.array([2.0, -2.0])
+        sort, w = signed_sort(b)
         assert np.array_equal(w, [2.0, 2.0])
         assert np.array_equal(sort.perm, [0, 1])
-        assert np.array_equal(sort.signs, [1.0, -1.0])
+        # The signs are read off b, which the sort holds uncopied.
+        assert sort.b is b
+        assert np.array_equal(np.signbit(sort.b[sort.perm]), [False, True])
 
     @staticmethod
     def in_order_cases():
@@ -165,19 +170,18 @@ class TestSignedSort:
 
     def test_in_order_input_matches_stable_argsort(self):
         # Presorted input and its reversal go through the one packed sort;
-        # perm, signs and w are bitwise those of the stable argsort.
+        # perm and w are bitwise those of the stable argsort, and the
+        # sort holds the input itself.
         for b in self.in_order_cases():
             for case, in_order in ((b, True), (b[::-1].copy(), False)):
                 sort, w = signed_sort(case)
                 perm = np.argsort(-np.abs(case), kind="stable")
-                signs = np.sign(case[perm])
-                signs[signs == 0.0] = 1.0
                 if in_order:
                     assert np.array_equal(sort.perm, np.arange(case.size))
                 assert sort.perm.dtype == perm.dtype and not sort.perm.flags.writeable
                 assert sort.perm.tobytes() == perm.tobytes()
-                assert sort.signs.tobytes() == signs.tobytes()
-                assert w.tobytes() == (signs * case[perm]).tobytes()
+                assert sort.b is case
+                assert w.tobytes() == np.abs(case[perm]).tobytes()
 
     @pytest.mark.parametrize("n", [3, 257, 1000])
     @pytest.mark.parametrize("direction", [1, -1])
@@ -198,11 +202,9 @@ class TestSignedSort:
              else data.draw(st.one_of(tie_heavy_vectors(), colliding_vectors())))
         sort, w = signed_sort(b)
         perm = np.argsort(-np.abs(b), kind="stable")
-        signs = np.sign(b[perm])
-        signs[signs == 0.0] = 1.0
         assert np.array_equal(sort.perm, perm)
-        assert np.array_equal(sort.signs, signs)
-        assert w.tobytes() == sort.apply(b).tobytes()
+        assert w.tobytes() == apply_signed_sort(sort, b).tobytes()
+        assert sort.apply_inverse(w).tobytes() == b.tobytes()
 
     def test_collision_fix_up_beyond_the_packed_key_budget(self):
         # 2**20 + 1 triples (v, v + ulp, v), 2**22 ulps apart: every
@@ -219,8 +221,8 @@ class TestSignedSort:
         sort, w = signed_sort(b)
         perm = np.argsort(-np.abs(b), kind="stable")
         assert np.array_equal(sort.perm, perm)
-        assert np.array_equal(sort.signs, np.sign(b[perm]))
         assert w.tobytes() == np.abs(b[perm]).tobytes()
+        assert sort.apply_inverse(w).tobytes() == b.tobytes()
 
     def test_colliding_runs_of_every_length(self):
         # Runs of 1 to 700 magnitudes that share their high bits, one run
@@ -233,56 +235,79 @@ class TestSignedSort:
         for b in colliding_runs(np.random.default_rng(71)):
             sort, w = signed_sort(b)
             perm = np.argsort(-np.abs(b), kind="stable")
-            signs = np.where(b[perm] < 0.0, -1.0, 1.0)
             assert np.array_equal(sort.perm, perm)
-            assert sort.signs.tobytes() == signs.tobytes()
-            # A negative zero stays -0.0 in w, so |b[perm]| is no reference.
-            assert w.tobytes() == (signs * b[perm]).tobytes()
+            # w holds +0.0 where b holds -0.0, and maps back to b bitwise.
+            assert w.tobytes() == np.abs(b[perm]).tobytes()
+            assert sort.apply_inverse(w).tobytes() == b.tobytes()
 
     def test_zero_entries_get_positive_sign(self):
         sort, w = signed_sort(np.array([0.0, -1.0]))
-        assert np.array_equal(w, [1.0, 0.0])
-        assert sort.signs[np.flatnonzero(sort.perm == 0)[0]] == 1.0
-        assert np.array_equal(sort.apply_inverse(w), [0.0, -1.0])
+        assert w.tobytes() == np.array([1.0, 0.0]).tobytes()
+        assert not np.signbit(sort.b[sort.perm[1]])
+        assert sort.apply_inverse(w).tobytes() == np.array([0.0, -1.0]).tobytes()
+
+    @pytest.mark.parametrize("b", [
+        [-0.0], [0.0], [5e-324], [-5e-324], [-7.5],
+        [0.0, -0.0, 0.0, -0.0],
+        [5e-324, -5e-324, -0.0, 0.0, 1e-310, -1e-310, 2.2e-308],
+        [2.0, -2.0, 2.0, -2.0, 0.0, -0.0, 1.0],
+        [-1e-320, 3.0, -3.0, -0.0, 1e-320, 3.0],
+    ], ids=str)
+    def test_apply_inverse_of_sorted_magnitudes_is_b_bitwise(self, b):
+        # Zeros of both signs, subnormals, ties and n = 1: the inverse
+        # sort scatters the magnitudes and copies each sign bit off b.
+        b = np.array(b)
+        sort, w = signed_sort(b)
+        assert w.tobytes() == np.abs(b[sort.perm]).tobytes()
+        assert sort.apply_inverse(w).tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("b", [[2.0, -1.0, 3.0], [2.0, -2.0, 0.0, 2.0]])
     def test_result_arrays_match_constructor_guarantees(self, b):
-        # signed_sort builds its SignedSort without the constructor's copy
-        # and checks; the result must still look like a constructed one.
-        sort, w = signed_sort(np.array(b))
-        built = SignedSort(sort.perm, sort.signs)
-        for got, want in ((sort.perm, built.perm), (sort.signs, built.signs)):
-            assert got.dtype == want.dtype
-            assert not got.flags.writeable
-            assert np.array_equal(got, want)
+        # signed_sort builds its SignedSort from the fresh permutation
+        # and the input itself: nothing n-sized is copied, and perm is
+        # read-only, as a constructed sort on the same arrays holds them.
+        b = np.array(b)
+        sort, w = signed_sort(b)
+        built = SignedSort(sort.perm, b)
+        assert sort.perm.dtype == built.perm.dtype == np.intp
+        assert not sort.perm.flags.writeable
+        assert built.perm is sort.perm
+        assert sort.b is b and built.b is b
         assert w.flags.writeable
 
     def test_round_trip_is_bitwise_identity(self):
-        # P is a signed permutation, so apply followed by apply_inverse
-        # moves values without arithmetic: equality must be exact.
+        # P is a signed permutation, so P.T P b and P P.T u, for u >= 0,
+        # move values without arithmetic: equality must be exact.
         rng = np.random.default_rng(7)
         for _ in range(100):
             v = rng.standard_normal(rng.integers(1, 40))
             sort, _ = signed_sort(v)
-            assert np.array_equal(sort.apply_inverse(sort.apply(v)), v)
+            assert sort.apply_inverse(apply_signed_sort(sort, v)).tobytes() == v.tobytes()
+            u = np.abs(rng.standard_normal(v.size))
+            assert apply_signed_sort(sort, sort.apply_inverse(u)).tobytes() == u.tobytes()
 
     def test_matrix_is_orthogonal(self):
         rng = np.random.default_rng(8)
         b = rng.standard_normal(6)
-        sort, _ = signed_sort(b)
+        b[2] = -0.0
+        sort, w = signed_sort(b)
         P = np.zeros((6, 6))
         for k in range(6):
-            P[k, sort.perm[k]] = sort.signs[k]
+            P[k, sort.perm[k]] = -1.0 if np.signbit(b[sort.perm[k]]) else 1.0
         assert np.array_equal(P.T @ P, np.eye(6))
+        assert np.array_equal(P @ b, w)
+        assert np.array_equal(P.T @ w, sort.apply_inverse(w))
 
-    def test_rejects_bad_signs(self):
+    def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            SignedSort([0, 1], [1.0, 0.5])
+            SignedSort([0, 1], [1.0, 0.5, 2.0])
+        with pytest.raises(ValueError):
+            SignedSort([[0, 1]], [[1.0, 0.5]])
 
-    def test_apply_rejects_wrong_length(self):
+    def test_apply_inverse_rejects_wrong_length(self):
         sort, _ = signed_sort(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            sort.apply([1.0, 2.0, 3.0])
+            sort.apply_inverse([1.0, 2.0, 3.0])
 
 
 class TestOwlNorm:

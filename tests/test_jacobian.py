@@ -298,11 +298,11 @@ class TestBallJacobian:
 def cone_table(cone, sort):
     """The bins of ``H`` in original coordinates, read off the blocks of
     ``cone`` one coordinate at a time: positive pooled block ``j`` holds
-    bins ``2j`` and ``2j+1`` for the signs +1 and -1 of ``sort``, the zero
-    block bins ``2m`` and ``2m+1``, and each positive singleton a bin of
-    its own from ``2m+2`` on, in increasing original position
-    ``perm[k]``; ``inv_sizes`` as in ``BallJacobian``."""
-    perm, signs = sort.perm, sort.signs
+    bins ``2j`` and ``2j+1`` for the sign bit of ``sort.b`` clear and
+    set, the zero block bins ``2m`` and ``2m+1``, and each positive
+    singleton a bin of its own from ``2m+2`` on, in increasing original
+    position ``perm[k]``; ``inv_sizes`` as in ``BallJacobian``."""
+    perm, negative = sort.perm, np.signbit(sort.b[sort.perm])
     blocks = block_tuples(cone)
     pooled = [(s, e) for s, e, v in blocks if v > 0.0 and e - s > 1]
     zero = [(s, e) for s, e, v in blocks if v == 0.0]
@@ -312,7 +312,7 @@ def cone_table(cone, sort):
     for first, (s, e) in [(2 * j, block) for j, block in enumerate(pooled)] \
             + [(2 * m, block) for block in zero]:
         for k in range(s, e):
-            label[perm[k]] = first + int(signs[k] < 0)
+            label[perm[k]] = first + int(negative[k])
     for j, pos in enumerate(singles):
         label[pos] = 2 * m + 2 + j
     assert label.min() >= 0
@@ -323,11 +323,11 @@ def cone_table(cone, sort):
 def cone_hb(cone, sort, lam) -> np.ndarray:
     """``hb`` of ``BallJacobian`` read off the blocks of ``cone`` in the bin
     order of :func:`cone_table`, each block sum by ``math.fsum``."""
-    perm, signs = sort.perm, sort.signs
+    perm = sort.perm
     blocks = block_tuples(cone)
     pooled = [(s, e) for s, e, v in blocks if v > 0.0 and e - s > 1]
-    singles = sorted((int(perm[s]), signs[s] * lam[s]) for s, e, v in blocks
-                     if v > 0.0 and e - s == 1)
+    singles = sorted((int(perm[s]), -lam[s] if np.signbit(sort.b[perm[s]]) else lam[s])
+                     for s, e, v in blocks if v > 0.0 and e - s == 1)
     means = [math.fsum(lam[s:e]) / (e - s) for s, e in pooled]
     hb = np.array([h for mean in means for h in (mean, -mean)] + [0.0, 0.0]
                   + [w for _, w in singles])
@@ -341,7 +341,7 @@ def dense_ball_reference(inst: Instance, cone) -> np.ndarray:
     n = inst.n
     sort, _ = signed_sort(inst.b)
     P = np.zeros((n, n))
-    P[np.arange(n), sort.perm] = sort.signs
+    P[np.arange(n), sort.perm] = np.where(np.signbit(inst.b[sort.perm]), -1.0, 1.0)
     H = dense_cone_jacobian(active_set(cone), n)
     hlam = H @ inst.weights.values
     u = hlam / np.linalg.norm(hlam)
@@ -475,7 +475,7 @@ class TestBallJacobianFromReport:
 
     def test_table_is_the_cone_table_relabelled(self):
         # The ball operator holds the bins of H read off the cone
-        # projection's blocks and the sort's signs, in original
+        # projection's blocks and the signs of b, in original
         # coordinates, and the signed value of u on each bin.
         rng = np.random.default_rng(40)
         checked = singles = 0
@@ -540,7 +540,8 @@ class TestBallJacobianFromReport:
         w = Weights(np.sort(np.abs(rng.standard_normal(30)))[::-1])
         inst = Instance(b, w, 0.3 * owl_norm(b, w))
         report = project_ball(inst).report
-        other = SignedSort(rng.permutation(30), rng.choice([-1.0, 1.0], 30))
+        other = SignedSort(rng.permutation(30),
+                           rng.choice([-1.0, 1.0], 30) * rng.random(30))
         cone = project_cone(np.concatenate(([5.0] * 4, [4.5, 4.2], [3.0] * 4,
                                             [2.9, 2.8, 2.7], [2.0] * 5,
                                             [1.9, 1.5, 1.2], [-1.0] * 9)))

@@ -190,7 +190,8 @@ class TestProjectBall:
 
     def test_report_carries_sort_and_final_projection(self):
         # The report's cone projection is the one at y_star, bit for bit,
-        # and its sort is the signed sort of b: ball_jacobian reuses both.
+        # and its sort is the signed sort of b, holding b itself:
+        # ball_jacobian reuses both.
         rng = np.random.default_rng(70)
         for k in range(60):
             inst = random_instance(rng, int(rng.integers(1, 60)))
@@ -203,7 +204,7 @@ class TestProjectBall:
             assert report.x_star is report.cone.x
             sort, w = signed_sort(inst.b)
             assert np.array_equal(report.sort.perm, sort.perm)
-            assert np.array_equal(report.sort.signs, sort.signs)
+            assert report.sort.b is inst.b
             p = project_cone(report.y_star * inst.weights.values + w)
             assert np.array_equal(report.cone.x, p.x)
             assert np.array_equal(report.cone.block_starts, p.block_starts)
@@ -394,3 +395,60 @@ def test_l1_weights_never_run_pava(monkeypatch):
         if not result.trivial:
             solve_root(inst)
         prox_owl(b, weights, float(rng.uniform(0.0, 2.0)))
+
+
+class TestSignsReadOffB:
+    """The inverse sort copies each sign bit off ``b``: the solvers'
+    sorted-space results are nonnegative and zero wherever ``b`` is, so
+    ``x`` keeps the sign of ``b`` on its support and holds a zero of the
+    sign of ``b`` (-0.0 where ``b`` holds -0.0) wherever ``b`` is zero."""
+
+    @staticmethod
+    def signed_zero_cases(rng):
+        """Instances whose ``b`` mixes ties, +0.0, -0.0 and subnormals."""
+        for k in range(120):
+            n = int(rng.integers(1, 80))
+            b = np.round(rng.standard_normal(n), 1)     # ties, zeros of both signs
+            if k % 3 == 0:
+                b[rng.random(n) < 0.2] = -0.0
+            if k % 4 == 1:
+                b[rng.random(n) < 0.2] = rng.choice([5e-324, -5e-324, -1e-310], 1)[0]
+            lam = np.sort(np.abs(rng.standard_normal(n)))[::-1] + 0.01
+            if k % 5 == 2:
+                lam[n // 2:] = 0.0
+            weights = Weights(lam)
+            norm = owl_norm(b, weights)
+            if norm > 0.0:
+                yield Instance(b, weights, float(rng.uniform(0.05, 0.95)) * norm)
+
+    @staticmethod
+    def assert_signs_of(x, b):
+        support = x != 0.0
+        assert np.array_equal(np.signbit(x[support]), np.signbit(b[support]))
+        zero = b == 0.0
+        assert x[zero].tobytes() == b[zero].tobytes()
+
+    def test_project_ball_solve_root_and_prox(self):
+        rng = np.random.default_rng(98)
+        checked = with_negative_zero = 0
+        for inst in self.signed_zero_cases(rng):
+            res = project_ball(inst)
+            if res.trivial:
+                continue
+            self.assert_signs_of(res.x, inst.b)
+            self.assert_signs_of(solve_root(inst).x, inst.b)
+            mu = float(rng.uniform(0.0, 1.0)) * dual_norm(inst.b, inst.weights)
+            self.assert_signs_of(prox_owl(inst.b, inst.weights, mu), inst.b)
+            checked += 1
+            with_negative_zero += bool(np.any((inst.b == 0.0) & np.signbit(inst.b)))
+        assert checked >= 80 and with_negative_zero >= 20
+
+    def test_report_sort_holds_no_float_vector_but_b(self):
+        # The sort keeps perm and b itself: no n-sized float array of its
+        # own, such as the signs it used to store.
+        inst = random_instance(np.random.default_rng(99), 500, beta=0.3)
+        sort = project_ball(inst).report.sort
+        floats = [v for v in vars(sort).values()
+                  if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
+        assert len(floats) == 1 and floats[0] is inst.b
+        assert sort.perm.dtype == np.intp and sort.perm.size == inst.n

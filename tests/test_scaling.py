@@ -86,3 +86,21 @@ class TestPowerOfTwoScaling:
 
         mu = root.mu_star
         assert same_bytes(prox_owl(s * b, weights, s * mu) / s, prox_owl(b, weights, mu))
+
+
+class TestWeightScale:
+    def test_overflowing_curvature_is_no_converged_no_op(self):
+        # Scaling the weights and the radius together leaves the ball as
+        # it is.  From about 1e154 on <lam, lam> overflows to inf, and the
+        # Newton step -phi'/M is then 0 at y = 0: that must not pass as a
+        # converged no-op returning b, ten times the radius here.  The
+        # solve must be unconverged or feasible.
+        from owlball.bench import cell_rng, generate_instance
+
+        inst = generate_instance(1000, 1.0, 0.1, cell_rng(0, 0, 0, 0, 0))
+        for s in (1e160, 1e200):
+            weights = Weights(inst.weights.values * s)
+            res = project_ball(Instance(inst.b, weights, inst.tau * s))
+            assert not res.trivial
+            gap = owl_norm(res.x, weights) / (inst.tau * s) - 1.0
+            assert not res.report.converged or abs(gap) <= 1e-9, (s, res.report.stop, gap)

@@ -260,6 +260,34 @@ class TestSolveBasics:
         assert report.y_start == report.y_star == -1.0
         assert np.array_equal(report.x_star, [2.0, 0.0])
 
+    def test_model_start_on_a_strictly_decreasing_w_is_bitwise_unchanged(self):
+        # On a strictly decreasing start Pi_C(w) is w itself, and the
+        # model start takes one cumulative sum of w for both of its
+        # roots.  A prefix of that sum is bitwise the prefix's own, so
+        # the start is the one computed from a separate copy of w.
+        rng = np.random.default_rng(25)
+        checked = 0
+        for k in range(200):
+            n = int(rng.integers(1, 3000))
+            w = np.sort(np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-3, 4))[::-1]
+            if not ssn_mod.strictly_decreasing(w):
+                continue
+            top = int(rng.integers(1, n + 1))
+            lam = np.where(np.arange(n) < top, (1.0, 0.3, 2.5)[k % 3], 0.0)
+            weights = Weights(lam)
+            tau = float(rng.uniform(0.05, 0.95)) * float(np.dot(w, lam))
+            alias = ssn_mod.plateau_model_root(w, w, weights, tau)
+            copied = ssn_mod.plateau_model_root(w, w.copy(), weights, tau)
+            assert np.float64(alias).tobytes() == np.float64(copied).tobytes()
+            report = solve(w, weights, tau)
+            grad = float(np.dot(w, lam)) - tau
+            m = float(np.dot(lam[:n - int(w[-1] == 0.0)], lam[:n - int(w[-1] == 0.0)]))
+            if report.y_start != 0.0:
+                want = min(-grad / m, copied)
+                assert np.float64(report.y_start).tobytes() == np.float64(want).tobytes()
+                checked += 1
+        assert checked >= 150
+
     @staticmethod
     def count_projections(monkeypatch):
         # One (length projected, projection) pair per call.
