@@ -16,26 +16,18 @@ Typical use::
     inst = Instance(np.random.randn(5), w, tau=1.5)
     x = project_ball(inst).x
 
-Everything else (signed sorts, the dual gradient, the block curvature)
-stays importable from its submodule; the brute-force oracles and the
-test-only references (the tight set of a cone projection, its block
-values and the cone Jacobian's matvec) live in the test suite
-(``tests/oracle.py``).
+Everything else (the cone projection, the bare Newton solver, signed
+sorts, the dual gradient, the block curvature) stays importable from its
+submodule; the brute-force oracles and the test-only references (the
+tight set of a cone projection, its block values and the cone
+Jacobian's matvec) live in the test suite (``tests/oracle.py``).
 """
 
 from .core import Instance, Weights, owl_norm
-from .isotonic import ConeProjection, project_cone
 from .jacobian import BallJacobian, apply_ball_jacobian, ball_jacobian
 from .projector import ProjectionResult, project_ball, prox_owl
-from .rootfind import (
-    BracketError,
-    NonConvergenceError,
-    RootfindReport,
-    dual_norm,
-    solve_root,
-)
+from .rootfind import RootfindReport, dual_norm, solve_root
 from .ssn import SsnParams, SsnReport
-from .ssn import solve as ssn_solve
 
 __version__ = "0.1.0"
 
@@ -49,13 +41,8 @@ __all__ = [
     "prox_owl",
     "solve_root",
     "RootfindReport",
-    "BracketError",
-    "NonConvergenceError",
     "SsnParams",
     "SsnReport",
-    "ssn_solve",
-    "project_cone",
-    "ConeProjection",
     "ball_jacobian",
     "apply_ball_jacobian",
     "BallJacobian",

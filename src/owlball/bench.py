@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Instance, Weights, owl_norm
 from .projector import project_ball
-from .rootfind import BracketError, NonConvergenceError, solve_root
+from .rootfind import solve_root
 from .ssn import SsnParams
 
 __all__ = [
@@ -174,31 +174,20 @@ def _run_cell(cfg: ExperimentConfig, i_beta: int, i_n: int, i_sigma: int) -> Cel
         inst = generate_instance(n, sigma, beta, rng)
         objectives = {}
         for solver in cfg.solvers:
+            t0 = time.perf_counter()
             if solver == "ssn":
-                t0 = time.perf_counter()
                 res = project_ball(inst, params)
-                dt = time.perf_counter() - t0
-                report = res.report
-                converged = report is None or report.converged
-                iters = 0 if report is None else report.iterations
-                eta = 0.0 if report is None else report.residual_eta
-                obj = 0.5 * float(np.dot(res.x - inst.b, res.x - inst.b))
             else:
-                t0 = time.perf_counter()
-                try:
-                    rf = solve_root(inst, tol=cfg.eps)
-                except (NonConvergenceError, BracketError):
-                    dt = time.perf_counter() - t0
-                    cell.records.append(RepRecord(
-                        solver=solver, rep=rep, time_s=dt,
-                        iters_or_evals=0, eta=float("nan"),
-                        objective=float("nan"), converged=False))
-                    continue
-                dt = time.perf_counter() - t0
-                converged = True
-                iters = rf.evaluations
-                eta = rf.residual
-                obj = 0.5 * float(np.dot(rf.x - inst.b, rf.x - inst.b))
+                res = solve_root(inst, tol=cfg.eps)
+            dt = time.perf_counter() - t0
+            if solver == "rootfind":
+                converged, iters, eta = res.converged, res.evaluations, res.residual
+            elif res.report is None:    # b inside the ball: no solve ran
+                converged, iters, eta = True, 0, 0.0
+            else:
+                converged, iters, eta = (res.report.converged, res.report.iterations,
+                                         res.report.residual_eta)
+            obj = 0.5 * float(np.dot(res.x - inst.b, res.x - inst.b))
             cell.records.append(RepRecord(
                 solver=solver, rep=rep, time_s=dt, iters_or_evals=iters,
                 eta=eta, objective=obj, converged=converged))

@@ -352,6 +352,26 @@ def span_members(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
 
 
+def inside_ball(w: np.ndarray, lam: np.ndarray, radius: float) -> bool:
+    """Whether ``<w, lam> <= radius`` (``w`` sorted magnitudes): both
+    solvers' feasibility gate.  Outside the ball they need ``<w, lam>``
+    and the dual norm, which bounds the dual root, to be finite; an
+    overflow raises ``ValueError``.  The dual norm is only computed where
+    its bound ``n <w, lam> / lam[0]**2`` overflows (Chebyshev's sum
+    inequality on the first k entries, and ``sum(lam[:k]) >= lam[0]``).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.dot(w, lam))
+        if norm <= radius:
+            return True
+        if not (np.isfinite(norm) and (np.isfinite(w.size * norm / lam[0] / lam[0])
+                                       or np.isfinite(sorted_dual_norm(w, lam)))):
+            raise ValueError(
+                f"the norm of b ({norm:g}) or its dual norm overflows float64: "
+                "scale b and tau down together by a power of two")
+    return False
+
+
 def sorted_dual_norm(mags, lam) -> float:
     """``max_k (mags[0] + ... + mags[k]) / (lam[0] + ... + lam[k])``: the
     dual norm when ``mags`` are sorted magnitudes.  For any ``w`` in place

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import INSIDE_RTOL, Instance, Weights, all_finite, signed_sort
+from .core import INSIDE_RTOL, Instance, Weights, all_finite, inside_ball, signed_sort
 from .isotonic import project_cone
 from .ssn import SsnParams, SsnReport, solve
 
@@ -49,14 +49,15 @@ def project_ball(inst: Instance, params: SsnParams | None = None) -> ProjectionR
     weighted sum of its sorted magnitudes.  The ball is closed, and
     slightly-outside inputs (within a relative ``INSIDE_RTOL``, one part
     in 1e15, of the radius) are treated as feasible rather than solved;
-    ``trivial`` on the result reports that.
+    ``trivial`` on the result reports that.  Outside the ball, a norm or
+    dual norm of ``b`` that overflows float64 raises ``ValueError``.
 
     A non-converged solve is not raised here; it is visible on the
     returned report and left to the caller's policy.  The report carries
     the sort, so :func:`owlball.ball_jacobian` can reuse it.
     """
     sort, w = signed_sort(inst.b)
-    if float(np.dot(w, inst.weights.values)) <= inst.tau * (1.0 + INSIDE_RTOL):
+    if inside_ball(w, inst.weights.values, inst.tau * (1.0 + INSIDE_RTOL)):
         return ProjectionResult(x=inst.b.copy(), report=None)
     report = replace(solve(w, inst.weights, inst.tau, params), sort=sort)
     return ProjectionResult(x=sort.apply_inverse(report.x_star), report=report)

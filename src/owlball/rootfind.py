@@ -27,7 +27,7 @@ norm, so the prox is zero and ``(rho - tau) / tau`` is ``-1``.  One
 cumulative sum checks the sign: the prox's entries sum to at most the
 largest prefix sum, so ``lam[0]`` times that sum bounds ``rho``.  At the
 dual norm the bound is zero up to roundoff, and a dual norm too small
-to kill ``b`` still shows as a bracket error.
+to kill ``b`` still shows as a ``"bracket"`` stop.
 Every later point projects only the coordinates ahead of the zero block
 at the bracket's lower end in ``t``, as the Newton solver does below
 its ``hi``.
@@ -41,42 +41,42 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import Instance, Weights, signed_sort, sorted_dual_norm
-from .ssn import dual_gradient, residual
+from .core import Instance, Weights, inside_ball, signed_sort, sorted_dual_norm
+from .ssn import BRACKET, CAP, RESIDUAL, dual_gradient, residual
 
-__all__ = [
-    "BracketError",
-    "NonConvergenceError",
-    "RootfindReport",
-    "dual_norm",
-    "solve_root",
-]
+__all__ = ["RootfindReport", "dual_norm", "solve_root"]
 
 _MAX_EVALS = 200
 
-
-class BracketError(RuntimeError):
-    """The initial interval does not bracket the radius crossing."""
-
-
-class NonConvergenceError(RuntimeError):
-    """The evaluation budget ran out before the tolerance was met."""
+# RootfindReport.stop is ssn's RESIDUAL, CAP or BRACKET, or this one.
+COLLAPSE = "collapse"      # brentq's bracket on t shrank to 4 eps first
 
 
 @dataclass(frozen=True)
 class RootfindReport:
     """Root-finder outcome.
 
-    mu_star : prox parameter at the accepted root, in [0, dual_norm(b)].
+    mu_star : prox parameter at the reported point, in [0, dual_norm(b)].
     x : the projection, back in original coordinates.
     evaluations : prox evaluations performed.
-    residual : ``ssn.residual(owl_norm(x) - tau, tau)`` at acceptance.
+    residual : ``ssn.residual(owl_norm(x) - tau, tau)`` at that point.
+    stop : ``"residual"`` (``tol`` met), ``"collapse"`` (the bracket on
+        ``t`` shrank to ``4 * eps`` before ``tol`` was met: the
+        resolution of ``t`` can be coarser than the answer needs),
+        ``"cap"`` (``_MAX_EVALS`` (200) evaluations used up) or
+        ``"bracket"`` (the ends do not change sign).  ``converged`` is
+        True only for the first.
     """
 
     mu_star: float
     x: np.ndarray
     evaluations: int
     residual: float
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == RESIDUAL
 
 
 def dual_norm(y, weights: Weights) -> float:
@@ -102,23 +102,24 @@ def solve_root(inst: Instance, tol: float = 1e-9) -> RootfindReport:
 
     Requires an infeasible instance (norm of ``b`` strictly above the
     radius); feasible inputs have no root to find and are rejected, use
-    the ball projector for the general case.  Runs ``brentq`` on
-    ``t = mu / dual_norm(b)`` (see the module docstring).  Stops on the
-    Newton solver's rule, :func:`owlball.ssn.residual` ``<= tol`` (the
-    radius matched to ``tol`` relative to ``tau``), or when the bracket
-    on ``t`` collapses to about ``4 * eps``.  Since the radius equation
-    is piecewise linear the final interpolation step typically lands on
-    the root to full precision.  The report holds the evaluated point with the smallest
+    the ball projector for the general case.  A norm or dual norm of
+    ``b`` that overflows float64 is rejected too.  Runs ``brentq`` on
+    ``t = mu / dual_norm(b)`` (see the module docstring) until the
+    Newton solver's rule, :func:`owlball.ssn.residual` ``<= tol``, holds
+    (the radius matched to ``tol`` relative to ``tau``).  Since the
+    radius equation is piecewise linear the final interpolation step
+    typically lands on the root to full precision.  A failed solve is
+    reported, not raised (``RootfindReport.stop``).  Whatever the stop,
+    the report holds the evaluated point with the smallest
     ``|owl_norm(x) - tau|`` and its projection, so nothing is evaluated
-    twice.  Raises :class:`NonConvergenceError` after ``_MAX_EVALS`` (200)
-    prox evaluations.
+    twice.
     """
     tol = float(tol)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     tau = inst.tau
     sort, w = signed_sort(inst.b)
-    if float(np.dot(w, inst.weights.values)) <= tau:
+    if inside_ball(w, inst.weights.values, tau):
         raise ValueError(
             "owl_norm(b) <= tau: b is already feasible and the radius "
             "equation has no root; call project_ball instead")
@@ -129,16 +130,14 @@ def solve_root(inst: Instance, tol: float = 1e-9) -> RootfindReport:
         _, info = brentq(_scaled_gap, 0.0, 1.0, xtol=4.0 * np.finfo(np.float64).eps,
                          maxiter=_MAX_EVALS - 2, full_output=True,
                          disp=False, args=(w, inst.weights, tau, hi, tol, track))
-    except ValueError as exc:   # the gap is positive at t = 0 and at t = 1
-        raise BracketError(
-            f"phi' at mu = {hi} is positive: the dual-norm endpoint does "
-            "not bracket the radius crossing") from exc
-    if not info.converged:
-        raise NonConvergenceError(
-            f"no root to tolerance {tol} within {_MAX_EVALS} prox evaluations")
+        stop = COLLAPSE if info.converged else CAP
+    except ValueError:      # the gap is positive at t = 0 and at t = 1
+        stop = BRACKET
+    # A point that meets tol is a zero of _scaled_gap, where brentq stops.
+    eta = residual(track.abs_grad, tau)
     return RootfindReport(mu_star=track.t * hi, x=sort.apply_inverse(track.cone.x),
-                          evaluations=track.evals,
-                          residual=residual(track.abs_grad, tau))
+                          evaluations=track.evals, residual=eta,
+                          stop=RESIDUAL if eta <= tol else stop)
 
 
 def _scaled_gap(t, w, weights, tau, hi, tol, track):

@@ -20,11 +20,11 @@ from owlball import (
     apply_ball_jacobian,
     ball_jacobian,
     project_ball,
-    project_cone,
     solve_root,
 )
 from owlball.bench import ExperimentConfig, cell_rng, generate_instance, run_experiment
 from owlball.core import signed_sort
+from owlball.isotonic import project_cone
 from owlball.ssn import block_curvature, dual_gradient
 
 from oracle import (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import owlball.rootfind as rootfind_mod
 from owlball import Instance, Weights, owl_norm, project_ball
 from owlball.bench import (
     CSV_HEADER,
@@ -90,6 +91,20 @@ class TestRunExperiment:
             for r in cell.records:
                 assert r.time_s >= 0.0
                 assert r.iters_or_evals > 0
+
+    def test_failed_baseline_row_holds_its_best_point(self, monkeypatch):
+        # A baseline out of evaluations is recorded like a Newton solve
+        # that stopped short: unconverged, with its work, residual and
+        # objective, and left out of the agreement check.
+        monkeypatch.setattr(rootfind_mod, "_MAX_EVALS", 4)
+        cells = run_experiment(ExperimentConfig(**SMALL_CFG))
+        for cell in cells:
+            assert cell.any_nonconverged
+            assert cell.max_objective_gap == 0.0
+            for r in cell.solver_records("rootfind"):
+                assert not r.converged
+                assert r.iters_or_evals == 4
+                assert np.isfinite(r.eta) and np.isfinite(r.objective)
 
     def test_ssn_only_run_omits_baseline(self):
         cfg = ExperimentConfig(solvers=("ssn",), **SMALL_CFG)

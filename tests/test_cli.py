@@ -3,6 +3,7 @@ import pytest
 
 import owlball.bench as bench_mod
 import owlball.cli as cli_mod
+import owlball.rootfind as rootfind_mod
 import owlball.ssn as ssn_mod
 from owlball.cli import main
 from owlball.io import read_vector, write_vector
@@ -197,6 +198,17 @@ class TestBenchCommand:
                      "--solvers", "ssn", "--out", str(out)])
         assert code == 2
         assert out.exists()  # results are still written
+
+    def test_failed_baseline_exits_two(self, tmp_path, monkeypatch, capsys):
+        # A baseline out of evaluations is reported like a Newton solve
+        # that stopped short, so the run still writes every row.
+        monkeypatch.setattr(rootfind_mod, "_MAX_EVALS", 4)
+        out = tmp_path / "t.csv"
+        code = main(["bench", "--n", "500", "--sigma", "1.0", "--beta", "0.3",
+                     "--reps", "2", "--out", str(out)])
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert len(out.read_text().strip().split("\n")) == 1 + 2 * 2
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from owlball import ConeProjection, isotonic, project_cone
-from owlball.isotonic import positive_block_sums, reduce_spans
+from owlball import isotonic
+from owlball.isotonic import ConeProjection, positive_block_sums, project_cone, reduce_spans
 
 from oracle import active_set, block_tuples, block_values, oracle_cone
 

@@ -14,11 +14,10 @@ from owlball import (
     ball_jacobian,
     owl_norm,
     project_ball,
-    project_cone,
-    ssn_solve,
 )
 from owlball.core import SignedSort, signed_sort
-from owlball.ssn import block_curvature
+from owlball.isotonic import project_cone
+from owlball.ssn import block_curvature, solve
 
 from oracle import (
     DENSE_CAP,
@@ -525,7 +524,7 @@ class TestBallJacobianFromReport:
         w = Weights(np.sort(np.abs(rng.standard_normal(n)))[::-1])
         inst = Instance(b, w, 0.4 * owl_norm(b, w))
         _, sorted_b = signed_sort(b)
-        bare = ssn_solve(sorted_b, w, inst.tau)
+        bare = solve(sorted_b, w, inst.tau)
         assert bare.converged and bare.sort is None
         with pytest.raises(ValueError, match="no sort"):
             ball_jacobian(inst, bare)

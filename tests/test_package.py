@@ -16,9 +16,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PUBLIC = [
     "Weights", "Instance", "owl_norm", "dual_norm",
     "project_ball", "ProjectionResult", "prox_owl",
-    "solve_root", "RootfindReport", "BracketError", "NonConvergenceError",
-    "SsnParams", "SsnReport", "ssn_solve",
-    "project_cone", "ConeProjection",
+    "solve_root", "RootfindReport",
+    "SsnParams", "SsnReport",
     "ball_jacobian", "apply_ball_jacobian", "BallJacobian",
     "__version__",
 ]
@@ -36,6 +35,13 @@ def test_public_solvers_settable_values_are_pinned():
     assert list(inspect.signature(owlball.solve_root).parameters) == ["inst", "tol"]
     assert [f.name for f in dataclasses.fields(owlball.SsnParams)] == [
         "eps", "y0"]
+
+
+def test_rootfind_report_fields_are_pinned():
+    # As the knobs above: both solvers report a stop, and a field
+    # cannot be added or dropped unnoticed.
+    assert [f.name for f in dataclasses.fields(owlball.RootfindReport)] == [
+        "mu_star", "x", "evaluations", "residual", "stop"]
 
 
 def test_ball_jacobian_holds_one_array_of_length_n():
@@ -56,7 +62,7 @@ def test_test_only_readers_stay_out_of_the_package():
     # cone Jacobian's matvec; their references live in tests/oracle.py.
     assert not hasattr(owlball.jacobian, "apply_cone_jacobian")
     assert not hasattr(owlball.isotonic, "active_set")
-    assert not hasattr(owlball.ConeProjection, "block_values")
+    assert not hasattr(owlball.isotonic.ConeProjection, "block_values")
 
 
 def test_demos_found():

@@ -13,10 +13,10 @@ from owlball import (
     Weights,
     owl_norm,
     project_ball,
-    project_cone,
     prox_owl,
 )
 from owlball.core import INSIDE_RTOL, signed_sort
+from owlball.isotonic import project_cone
 from owlball.rootfind import dual_norm, solve_root
 
 from oracle import block_values, oracle_ball

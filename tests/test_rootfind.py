@@ -3,17 +3,13 @@ import gc
 import numpy as np
 import pytest
 
-from owlball import ConeProjection, Instance, Weights, owl_norm, project_ball, prox_owl
+from owlball import Instance, Weights, owl_norm, project_ball, prox_owl
 from owlball import rootfind as rootfind_mod
 from owlball import ssn as ssn_mod
 from owlball.bench import cell_rng, generate_instance
 from owlball.core import signed_sort, sorted_dual_norm
-from owlball.rootfind import (
-    BracketError,
-    NonConvergenceError,
-    dual_norm,
-    solve_root,
-)
+from owlball.isotonic import ConeProjection
+from owlball.rootfind import dual_norm, solve_root
 
 from oracle import oracle_dual_norm
 
@@ -62,17 +58,31 @@ class TestSolveRoot:
         assert np.max(np.abs(report.x - [2.0, 0.0])) <= 1e-8
         assert report.residual <= 1e-9
         assert report.evaluations >= 2
+        assert report.stop == "residual" and report.converged
 
     def test_prox_at_mu_star_reproduces_x(self):
         # The default tol stops on the residual, and 1e-15 on an exact
         # root of this instance.  1e-300 is below any residual the second
-        # instance reaches, so that solve ends by the bracket's collapse.
+        # instance reaches, so that solve ends by the bracket's collapse,
+        # which is reported and not counted as converged.
         for seed, tol in ((84, 1e-9), (84, 1e-15), (85, 1e-300)):
             inst = random_instance(np.random.default_rng(seed), 40, beta=0.4)
             report = solve_root(inst, tol=tol)
             assert np.array_equal(prox_owl(inst.b, inst.weights, report.mu_star),
                                   report.x)
         assert report.residual > tol
+        assert report.stop == "collapse" and not report.converged
+
+    def test_collapse_on_an_unresolvable_radius_is_reported(self):
+        # The radius 1e-300 sits far below the resolution of t = mu / 1e300,
+        # so the bracket collapses with the radius missed by far (the
+        # answer is about [1e-300, 0, 0]).  The best point evaluated is
+        # still reported, with its residual.
+        inst = Instance([1e300, 1e-300, -1e-300], Weights([1.0, 0.5, 0.25]), 1e-300)
+        report = solve_root(inst)
+        assert report.stop == "collapse" and not report.converged
+        assert report.residual == np.inf
+        assert report.residual == abs(owl_norm(report.x, inst.weights) - inst.tau) / inst.tau
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e-20, 1e-10,
                                        1.0, 1e10, 1e100, 1e200, 1e300])
@@ -219,20 +229,27 @@ class TestSolveRoot:
                 gc.enable()
         assert kept == []
 
-    def test_eval_budget_exhaustion_raises(self, monkeypatch):
+    def test_eval_budget_exhaustion_is_reported(self, monkeypatch):
+        # Four evaluations cannot meet tol = 1e-15 here; the report says
+        # so and holds the best point evaluated, whose prox it is.
         rng = np.random.default_rng(89)
         inst = random_instance(rng, 50, beta=0.37)
         monkeypatch.setattr(rootfind_mod, "_MAX_EVALS", 4)
-        with pytest.raises(NonConvergenceError, match="within 4 prox evaluations"):
-            solve_root(inst, tol=1e-15)
+        report = solve_root(inst, tol=1e-15)
+        assert report.stop == "cap" and not report.converged
+        assert report.evaluations == 4
+        assert 1e-15 < report.residual < np.inf
+        assert np.array_equal(prox_owl(inst.b, inst.weights, report.mu_star), report.x)
 
-    def test_bracket_error_is_exposed(self, monkeypatch):
-        # BracketError signals an internal inconsistency, here a dual
-        # norm too small to kill b; it derives from RuntimeError so
-        # harnesses can catch it.
-        assert issubclass(BracketError, RuntimeError)
+    def test_bracket_failure_is_reported(self, monkeypatch):
+        # A dual norm too small to kill b leaves both ends of the bracket
+        # positive; the report says so and holds the better end.
         half = lambda w, lam: 0.5 * sorted_dual_norm(w, lam)  # noqa: E731
         monkeypatch.setattr(rootfind_mod, "sorted_dual_norm", half)
-        with pytest.raises(BracketError):
-            # prox at mu = 1.5 is [1.5, 0], still outside the radius 0.5
-            solve_root(Instance([3.0, 1.0], Weights([1.0, 1.0]), 0.5))
+        # prox at mu = 1.5 is [1.5, 0], still outside the radius 0.5
+        report = solve_root(Instance([3.0, 1.0], Weights([1.0, 1.0]), 0.5))
+        assert report.stop == "bracket" and not report.converged
+        assert report.evaluations == 2
+        assert report.mu_star == 1.5
+        assert np.array_equal(report.x, [1.5, 0.0])
+        assert report.residual == 2.0

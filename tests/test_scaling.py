@@ -8,6 +8,7 @@ same iterates, the same stops, the same bytes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -104,3 +105,34 @@ class TestWeightScale:
             assert not res.trivial
             gap = owl_norm(res.x, weights) / (inst.tau * s) - 1.0
             assert not res.report.converged or abs(gap) <= 1e-9, (s, res.report.stop, gap)
+
+
+class TestOverflow:
+    # Outside the ball both solvers need <w, lam> and the dual norm to be
+    # finite; an overflow of either raises one ValueError naming it.  A
+    # power-of-two prescale would give the answer here instead.
+    @pytest.mark.parametrize("lam, tau", [
+        ([1.0, 1.0], 1.0),          # <w, lam> overflows
+        ([1e-10, 1e-10], 1e297),    # only the dual norm, 1e318, does
+    ])
+    def test_overflowing_norms_raise(self, lam, tau):
+        inst = Instance([1e308, 1e308], Weights(lam), tau)
+        for solver in (project_ball, solve_root):
+            with pytest.raises(ValueError, match="overflows float64"):
+                solver(inst)
+
+    def test_dual_norm_is_not_needed_inside_the_ball(self):
+        inst = Instance([1e308, 1e308], Weights([1e-10, 1e-10]), 1e299)
+        assert project_ball(inst).trivial
+
+    def test_an_overflowing_bound_on_the_dual_norm_is_no_overflow(self):
+        # At weight scale 2**-1010 the bound n <w, lam> / lam[0]**2 that
+        # spares the dual norm overflows, but the dual norm does not.
+        from owlball.bench import cell_rng, generate_instance
+
+        inst = generate_instance(1000, 1.0, 0.1, cell_rng(0, 0, 0, 0, 0))
+        s = 2.0 ** -1010
+        weights = Weights(inst.weights.values * s)
+        rf = solve_root(Instance(inst.b, weights, inst.tau * s), tol=1e-12)
+        assert rf.converged
+        assert same_bytes(rf.x, solve_root(inst, tol=1e-12).x)

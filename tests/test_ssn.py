@@ -4,16 +4,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import owlball.ssn as ssn_mod
-from owlball import (
-    Instance,
-    SsnParams,
-    Weights,
-    project_cone,
-)
+from owlball import Instance, SsnParams, Weights, project_ball, solve_root
+from owlball.bench import cell_rng, generate_instance
 from owlball.core import sorted_dual_norm
+from owlball.isotonic import project_cone
 from owlball.ssn import block_curvature, dual_gradient, solve
 
-from oracle import apply_cone_jacobian, ball_certificate, block_values, dual_value
+from oracle import (
+    apply_cone_jacobian,
+    ball_certificate,
+    block_values,
+    dual_value,
+    oracle_ball,
+)
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -480,6 +483,24 @@ class TestSolveBasics:
         assert first.curvature == 0.0
         assert not first.unit_step
         assert report.y_star == pytest.approx(-1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1)])
+    def test_default_start_takes_the_gradient_step_below_roundoff(self, n, seed):
+        # A radius below the roundoff of phi' sends the default start's
+        # second Newton step onto the flat piece, and the gradient step
+        # leaves it; the solve then stops on a no-op within roundoff of
+        # the oracle.  So the in-loop gradient step is not only a caller's.
+        inst = generate_instance(n, 1.0, 3e-17, cell_rng(seed, 0, 0, 0, 0))
+        res = project_ball(inst)
+        assert "gradient" in [step.kind for step in res.report.step_trace]
+        assert res.report.stop == "noop" and res.report.converged
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(res.x - oracle_ball(inst))) <= 4.0 * eps * np.max(np.abs(inst.b))
+        if n == 2:
+            # The roundoff of the bound at t = 1 exceeds tau here, so the
+            # baseline's ends do not change sign: reported, not raised.
+            rf = solve_root(inst)
+            assert rf.stop == "bracket" and not rf.converged
 
     def test_trivial_adjacent_boundary(self):
         rng = np.random.default_rng(46)
