@@ -126,8 +126,9 @@ def ball_jacobian(inst, report) -> BallJacobian:
     ValueError
         When ``report`` is None (``b`` is inside the ball), has no sort (a
         dual value, or a bare :func:`owlball.ssn.solve`'s report), has
-        another length than ``inst``, or has ``H lam = 0`` (a zero cone
-        projection, which no converged solve leaves).
+        another length than ``inst``, comes from another instance (its
+        sort holds another ``b`` than ``inst.b``), or has ``H lam = 0``
+        (a zero cone projection, which no converged solve leaves).
     """
     if report is None:
         raise ValueError("no solve to differentiate: b is inside the ball, "
@@ -141,6 +142,9 @@ def ball_jacobian(inst, report) -> BallJacobian:
     if sort.n != n or cone.n != n:
         raise ValueError(f"report has length {sort.n} (sort) and {cone.n} "
                          f"(cone projection), instance has length {n}")
+    if sort.b is not inst.b:
+        raise ValueError("report is of another instance: its sort holds "
+                         "another b than inst.b")
 
     # Sorted-order labels: 2j for pooled block j, 2m for the zero block,
     # and first_single for every singleton until they are renumbered
@@ -184,12 +188,10 @@ def ball_jacobian(inst, report) -> BallJacobian:
         at = sort.perm[sp]
         hb[label[at]] = np.copysign(lam[sp], sort.b[at])
     else:
-        # Many: scatter all of the weights, give them the signs of b and
-        # read them in original order.  (``clip`` as in
+        # Many: send all of the weights back through the sort, with the
+        # signs of b, and read them in original order.  (``clip`` as in
         # :func:`apply_ball_jacobian`: every index is in range.)
-        moved = np.empty(n)
-        moved[sort.perm] = lam
-        np.copysign(moved, sort.b, out=moved)
+        moved = sort.apply_inverse(lam)
         np.take(moved, at_single, out=single_hb, mode="clip")
         del moved
     del at_single

@@ -48,21 +48,22 @@ singleton, so ``phi'(0) = <w, lam> - tau`` and ``M = <lam, lam>`` (less
 a zero last entry) need no projection at all.
 
 *Model start.*  For plateau weights, ``lam = lam0 * 1[:k]`` (the L1
-norm, the Linf norm and the top-k norms, see ``Weights.plateau``), a
-start above the root at ``y = 0`` moves to ``y_s = min(r1, r2, y1)``
-before the first projection, where ``y1 = -phi'(0) / M(0)`` is the
-Newton step from 0 and ``r1``, ``r2`` are the roots of two lower bounds
-on ``phi'`` that need no PAVA pass
-(:func:`plateau_model_root`): the sort-based L1-ball
+norm, the Linf norm and the top-k norms, see ``Weights.plateau``), the
+first step from a start above the root at ``y = 0`` goes on from the
+Newton step ``y1 = -phi'(0) / M(0)`` to ``y_s = min(r1, r2, y1)``, where
+``r1``, ``r2`` are the roots of two lower bounds on ``phi'`` that need
+no PAVA pass (:func:`plateau_model_root`): the sort-based L1-ball
 threshold of ``Pi_C(w)`` at radius ``tau / lam0``, exact for the L1
 norm, and ``lam0`` times the leading block mean ``x[0]``, exact for the
 Linf norm.  A root of a lower bound, like a Newton step, lies at or
-above ``y*``, so ``y* <= y_s <= y1``.  Right of its root the Newton map
-of a convex ``phi'`` is nondecreasing, so every iterate from ``y_s`` is
-at or below the matching one from ``y1``: the model start never takes
-more steps than the start at 0, and for the L1 and Linf norms it lands
-on the root.  Other weights skip it, as does a caller's own start
-``y0 != 0``; computing the two roots is O(n) and would not pay there.
+above ``y*``, so ``y* <= y_s <= y1`` and the step stays in the bracket.
+Right of its root the Newton map of a convex ``phi'`` is nondecreasing,
+so every iterate from ``y_s`` is at or below the matching one from
+``y1``: the model step never leaves more steps to take than the plain
+Newton step, and for the L1 and Linf norms it lands on the root.  It is
+recorded as a Newton step, with one projection like any other.  Other
+weights skip it, as does a caller's own start ``y0 != 0``; computing
+the two roots is O(n) and would not pay there.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ class StepRecord:
 
     ``kind`` is ``"newton"``, or ``"gradient"`` on the flat piece where
     ``M = 0`` (see the module docstring); ``unit_step`` is True for a
-    Newton step.
+    Newton step.  With plateau weights, the first step from 0 goes on
+    to the model root when that lies lower (the module docstring's
+    model start); it is a ``"newton"`` step too.
     """
 
     y: float
@@ -153,10 +156,9 @@ class SsnReport:
     can reach about ``5e-324 * n / tau``), ``"bracket"``
     (roundoff sent a step out of the sign bracket) or ``"cap"`` (the
     iteration cap).  ``converged`` is True for the first two; callers
-    decide whether the others are fatal.  ``y_start`` is where the
-    steps started: ``y0``, or the model start (module docstring).
-    ``iterations`` is ``len(step_trace)``.  ``sort`` is the signed sort
-    that produced ``w``; :func:`owlball.project_ball` fills it in, a bare
+    decide whether the others are fatal.  ``iterations`` is
+    ``len(step_trace)``.  ``sort`` is the signed sort that produced
+    ``w``; :func:`owlball.project_ball` fills it in, a bare
     :func:`solve` leaves it None.  It holds only ``perm`` and the
     instance's ``b``, by reference (``b`` is read-only, and must not
     change while the sort is in use), and reads the signs off ``b``.
@@ -168,7 +170,6 @@ class SsnReport:
     cone: ConeProjection = field(repr=False)
     residual_eta: float
     stop: str
-    y_start: float
     step_trace: list[StepRecord] = field(repr=False)
     sort: SignedSort | None = field(default=None, repr=False)
 
@@ -231,7 +232,7 @@ def block_curvature(p: ConeProjection, lam) -> float:
 
 
 def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
-    """Start point of the Newton solve for plateau weights
+    """Model root of the Newton solve's first step for plateau weights
     ``lam = lam0 * 1[:k]``: ``min(r1, r2)``, the roots of two lower
     bounds on ``phi'(y) = <Pi_C(y lam + w), lam> - tau`` for ``y <= 0``
     that need no cone projection.  ``v = Pi_C(w)``, and
@@ -253,7 +254,7 @@ def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
     of :func:`sorted_dual_norm`, which it is at ``tau = 0`` (negated).
 
     So both roots are at least ``y*``, and ``r1 < 0`` since
-    ``psi1(0) = phi'(0) > 0``: the start lies in ``[y*, 0)``.
+    ``psi1(0) = phi'(0) > 0``: the model root lies in ``[y*, 0)``.
     """
     lam0, k = float(weights.values[0]), weights.plateau
     z = tau / lam0
@@ -283,9 +284,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     one more, except at ``y0 = 0`` with ``w`` strictly decreasing and
     ``w[-1] >= 0``, where ``phi'`` and ``M`` are read off ``w`` directly;
     there a start that is already converged still costs one projection,
-    for the report's ``cone``.  The model start (plateau weights at
-    ``y0 = 0``, see the module docstring) costs one more projection, at
-    the point it moves to, which the step trace does not count.
+    for the report's ``cone``.
     """
     if params is None:
         params = SsnParams()
@@ -317,19 +316,6 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     eta = residual(grad, tau)
     lo, hi = -np.inf, np.inf
     top = w.size            # the projection at hi is zero from here on
-
-    if y == 0.0 and grad > 0.0 and eta > params.eps and weights.plateau is not None:
-        if m is None:
-            m = block_curvature(p, lam)
-        if m > 0.0:         # it is, but for roundoff: phi'(0) > 0
-            hi = 0.0
-            top = w_top if p is None else p.zero_start
-            y = min(-grad / m, plateau_model_root(w, w if p is None else p.x,
-                                                  weights, tau))
-            grad, p = dual_gradient(y, w, weights, tau, top)
-            eta = residual(grad, tau)
-            m = None
-    y_start = y
     trace: list[StepRecord] = []
     stop = None
 
@@ -346,6 +332,11 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         # gradient step from there leaves the piece at once.
         if m > 0.0:
             y_next, kind = y - grad / m, NEWTON
+            # The model start: from 0 with plateau weights the first step
+            # goes on to the model root when that lies lower.
+            if not trace and y == 0.0 and grad > 0.0 and weights.plateau is not None:
+                y_next = min(y_next, plateau_model_root(w, w if p is None else p.x,
+                                                        weights, tau))
         else:
             y_next, kind = max(y, -sorted_dual_norm(w, lam)) - grad, GRADIENT
         # Finite termination.  A gradient step is never a no-op: it would
@@ -367,5 +358,4 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         p = project_cone(y * lam + w)
     if stop is None:
         stop = RESIDUAL if eta <= params.eps else CAP
-    return SsnReport(y_star=y, cone=p, residual_eta=eta, stop=stop,
-                     y_start=y_start, step_trace=trace)
+    return SsnReport(y_star=y, cone=p, residual_eta=eta, stop=stop, step_trace=trace)

@@ -532,15 +532,14 @@ class TestBallJacobianFromReport:
     def test_reuses_sort_and_projection_of_the_report(self):
         # ball_jacobian reads the sort and the cone projection off the
         # report and recomputes neither: a report carrying another
-        # signed sort or projection of the same length gives the bins
-        # of those.
+        # permutation of the instance's b, or another projection of the
+        # same length, gives the bins of those.
         rng = np.random.default_rng(39)
         b = rng.standard_normal(30)
         w = Weights(np.sort(np.abs(rng.standard_normal(30)))[::-1])
         inst = Instance(b, w, 0.3 * owl_norm(b, w))
         report = project_ball(inst).report
-        other = SignedSort(rng.permutation(30),
-                           rng.choice([-1.0, 1.0], 30) * rng.random(30))
+        other = SignedSort(rng.permutation(30), inst.b)
         cone = project_cone(np.concatenate(([5.0] * 4, [4.5, 4.2], [3.0] * 4,
                                             [2.9, 2.8, 2.7], [2.0] * 5,
                                             [1.9, 1.5, 1.2], [-1.0] * 9)))
@@ -559,6 +558,18 @@ class TestBallJacobianFromReport:
         assert res.trivial
         with pytest.raises(ValueError, match="inside the ball"):
             ball_jacobian(inst, res.report)
+
+    def test_rejects_report_of_another_instance(self):
+        # Of equal length, the report of another instance would give the
+        # Jacobian at another point; its sort holds the other b.
+        rng = np.random.default_rng(40)
+        w = Weights([3.0, 2.0, 2.0, 1.0, 0.5, 0.5])
+        inst1, inst2 = (Instance(b, w, 0.4 * owl_norm(b, w))
+                        for b in rng.standard_normal((2, 6)))
+        with pytest.raises(ValueError, match="another instance"):
+            ball_jacobian(inst2, project_ball(inst1).report)
+        with pytest.raises(ValueError, match="another instance"):
+            ball_jacobian(Instance(inst1.b, w, inst1.tau), project_ball(inst1).report)
 
     def test_rejects_report_of_another_length(self):
         inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 3.0)

@@ -44,6 +44,13 @@ def test_rootfind_report_fields_are_pinned():
         "mu_star", "x", "evaluations", "residual", "stop"]
 
 
+def test_ssn_report_fields_are_pinned():
+    # As RootfindReport's: where the steps started is y0, or the trace's
+    # first step, so no start field can come back unnoticed.
+    assert [f.name for f in dataclasses.fields(owlball.SsnReport)] == [
+        "y_star", "cone", "residual_eta", "stop", "step_trace", "sort"]
+
+
 def test_ball_jacobian_holds_one_array_of_length_n():
     # As the knobs above: a second per-coordinate array cannot come back
     # unnoticed.  This instance has 5 coordinates, 1 pooled block and 7

@@ -250,9 +250,9 @@ def family_weights(family: str, n: int, rng) -> Weights:
 class TestModelStart:
     """The model start of plateau weights (see ``owlball.ssn``)."""
 
-    # Newton iterations allowed per weight family.  The model start is
-    # exact for L1 and Linf, where the one step allowed is the step from
-    # a start that roundoff put just below the root.
+    # Newton iterations allowed per weight family, the first step (on
+    # to the model root for plateau weights) included.  The model root
+    # is exact for L1 and Linf, where that first step lands on the root.
     MAX_ITERATIONS = {"L1": 1, "Linf": 1, "top half": 4, "gauss": 4}
 
     @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
@@ -278,10 +278,10 @@ class TestModelStart:
            beta=st.floats(0.01, 0.95), seed=st.integers(0, 2**32 - 1))
     def test_plateau_start_lies_in_the_bracket(self, n, k_pick, k_frac, lam0, ties,
                                                power, beta, seed):
-        # y* <= y_start <= 0 up to roundoff, at every plateau length and
-        # at scales 2**-500 to 2**500; the oracle checks the answer at the
-        # unit scale (the projection is positively homogeneous, and a
-        # power of two scales it exactly).
+        # The first step from 0 lands in y* <= y <= 0 up to roundoff, at
+        # every plateau length and at scales 2**-500 to 2**500; the
+        # oracle checks the answer at the unit scale (the projection is
+        # positively homogeneous, and a power of two scales it exactly).
         rng = np.random.default_rng(seed)
         k = {"1": 1, "n": n, "any": 1 + int(k_frac * (n - 1))}[k_pick]
         weights = Weights(np.where(np.arange(n) < k, lam0, 0.0))
@@ -299,7 +299,10 @@ class TestModelStart:
         assume(not res.trivial)
         report = res.report
         assert report.converged
-        assert report.y_star * (1.0 + 1e-12) <= report.y_start <= 0.0
+        trace = report.step_trace
+        assert trace[0].y == 0.0 < trace[0].grad
+        landing = trace[1].y if len(trace) > 1 else report.y_star
+        assert report.y_star * (1.0 + 1e-12) <= landing <= 0.0
         assert abs(owl_norm(res.x, weights) / inst.tau - 1.0) <= 1e-12
         if n <= 10:
             want = oracle_ball(Instance(b, weights, unit_tau))

@@ -242,7 +242,6 @@ class TestSolveBasics:
         report = solve(np.array([3.0, 1.0]), Weights([2.0, 1.0]), 4.5)
         assert report.converged and report.stop == "residual"
         assert report.iterations == 1
-        assert report.y_start == 0.0
         assert report.y_star == -0.5
         assert np.array_equal(report.x_star, [2.0, 0.5])
         assert report.residual_eta == 0.0
@@ -254,20 +253,22 @@ class TestSolveBasics:
         assert step.unit_step
 
     def test_model_start_lands_on_the_l1_root(self):
-        # With L1 weights the model start is the sort-based L1-ball
-        # threshold: w = [3, 1] at radius 2 is solved at y = -1 before
-        # any step.
+        # With L1 weights the first step goes on to the sort-based
+        # L1-ball threshold: w = [3, 1] at radius 2 is solved at y = -1
+        # in that one step, where the Newton step alone stops at -0.5.
         report = solve(np.array([3.0, 1.0]), Weights([1.0, 1.0]), 2.0)
         assert report.converged and report.stop == "residual"
-        assert report.iterations == 0
-        assert report.y_start == report.y_star == -1.0
+        assert report.iterations == 1
+        (step,) = report.step_trace
+        assert (step.y, step.grad, step.curvature, step.kind) == (0.0, 2.0, 2.0, "newton")
+        assert report.y_star == -1.0
         assert np.array_equal(report.x_star, [2.0, 0.0])
 
     def test_model_start_on_a_strictly_decreasing_w_is_bitwise_unchanged(self):
         # On a strictly decreasing start Pi_C(w) is w itself, and the
         # model start takes one cumulative sum of w for both of its
         # roots.  A prefix of that sum is bitwise the prefix's own, so
-        # the start is the one computed from a separate copy of w.
+        # the first step lands where a separate copy of w puts it.
         rng = np.random.default_rng(25)
         checked = 0
         for k in range(200):
@@ -285,9 +286,11 @@ class TestSolveBasics:
             report = solve(w, weights, tau)
             grad = float(np.dot(w, lam)) - tau
             m = float(np.dot(lam[:n - int(w[-1] == 0.0)], lam[:n - int(w[-1] == 0.0)]))
-            if report.y_start != 0.0:
+            if report.step_trace and grad > 0.0:
+                landing = (report.step_trace[1].y if report.iterations > 1
+                           else report.y_star)
                 want = min(-grad / m, copied)
-                assert np.float64(report.y_start).tobytes() == np.float64(want).tobytes()
+                assert np.float64(landing).tobytes() == np.float64(want).tobytes()
                 checked += 1
         assert checked >= 150
 
@@ -331,11 +334,17 @@ class TestSolveBasics:
         # steps to.  The start at y0 = 0 costs none when w is strictly
         # decreasing with w[-1] >= 0, since phi' and M are read off w;
         # a tied w or a start y0 != 0 costs one more, of full length.
+        # With plateau weights (the second 75 solves) the first step
+        # from 0 goes on to the model root, and counts as an iteration.
         calls = self.count_projections(monkeypatch)
         rng = np.random.default_rng(43)
-        truncated = 0
-        for k in range(75):
+        truncated = modeled = 0
+        for k in range(150):
             w, weights, tau = random_sorted_instance(rng, int(rng.integers(2, 60)))
+            if k >= 75:
+                lam0, k_plateau = weights.values[0], int(rng.integers(1, w.size + 1))
+                weights = Weights(np.where(np.arange(w.size) < k_plateau, lam0, 0.0))
+                tau = float(rng.uniform(0.05, 0.95)) * float(np.dot(w, weights.values))
             params, extra = SsnParams(), 0
             if k % 3 == 1:
                 w[0] = w[1]               # a tie
@@ -361,7 +370,9 @@ class TestSolveBasics:
                     top = cones[j].zero_start
                 assert calls[j + extra][0] == top
                 truncated += top < w.size
-        assert truncated >= 25
+            first = report.step_trace[0]
+            modeled += weights.plateau is not None and first.y == 0.0 < first.grad
+        assert truncated >= 25 and modeled >= 40
 
     def test_in_cone_start_matches_the_projected_start(self, monkeypatch):
         # The closed-form start gives the very steps that projecting w
