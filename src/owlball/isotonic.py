@@ -15,7 +15,8 @@ this stack algorithm) and keep two guarantees on top of it:
 * the blocks are canonical: values strictly decrease from one block to
   the next, with at most one trailing zero block, so the active set read
   off them is the maximal one.  They are the runs of equal entries of
-  ``x``, so a projection keeps only ``x`` and reads them off it on use.
+  ``x``, so a projection keeps only ``x`` and reads them off it on use,
+  unless the PAVA pass has handed them over already.
 
 A nonincreasing vector skips the PAVA pass: its projection is
 ``max(d, 0)``.  The dual solvers start from such a vector (the sorted
@@ -24,8 +25,10 @@ project is one.
 
 A caller that knows the projection vanishes from some index ``k`` on
 passes only the first ``k`` entries and the full length (see
-:func:`project_cone`); the Newton solver knows such a ``k`` once it has
-a point above the root.
+:func:`project_cone`); the bracketing solver knows such a ``k`` once it
+has a point above the root.  Entries may carry weights: the Newton
+solver projects the blocks of an earlier projection, one weighted entry
+each.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from scipy.optimize import isotonic_regression
 from .core import all_finite, pairs_hold, span_members
 
 __all__ = ["ConeProjection", "project_cone", "strictly_decreasing", "reduce_spans",
-           "positive_block_sums"]
+           "positive_block_sums", "tied_spans"]
 
 class ConeProjection:
     """Result of :func:`project_cone`: ``x``, and its blocks, which are
@@ -53,7 +56,9 @@ class ConeProjection:
         First index of each constant block: each index where ``x``
         changes, after 0.  Blocks are half-open ``[block_starts[k],
         block_starts[k+1])`` runs partitioning ``range(n)``; values
-        strictly decrease across blocks.  Computed on first use and kept.
+        strictly decrease across blocks.  Read off ``x`` on first use and
+        kept; :func:`project_cone` sets it from its PAVA pass instead
+        where that already holds them.
     block_lengths : ndarray of int
         Length of each block, computed on first use and kept.
     zero_tail : bool
@@ -105,7 +110,7 @@ class ConeProjection:
         return lengths
 
 
-def project_cone(d, n: int | None = None) -> ConeProjection:
+def project_cone(d, n: int | None = None, weights=None) -> ConeProjection:
     """Euclidean projection of ``d`` onto the monotone nonnegative cone.
 
     Parameters
@@ -119,13 +124,19 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
         vector that starts with ``d`` and whose projection is zero from
         ``k`` on: with ``x[k] = 0`` the constraint ``x[k-1] >= x[k]`` is
         the prefix's own ``x[k-1] >= 0``.  Only ``d`` is projected.
+    weights : array_like of shape (k,), optional
+        Positive weights of the entries (ones if omitted).  The Newton
+        solver projects the blocks of an earlier projection this way,
+        one entry per block with its length as weight (see
+        :mod:`owlball.ssn`).
 
     Returns
     -------
     ConeProjection
-        Minimizer of ``0.5*||x - d||**2`` over nonincreasing nonnegative
-        ``x``, with its constant-block structure.  O(k); a nonincreasing
-        ``d`` costs a few streaming passes and no PAVA pass.
+        Minimizer of ``0.5 * sum(weights * (x - d)**2)`` over
+        nonincreasing nonnegative ``x``, with its constant-block
+        structure.  O(k); a nonincreasing ``d`` costs a few streaming
+        passes and no PAVA pass, whatever the weights.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1:
@@ -138,6 +149,8 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
     n = k if n is None else int(n)
     if n < k:
         raise ValueError(f"n must be at least len(d) = {k}, got {n}")
+    if weights is not None and np.shape(weights) != d.shape:
+        raise ValueError(f"weights must have the shape of d, {d.shape}")
 
     if _nonincreasing(d):
         # The projection is max(d, 0): d up to its first entry <= 0, +0.0
@@ -148,7 +161,7 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
         x[j:] = 0.0
         return ConeProjection(x)
 
-    res = isotonic_regression(d, increasing=False)
+    res = isotonic_regression(d, weights=weights, increasing=False)
     # scipy's x holds each block's mean on the whole block already.  Clamp
     # at zero; given two zeros, np.maximum may return either (numpy 2.4 on
     # x86 returns the second), so +0.0 is added to make every zero +0.0,
@@ -167,17 +180,41 @@ def project_cone(d, n: int | None = None) -> ConeProjection:
     bounds = np.asarray(res.blocks, dtype=np.intp)
     pooled = np.flatnonzero(np.diff(bounds) > 1)
     first, stop = bounds[pooled], bounds[pooled + 1]
-    cand = d[first] == d[stop - 1]
-    if cand.any():
-        first, stop = first[cand], stop[cand]
-        tied = (reduce_spans(np.minimum, d, first, stop)
-                == reduce_spans(np.maximum, d, first, stop))
-        if tied.any():
-            first, stop = first[tied], stop[tied]
-            repaired = np.maximum(d[first], 0.0)
-            repaired += 0.0
-            x[span_members(first, stop - first)] = np.repeat(repaired, stop - first)
-    return ConeProjection(x)
+    tied = tied_spans(d.__getitem__, first, stop)
+    if tied.size:
+        first, stop = first[tied], stop[tied]
+        repaired = np.maximum(d[first], 0.0)
+        repaired += 0.0
+        x[span_members(first, stop - first)] = np.repeat(repaired, stop - first)
+        return ConeProjection(x)
+    # Unrepaired, scipy's blocks are the runs of x, since their means
+    # strictly decrease, except that the clamp pools those from the zero
+    # start on into one zero block.  So no pass over x is needed for them.
+    p = ConeProjection(x)
+    starts = bounds[:-1]
+    zero = p.zero_start
+    if zero < n:
+        starts = np.append(starts[:np.searchsorted(starts, zero)], zero)
+    starts.flags.writeable = False
+    p.__dict__["block_starts"] = starts
+    return p
+
+
+def tied_spans(d_at, first, stop) -> np.ndarray:
+    """Indices of the spans ``[first[j], stop[j])`` of a vector ``d``
+    over which ``d`` is one bitwise value; ``d_at(i)`` gives the entries
+    of ``d`` at the indices ``i``.
+
+    Only the spans whose two ends tie are read in full, so a caller can
+    hand in a ``d`` that it computes only where it is read.
+    """
+    cand = np.flatnonzero(d_at(first) == d_at(stop - 1))
+    if cand.size:
+        sizes = stop[cand] - first[cand]
+        d = d_at(span_members(first[cand], sizes))
+        offsets = np.cumsum(sizes) - sizes
+        cand = cand[np.minimum.reduceat(d, offsets) == np.maximum.reduceat(d, offsets)]
+    return cand
 
 
 def _nonincreasing(d: np.ndarray) -> bool:

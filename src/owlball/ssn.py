@@ -15,7 +15,7 @@ evaluates ``phi`` itself.
 
 Each iteration projects once onto the cone, reads the curvature
 ``M = lam.T H lam`` off the resulting blocks (see
-:func:`block_curvature`; no Jacobian is built) and takes the Newton
+:func:`blocks_curvature`; no Jacobian is built) and takes the Newton
 step ``-phi'/M`` (or, on the flat piece where the projection vanishes
 and ``M = 0``, a gradient step ``-phi'`` from the end of that piece).
 No safeguard is needed, because ``phi'`` is convex.  *Lemma:* ``M(y)``
@@ -36,11 +36,26 @@ at the iteration cap or when a step would leave the sign bracket
 can cause, or an ``M`` that overflowed to inf: with weights from about
 1e154 on, the zero step it gives is no no-op and leaves the bracket.
 No step is ever rejected, so an iteration costs exactly one cone
-projection (a no-op costs none).  It covers
-only the coordinates ahead of the zero block of the projection at
-``hi``: every step lands below ``hi``, and ``Pi_C`` is order-preserving,
-so the rest stays zero (see :func:`dual_gradient`).  With constant
-weights every point projected is nonincreasing and costs no PAVA pass.
+projection (a no-op costs none).
+
+*Block steps.*  Every step lands below ``hi``, the lowest point so far
+with ``phi' >= 0``, and by the lemma no block of the projection at
+``hi`` splits there: ``lam`` is nonincreasing, so lowering ``y`` lowers
+a block's left part by at least as much as its right part, and the zero
+block can only grow.  So once the solve holds a projection at ``hi``, a
+step projects its positive blocks instead of the coordinates
+(:func:`block_step`): block ``j``, of value ``v_j``, length ``L_j`` and
+sum of ``lam`` ``Lam_j``, is one entry ``v_j + (y - y_hi) Lam_j / L_j``
+of weight ``L_j``, and the new blocks are the runs of the result.  That
+is exact in exact arithmetic, needs no n-sized pass and costs O(blocks
+at ``hi``), which shrink as the iterates fall.  ``phi'`` and ``M`` are
+read off the blocks at every point stepped to, the same way whether its
+projection took coordinates or blocks, and the answer ``x`` is written
+once, at the final point.  A step before any point with ``phi' >= 0``
+projects all n coordinates; one below an in-cone start, whose blocks
+are never built, projects those ahead of its zero entry (the rest stays
+zero: ``Pi_C`` is order-preserving).  With constant weights every point
+projected is nonincreasing and costs no PAVA pass.
 
 The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
 in the cone.  When they strictly decrease, every block there is a
@@ -69,11 +84,13 @@ the two roots is O(n) and would not pay there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import SignedSort, Weights, all_finite, sorted_dual_norm
-from .isotonic import ConeProjection, positive_block_sums, project_cone, strictly_decreasing
+from .core import SignedSort, Weights, all_finite, span_members, sorted_dual_norm
+from .isotonic import (ConeProjection, positive_block_sums, project_cone, strictly_decreasing,
+                       tied_spans)
 
 __all__ = [
     "SsnParams",
@@ -129,13 +146,18 @@ class StepRecord:
     ``M = 0`` (see the module docstring); ``unit_step`` is True for a
     Newton step.  With plateau weights, the first step from 0 goes on
     to the model root when that lies lower (the module docstring's
-    model start); it is a ``"newton"`` step too.
+    model start); it is a ``"newton"`` step too.  ``projected`` is the
+    number of entries that the projection at the step's landing point
+    took: ``n`` for a step taken before any point with ``phi' >= 0``,
+    and the number of positive blocks of the projection at ``hi`` for
+    every step below ``hi`` (the module docstring's block steps).
     """
 
     y: float
     grad: float
     curvature: float
     kind: str
+    projected: int
 
     @property
     def unit_step(self) -> bool:
@@ -188,8 +210,10 @@ class SsnReport:
 
 def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = None):
     """``phi'(y)``, and the cone projection ``Pi_C(y lam + w)`` it was
-    read from, whose blocks give the curvature at the same ``y``.  Both
-    solvers evaluate ``phi'`` here.
+    read from, whose blocks give the curvature at the same ``y``.
+    :func:`owlball.solve_root` evaluates every point here; :func:`solve`
+    only its start, when that is not read off ``w``, and reads the points
+    it steps to off their blocks.
 
     ``top`` is where the zero block starts in the projection at some
     point at or above ``y`` (``n`` if omitted).  ``Pi_C`` is
@@ -212,23 +236,103 @@ def residual(grad: float, tau: float) -> float:
     return abs(grad) / tau
 
 
-def block_curvature(p: ConeProjection, lam) -> float:
-    """Curvature ``M = lam.T H lam`` at ``p``, read off its blocks.
+class Blocks(NamedTuple):
+    """The blocks with a positive value of a projection ``Pi_C(y lam + w)``,
+    in order: each one's value, its sum of ``lam`` and its length (a
+    float).  Every point the solve steps to has its ``phi'`` and ``M``
+    read off them (:func:`blocks_gradient`, :func:`blocks_curvature`),
+    whether its projection took coordinates or blocks, and a block step
+    below the point projects them (module docstring)."""
 
-    ``H``, the cone projector's Jacobian on the piece of ``p``, averages
-    each block with a positive value and zeroes the zero block, so
+    values: np.ndarray
+    sums: np.ndarray
+    lengths: np.ndarray
+
+
+def positive_blocks(q: ConeProjection, sums, of: Blocks | None = None) -> Blocks:
+    """The positive blocks of ``q``, the projection of the coordinates
+    (``of`` None, ``sums`` is then ``lam``) or of the blocks ``of`` (one
+    entry each, ``sums`` is then ``of.sums``).  Each pooled block's sums
+    are summed directly (:func:`positive_block_sums`); when ``q`` pooled
+    no blocks, the arrays of ``of`` are kept as they are."""
+    live = q.num_blocks - int(q.zero_tail)
+    if of is not None and q.num_blocks == q.n:
+        return Blocks(q.x[:live], sums[:live], of.lengths[:live])
+    return Blocks(q.x[q.block_starts[:live]], positive_block_sums(q, sums)[0],
+                  q.block_lengths[:live].astype(np.float64) if of is None
+                  else positive_block_sums(q, of.lengths)[0])
+
+
+def blocks_gradient(blocks: Blocks, tau: float) -> float:
+    """``phi' = <Pi_C(y lam + w), lam> - tau``, read off the positive
+    blocks as the sum of value times sum of ``lam``."""
+    return float(np.dot(blocks.values, blocks.sums)) - tau
+
+
+def blocks_curvature(blocks: Blocks) -> float:
+    """Curvature ``M = lam.T H lam``, read off the positive blocks.
+
+    ``H``, the cone projector's Jacobian on the piece of the point,
+    averages each block with a positive value and zeroes the zero block,
+    so
 
         M = sum over blocks with value > 0 of (sum of lam over block)**2 / length.
 
-    Each pooled block's sum (:func:`positive_block_sums`) enters the dot
-    as ``sum / sqrt(length)``; O(n).  Equals ``lam @ H lam`` up to
-    roundoff, and is exactly ``0.0`` when ``p.x`` is all zero.
+    Each block enters the dot as ``sum / sqrt(length)``, which is a
+    singleton's own sum; O(number of blocks).
     """
-    terms, pooled = positive_block_sums(p, lam)
-    if pooled.size:
-        terms[pooled] /= np.sqrt(p.block_lengths[pooled])
+    terms = np.sqrt(blocks.lengths)
+    np.divide(blocks.sums, terms, out=terms)
     with np.errstate(over="ignore"):    # inf past about 1e154; solve checks
         return float(np.dot(terms, terms))
+
+
+def block_curvature(p: ConeProjection, lam) -> float:
+    """Curvature ``M = lam.T H lam`` at the cone projection ``p``, read
+    off its blocks (:func:`blocks_curvature`); O(n).  Equals
+    ``lam @ H lam`` up to roundoff, and is exactly ``0.0`` when ``p.x``
+    is all zero."""
+    return blocks_curvature(positive_blocks(p, np.asarray(lam, dtype=np.float64)))
+
+
+def block_step(at_hi: Blocks, y_hi: float, y: float) -> Blocks:
+    """The positive blocks of ``Pi_C(y lam + w)`` for ``y < y_hi``, from
+    those of the projection at ``y_hi``: one entry per block, its value
+    plus ``(y - y_hi)`` times its mean of ``lam``, projected with its
+    length as weight.  O(number of blocks at ``y_hi``); the module
+    docstring says why it is exact."""
+    d = at_hi.sums / at_hi.lengths
+    d *= y - y_hi
+    d += at_hi.values
+    return positive_blocks(project_cone(d, weights=at_hi.lengths), at_hi.sums, at_hi)
+
+
+def write_cone(x: np.ndarray, blocks: Blocks, y: float, w, lam) -> ConeProjection:
+    """``Pi_C(y lam + w)`` from its positive blocks, written into ``x``:
+    each block's value on its coordinates, +0.0 after them.
+
+    As :func:`project_cone` does, a pooled block over which ``y lam + w``
+    is one bitwise value gets that value (kept between its neighbours'
+    values, so ``x`` stays nonincreasing); neighbours that then tie are
+    one run of ``x``, and so one block.
+    """
+    values = blocks.values
+    lengths = blocks.lengths.astype(np.intp)
+    ends = np.cumsum(lengths)
+    top = int(ends[-1]) if ends.size else 0
+    x[:top] = np.repeat(values, lengths)
+    x[top:] = 0.0
+    pooled = np.flatnonzero(lengths > 1)
+    first = ends[pooled] - lengths[pooled]
+    tied = tied_spans(lambda i: y * lam[i] + w[i], first, ends[pooled])
+    if tied.size:
+        j, first = pooled[tied], first[tied]
+        upper = np.append(np.inf, values)[j]
+        lower = np.append(values, 0.0)[j + 1]
+        repaired = np.clip(y * lam[first] + w[first], lower, upper)
+        repaired += 0.0
+        x[span_members(first, lengths[j])] = np.repeat(repaired, lengths[j])
+    return ConeProjection(x)
 
 
 def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
@@ -278,13 +382,17 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     the ball projector passes the sorted magnitudes.
 
     Convergence is checked before stepping.  Each iteration performs
-    exactly one projection, at the point it steps to, of the coordinates
-    ahead of the zero block at ``hi`` (all n before ``phi'`` has been
-    seen to be >= 0); it is returned at full length.  The start costs
-    one more, except at ``y0 = 0`` with ``w`` strictly decreasing and
-    ``w[-1] >= 0``, where ``phi'`` and ``M`` are read off ``w`` directly;
-    there a start that is already converged still costs one projection,
-    for the report's ``cone``.
+    exactly one projection, at the point it steps to: of the positive
+    blocks of the projection at ``hi`` once the solve holds one (module
+    docstring), else of all n coordinates, or of those ahead of the zero
+    entry of an in-cone start below it.  ``StepRecord.projected`` says
+    how many entries that was.  The start costs one more, except at
+    ``y0 = 0`` with ``w`` strictly decreasing and ``w[-1] >= 0``, where
+    ``phi'`` and ``M`` are read off ``w`` directly; there a start that
+    is already converged still costs one projection, for the report's
+    ``cone``.  A final point reached by a block step has its ``x``
+    written into the n-sized buffer of the solve's first projection, so
+    no n-sized array is taken after that one.
     """
     if params is None:
         params = SsnParams()
@@ -302,31 +410,36 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     lam = weights.values
 
     y = float(params.y0)
+    top = w.size            # a coordinate step projects w[:top]; the rest stays 0
     if y == 0.0 and w[-1] >= 0.0 and strictly_decreasing(w):
         # Pi_C(w) = w with singleton blocks; the zero block, if any, is
-        # the last singleton and adds no curvature.
-        p = None
+        # the last singleton and adds no curvature.  Its blocks are not
+        # built: the first step below 0 projects the coordinates ahead of
+        # that zero, as a step without a projection at hi does.
+        first = blocks = None
         grad = float(np.dot(w, lam)) - tau
-        w_top = w.size - int(w[-1] == 0.0)     # Pi_C(w) is zero from here on
+        w_top = w.size - int(w[-1] == 0.0)
         with np.errstate(over="ignore"):        # M = inf: see the no-op test
             m = float(np.dot(lam[:w_top], lam[:w_top]))
     else:
-        grad, p = dual_gradient(y, w, weights, tau)
-        m = None
+        grad, first = dual_gradient(y, w, weights, tau)
+        blocks, m = positive_blocks(first, lam), None
+    cone = first            # the projection at y, when it took the coordinates
     eta = residual(grad, tau)
     lo, hi = -np.inf, np.inf
-    top = w.size            # the projection at hi is zero from here on
+    at_hi = None            # the positive blocks of the projection at hi
     trace: list[StepRecord] = []
     stop = None
 
     while eta > params.eps and len(trace) < _MAX_ITER:
         if m is None:
-            m = block_curvature(p, lam)
+            m = blocks_curvature(blocks)
         if grad < 0.0:
             lo = y
         else:
-            hi = y
-            top = w_top if p is None else p.zero_start
+            hi, at_hi = y, blocks
+            if blocks is None:
+                top = w_top
         # M = 0 iff the projection is zero (lam[0] > 0 forces a live block
         # otherwise).  phi' is -tau up to the flat piece's closed end, so a
         # gradient step from there leaves the piece at once.
@@ -335,7 +448,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
             # The model start: from 0 with plateau weights the first step
             # goes on to the model root when that lies lower.
             if not trace and y == 0.0 and grad > 0.0 and weights.plateau is not None:
-                y_next = min(y_next, plateau_model_root(w, w if p is None else p.x,
+                y_next = min(y_next, plateau_model_root(w, w if first is None else first.x,
                                                         weights, tau))
         else:
             y_next, kind = max(y, -sorted_dual_norm(w, lam)) - grad, GRADIENT
@@ -348,14 +461,28 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         if not lo < y_next < hi:
             stop = BRACKET  # only roundoff sends a step out (module docstring)
             break
-        trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind))
+        projected = top if at_hi is None else at_hi.values.size
+        trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind, projected=projected))
         y = y_next
-        grad, p = dual_gradient(y, w, weights, tau, top)
+        if at_hi is None:
+            cone = project_cone(y * lam[:top] + w[:top], w.size)
+            blocks = positive_blocks(cone, lam)
+            if first is None:
+                first = cone
+        else:
+            cone, blocks = None, block_step(at_hi, hi, y)
+        grad = blocks_gradient(blocks, tau)
         eta = residual(grad, tau)
         m = None
 
-    if p is None:
-        p = project_cone(y * lam + w)
+    if cone is None and not trace:
+        cone = project_cone(y * lam + w)
+    elif cone is None:
+        # y was reached by a block step.  Its x goes into the buffer of
+        # the first projection, which nothing reads any more, so no
+        # n-sized array is taken after that projection.
+        first.x.flags.writeable = True
+        cone = write_cone(first.x, blocks, y, w, lam)
     if stop is None:
         stop = RESIDUAL if eta <= params.eps else CAP
-    return SsnReport(y_star=y, cone=p, residual_eta=eta, stop=stop, step_trace=trace)
+    return SsnReport(y_star=y, cone=cone, residual_eta=eta, stop=stop, step_trace=trace)

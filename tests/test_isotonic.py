@@ -437,3 +437,26 @@ class TestActiveSet:
             if p.x[n - 1] == 0.0:
                 expected.add(n - 1)
             assert gamma == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.sampled_from([0, 1, None]))
+def test_weighted_projection_is_that_of_the_repeated_entries(seed, k, decimals):
+    # With whole weights L, the projection weighted by L is, up to
+    # roundoff, the projection of each entry repeated L times, read at
+    # each entry's first copy.  Its blocks are x's runs on every route.
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(k) - rng.uniform(0.0, 2.0) * np.arange(k) / k
+    if decimals is not None:
+        d = np.round(d, decimals)
+    lengths = rng.integers(1, 6, k).astype(np.float64)
+    p = project_cone(d, weights=lengths)
+    x = p.x
+    change = np.flatnonzero(x[1:] != x[:-1]) + 1
+    assert p.block_starts.tolist() == [0, *change.tolist()]
+    assert not np.signbit(x).any()
+    expanded = project_cone(np.repeat(d, lengths.astype(np.intp))).x
+    first = np.cumsum(lengths).astype(np.intp) - lengths.astype(np.intp)
+    assert np.allclose(x, expanded[first], rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValueError):
+        project_cone(d, weights=lengths[:-1] if k > 1 else np.ones(2))

@@ -51,6 +51,13 @@ def test_ssn_report_fields_are_pinned():
         "y_star", "cone", "residual_eta", "stop", "step_trace", "sort"]
 
 
+def test_step_record_fields_are_pinned():
+    # As SsnReport's: each step says where it started, what it read there,
+    # its kind and how many entries the projection at its landing took.
+    assert [f.name for f in dataclasses.fields(owlball.ssn.StepRecord)] == [
+        "y", "grad", "curvature", "kind", "projected"]
+
+
 def test_ball_jacobian_holds_one_array_of_length_n():
     # As the knobs above: a second per-coordinate array cannot come back
     # unnoticed.  This instance has 5 coordinates, 1 pooled block and 7
@@ -73,7 +80,7 @@ def test_test_only_readers_stay_out_of_the_package():
 
 
 def test_demos_found():
-    assert len(DEMOS) == 3
+    assert len(DEMOS) == 4
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
