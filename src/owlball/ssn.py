@@ -42,20 +42,29 @@ projection (a no-op costs none).
 with ``phi' >= 0``, and by the lemma no block of the projection at
 ``hi`` splits there: ``lam`` is nonincreasing, so lowering ``y`` lowers
 a block's left part by at least as much as its right part, and the zero
-block can only grow.  So once the solve holds a projection at ``hi``, a
-step projects its positive blocks instead of the coordinates
-(:func:`block_step`): block ``j``, of value ``v_j``, length ``L_j`` and
-sum of ``lam`` ``Lam_j``, is one entry ``v_j + (y - y_hi) Lam_j / L_j``
-of weight ``L_j``, and the new blocks are the runs of the result.  That
-is exact in exact arithmetic, needs no n-sized pass and costs O(blocks
-at ``hi``), which shrink as the iterates fall.  ``phi'`` and ``M`` are
-read off the blocks at every point stepped to, the same way whether its
-projection took coordinates or blocks, and the answer ``x`` is written
-once, at the final point.  A step before any point with ``phi' >= 0``
-projects all n coordinates; one below an in-cone start, whose blocks
-are never built, projects those ahead of its zero entry (the rest stays
-zero: ``Pi_C`` is order-preserving).  With constant weights every point
-projected is nonincreasing and costs no PAVA pass.
+block can only grow.  So once the solve holds a projection at ``hi``
+with a pooled block, a step projects its positive blocks instead of the
+coordinates (:func:`block_step`): block ``j``, of value ``v_j``, length
+``L_j`` and sum of ``lam`` ``Lam_j``, is one entry ``v_j + (y - y_hi)
+Lam_j / L_j`` of weight ``L_j``, and the new blocks are the runs of the
+result.  That is exact in exact arithmetic, needs no n-sized pass and
+costs O(blocks at ``hi``), which shrink as the iterates fall.  Where no
+block at ``hi`` pooled, its blocks are the coordinates ahead of its zero
+block, and a step projects those (the rest stays zero: ``Pi_C`` is
+order-preserving); before any point with ``phi' >= 0`` a step projects
+all n coordinates.  ``phi'`` is read off the projection a point took:
+``<x, lam> - tau`` off coordinates, ``sum_j v_j Lam_j - tau`` off blocks.
+``M`` is read off the positive blocks either way, and a point projected
+on coordinates builds them only when it steps on.  The answer ``x`` is
+written once, at the final point: by its projection, or off the blocks
+where a block step reached it.  The two readings of ``phi'`` differ by
+roundoff, so a stop that roundoff decides is not taken off blocks: where
+a block step's reading makes the next step a no-op or sends it out of
+the bracket (or, for ``eps`` below ``eps_mach``, reads within
+``eps_mach * tau`` of 0), the solve takes a ``"reread"`` step, which
+stays at ``y`` and projects the coordinates there, and the stop rule
+judges that reading.  With constant weights every point projected is
+nonincreasing and costs no PAVA pass.
 
 The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
 in the cone.  When they strictly decrease, every block there is a
@@ -105,8 +114,10 @@ __all__ = [
 # Step kinds recorded in StepRecord.kind.
 NEWTON = "newton"          # -phi'/M
 GRADIENT = "gradient"      # -phi' from the flat piece's end, where M = 0
+REREAD = "reread"          # stays at y and reads phi' off the coordinates there
 
-NOOP_RTOL = 8.0 * np.finfo(np.float64).eps   # a Newton step below this * |y| is a no-op
+_EPS_MACH = float(np.finfo(np.float64).eps)
+NOOP_RTOL = 8.0 * _EPS_MACH     # a Newton step below this * |y| is a no-op
 
 # Stops recorded in SsnReport.stop; the first two count as converged.
 RESIDUAL = "residual"      # residual(phi', tau) <= eps
@@ -142,15 +153,18 @@ class SsnParams:
 class StepRecord:
     """One step: state at the step's start plus the kind of step taken.
 
-    ``kind`` is ``"newton"``, or ``"gradient"`` on the flat piece where
-    ``M = 0`` (see the module docstring); ``unit_step`` is True for a
-    Newton step.  With plateau weights, the first step from 0 goes on
-    to the model root when that lies lower (the module docstring's
-    model start); it is a ``"newton"`` step too.  ``projected`` is the
-    number of entries that the projection at the step's landing point
-    took: ``n`` for a step taken before any point with ``phi' >= 0``,
-    and the number of positive blocks of the projection at ``hi`` for
-    every step below ``hi`` (the module docstring's block steps).
+    ``kind`` is ``"newton"``, ``"gradient"`` on the flat piece where
+    ``M = 0``, or ``"reread"``, which stays at ``y`` and projects the
+    coordinates there, where a block step's reading of ``phi'`` would
+    have stopped the solve (see the module docstring); ``unit_step`` is
+    True for a Newton step.  With plateau weights, the first step from 0
+    goes on to the model root when that lies lower (the module
+    docstring's model start); it is a ``"newton"`` step too.
+    ``projected`` is the number of entries that the projection at the
+    step's landing point took: ``n`` for a step taken before any point
+    with ``phi' >= 0``; below ``hi``, the number of positive blocks of
+    the projection at ``hi`` for a block step, else (no block at ``hi``
+    pooled, or a reread) the coordinates ahead of its zero block.
     """
 
     y: float
@@ -211,9 +225,10 @@ class SsnReport:
 def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = None):
     """``phi'(y)``, and the cone projection ``Pi_C(y lam + w)`` it was
     read from, whose blocks give the curvature at the same ``y``.
-    :func:`owlball.solve_root` evaluates every point here; :func:`solve`
-    only its start, when that is not read off ``w``, and reads the points
-    it steps to off their blocks.
+    :func:`owlball.solve_root` evaluates every point here.
+    :func:`solve` reads its points the same way, forming ``y lam + w``
+    in a buffer of its own, except those a block step reaches, which it
+    reads off their blocks.
 
     ``top`` is where the zero block starts in the projection at some
     point at or above ``y`` (``n`` if omitted).  ``Pi_C`` is
@@ -239,28 +254,23 @@ def residual(grad: float, tau: float) -> float:
 class Blocks(NamedTuple):
     """The blocks with a positive value of a projection ``Pi_C(y lam + w)``,
     in order: each one's value, its sum of ``lam`` and its length (a
-    float).  Every point the solve steps to has its ``phi'`` and ``M``
-    read off them (:func:`blocks_gradient`, :func:`blocks_curvature`),
-    whether its projection took coordinates or blocks, and a block step
-    below the point projects them (module docstring)."""
+    float).  ``M`` is read off them at every point the solve steps from
+    (:func:`blocks_curvature`), ``phi'`` at every point a block step lands
+    on (:func:`blocks_gradient`), and a block step below the point
+    projects them (module docstring)."""
 
     values: np.ndarray
     sums: np.ndarray
     lengths: np.ndarray
 
 
-def positive_blocks(q: ConeProjection, sums, of: Blocks | None = None) -> Blocks:
-    """The positive blocks of ``q``, the projection of the coordinates
-    (``of`` None, ``sums`` is then ``lam``) or of the blocks ``of`` (one
-    entry each, ``sums`` is then ``of.sums``).  Each pooled block's sums
-    are summed directly (:func:`positive_block_sums`); when ``q`` pooled
-    no blocks, the arrays of ``of`` are kept as they are."""
-    live = q.num_blocks - int(q.zero_tail)
-    if of is not None and q.num_blocks == q.n:
-        return Blocks(q.x[:live], sums[:live], of.lengths[:live])
-    return Blocks(q.x[q.block_starts[:live]], positive_block_sums(q, sums)[0],
-                  q.block_lengths[:live].astype(np.float64) if of is None
-                  else positive_block_sums(q, of.lengths)[0])
+def coordinate_blocks(p: ConeProjection, lam) -> Blocks:
+    """The positive blocks of ``p``, a projection of the coordinates; each
+    pooled block's sum of ``lam`` is summed directly
+    (:func:`positive_block_sums`).  O(n)."""
+    live = p.num_blocks - int(p.zero_tail)
+    return Blocks(p.x[p.block_starts[:live]], positive_block_sums(p, lam)[0],
+                  p.block_lengths[:live].astype(np.float64))
 
 
 def blocks_gradient(blocks: Blocks, tau: float) -> float:
@@ -292,19 +302,34 @@ def block_curvature(p: ConeProjection, lam) -> float:
     off its blocks (:func:`blocks_curvature`); O(n).  Equals
     ``lam @ H lam`` up to roundoff, and is exactly ``0.0`` when ``p.x``
     is all zero."""
-    return blocks_curvature(positive_blocks(p, np.asarray(lam, dtype=np.float64)))
+    return blocks_curvature(coordinate_blocks(p, np.asarray(lam, dtype=np.float64)))
 
 
 def block_step(at_hi: Blocks, y_hi: float, y: float) -> Blocks:
     """The positive blocks of ``Pi_C(y lam + w)`` for ``y < y_hi``, from
     those of the projection at ``y_hi``: one entry per block, its value
     plus ``(y - y_hi)`` times its mean of ``lam``, projected with its
-    length as weight.  O(number of blocks at ``y_hi``); the module
-    docstring says why it is exact."""
+    length as weight.  A pooled block's sums add those of its entries;
+    when nothing pooled, the arrays at ``y_hi`` are kept.  O(number of
+    blocks at ``y_hi``); the module docstring says why it is exact."""
     d = at_hi.sums / at_hi.lengths
     d *= y - y_hi
     d += at_hi.values
-    return positive_blocks(project_cone(d, weights=at_hi.lengths), at_hi.sums, at_hi)
+    q = project_cone(d, weights=at_hi.lengths)
+    live = q.num_blocks - int(q.zero_tail)
+    if q.num_blocks == q.n:
+        return Blocks(q.x[:live], at_hi.sums[:live], at_hi.lengths[:live])
+    return Blocks(q.x[q.block_starts[:live]], positive_block_sums(q, at_hi.sums)[0],
+                  positive_block_sums(q, at_hi.lengths)[0])
+
+
+def project_coordinates(buf: np.ndarray, y: float, lam, w, top: int) -> ConeProjection:
+    """``Pi_C(y lam + w)`` at full length, projecting only the first
+    ``top`` coordinates, as :func:`dual_gradient` does, with
+    ``y lam + w`` formed in ``buf``."""
+    d = np.multiply(y, lam[:top], out=buf[:top])
+    d += w[:top]
+    return project_cone(d, lam.size)
 
 
 def write_cone(x: np.ndarray, blocks: Blocks, y: float, w, lam) -> ConeProjection:
@@ -383,16 +408,17 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
 
     Convergence is checked before stepping.  Each iteration performs
     exactly one projection, at the point it steps to: of the positive
-    blocks of the projection at ``hi`` once the solve holds one (module
-    docstring), else of all n coordinates, or of those ahead of the zero
-    entry of an in-cone start below it.  ``StepRecord.projected`` says
-    how many entries that was.  The start costs one more, except at
-    ``y0 = 0`` with ``w`` strictly decreasing and ``w[-1] >= 0``, where
-    ``phi'`` and ``M`` are read off ``w`` directly; there a start that
-    is already converged still costs one projection, for the report's
-    ``cone``.  A final point reached by a block step has its ``x``
-    written into the n-sized buffer of the solve's first projection, so
-    no n-sized array is taken after that one.
+    blocks of the projection at ``hi`` once the solve holds one with a
+    pooled block (module docstring), else of all n coordinates, or of
+    those ahead of the zero block at ``hi`` (a reread takes these too).
+    ``StepRecord.projected`` says how many entries that was.  The start
+    costs one more, except at ``y0 = 0`` with ``w`` strictly decreasing
+    and ``w[-1] >= 0``, where ``phi'`` and ``M`` are read off ``w``
+    directly; there a start that is already converged still costs one
+    projection, for the report's ``cone``.  The solve holds one n-sized
+    buffer of its own: each coordinate projection forms ``y lam + w`` in
+    it, and a final point reached by a block step has its ``x`` written
+    there.
     """
     if params is None:
         params = SsnParams()
@@ -408,38 +434,44 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
     lam = weights.values
+    # Each coordinate projection forms y lam + w here, and the answer is
+    # written here when a block step reached it: the solve takes no other
+    # n-sized array of its own.
+    buf = np.empty(w.size)
 
     y = float(params.y0)
     top = w.size            # a coordinate step projects w[:top]; the rest stays 0
+    cone = blocks = m = None
     if y == 0.0 and w[-1] >= 0.0 and strictly_decreasing(w):
         # Pi_C(w) = w with singleton blocks; the zero block, if any, is
-        # the last singleton and adds no curvature.  Its blocks are not
-        # built: the first step below 0 projects the coordinates ahead of
-        # that zero, as a step without a projection at hi does.
-        first = blocks = None
+        # the last singleton and adds no curvature.  Nothing pooled, so
+        # the first step below 0 projects the coordinates ahead of that
+        # zero, as a step below any such hi does.
         grad = float(np.dot(w, lam)) - tau
         w_top = w.size - int(w[-1] == 0.0)
         with np.errstate(over="ignore"):        # M = inf: see the no-op test
             m = float(np.dot(lam[:w_top], lam[:w_top]))
     else:
-        grad, first = dual_gradient(y, w, weights, tau)
-        blocks, m = positive_blocks(first, lam), None
-    cone = first            # the projection at y, when it took the coordinates
+        cone = project_coordinates(buf, y, lam, w, w.size)
+        grad = float(np.dot(cone.x, lam)) - tau
     eta = residual(grad, tau)
     lo, hi = -np.inf, np.inf
-    at_hi = None            # the positive blocks of the projection at hi
+    at_hi = None            # the positive blocks of the projection at hi, if any pooled
+    on_blocks = False       # phi' at y was read off a block step's blocks
     trace: list[StepRecord] = []
     stop = None
 
-    while eta > params.eps and len(trace) < _MAX_ITER:
+    while len(trace) < _MAX_ITER:
+        # Below eps_mach the residual test asks for a reading within an
+        # ulp of tau; off blocks such a reading is roundoff's call, as the
+        # no-op is, and decides nothing.
+        fine = on_blocks and params.eps < _EPS_MACH and eta <= _EPS_MACH
+        if eta <= params.eps and not fine:
+            break
         if m is None:
-            m = blocks_curvature(blocks)
-        if grad < 0.0:
-            lo = y
-        else:
-            hi, at_hi = y, blocks
             if blocks is None:
-                top = w_top
+                blocks = coordinate_blocks(cone, lam)
+            m = blocks_curvature(blocks)
         # M = 0 iff the projection is zero (lam[0] > 0 forces a live block
         # otherwise).  phi' is -tau up to the flat piece's closed end, so a
         # gradient step from there leaves the piece at once.
@@ -448,41 +480,57 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
             # The model start: from 0 with plateau weights the first step
             # goes on to the model root when that lies lower.
             if not trace and y == 0.0 and grad > 0.0 and weights.plateau is not None:
-                y_next = min(y_next, plateau_model_root(w, w if first is None else first.x,
+                y_next = min(y_next, plateau_model_root(w, w if cone is None else cone.x,
                                                         weights, tau))
         else:
             y_next, kind = max(y, -sorted_dual_norm(w, lam)) - grad, GRADIENT
         # Finite termination.  A gradient step is never a no-op: it would
         # accept the zero projection of the flat piece.  Nor is a step
         # whose M overflowed to inf: -phi'/M is then 0 whatever phi' is.
-        if 0.0 < m < np.inf and abs(y_next - y) <= NOOP_RTOL * abs(y):
+        noop = 0.0 < m < np.inf and abs(y_next - y) <= NOOP_RTOL * abs(y)
+        out = not (y < y_next < hi if grad < 0.0 else lo < y_next < y)
+        if on_blocks and (noop or out or fine):
+            # Read off blocks, phi' differs from its reading off the
+            # coordinates by roundoff, so the solve does not stop on it:
+            # the step stays at y and projects the coordinates there.
+            trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=REREAD, projected=top))
+            cone, blocks = project_coordinates(buf, y, lam, w, top), None
+            grad = float(np.dot(cone.x, lam)) - tau
+            eta, m, on_blocks = residual(grad, tau), None, False
+            continue
+        if noop:
             stop = NOOP
             break
-        if not lo < y_next < hi:
+        if out:
             stop = BRACKET  # only roundoff sends a step out (module docstring)
             break
-        projected = top if at_hi is None else at_hi.values.size
+        if grad < 0.0:
+            lo = y
+        elif blocks is None:
+            hi, top, at_hi = y, w_top, None
+        else:
+            hi, top = y, int(blocks.lengths.sum())
+            # Unpooled blocks are the coordinates ahead of the zero block,
+            # and projecting those is the same step at less cost.
+            at_hi = blocks if blocks.values.size < top else None
+        on_blocks = at_hi is not None
+        projected = at_hi.values.size if on_blocks else top
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind, projected=projected))
         y = y_next
-        if at_hi is None:
-            cone = project_cone(y * lam[:top] + w[:top], w.size)
-            blocks = positive_blocks(cone, lam)
-            if first is None:
-                first = cone
-        else:
+        if on_blocks:
             cone, blocks = None, block_step(at_hi, hi, y)
-        grad = blocks_gradient(blocks, tau)
+            grad = blocks_gradient(blocks, tau)
+        else:
+            cone, blocks = project_coordinates(buf, y, lam, w, top), None
+            grad = float(np.dot(cone.x, lam)) - tau
         eta = residual(grad, tau)
         m = None
 
-    if cone is None and not trace:
-        cone = project_cone(y * lam + w)
-    elif cone is None:
-        # y was reached by a block step.  Its x goes into the buffer of
-        # the first projection, which nothing reads any more, so no
-        # n-sized array is taken after that projection.
-        first.x.flags.writeable = True
-        cone = write_cone(first.x, blocks, y, w, lam)
+    if cone is None:
+        # An in-cone start that needed no step costs one projection, for
+        # the report; a point a block step reached is written off its blocks.
+        cone = (project_coordinates(buf, y, lam, w, w.size) if blocks is None
+                else write_cone(buf, blocks, y, w, lam))
     if stop is None:
         stop = RESIDUAL if eta <= params.eps else CAP
     return SsnReport(y_star=y, cone=cone, residual_eta=eta, stop=stop, step_trace=trace)
