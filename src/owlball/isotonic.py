@@ -25,8 +25,8 @@ project is one.
 
 A caller that knows the projection vanishes from some index ``k`` on
 passes only the first ``k`` entries and the full length (see
-:func:`project_cone`); the bracketing solver knows such a ``k`` once it
-has a point above the root.  Entries may carry weights: the Newton
+:func:`project_cone`); both dual solvers know such a ``k`` once they
+have a point above the root.  Entries may carry weights: the Newton
 solver projects the blocks of an earlier projection, one weighted entry
 each.
 """
