@@ -15,8 +15,16 @@ this stack algorithm) and keep two guarantees on top of it:
 * the blocks are canonical: values strictly decrease from one block to
   the next, with at most one trailing zero block, so the active set read
   off them is the maximal one.  They are the runs of equal entries of
-  ``x``, so a projection keeps only ``x`` and reads them off it on use,
-  unless the PAVA pass has handed them over already.
+  ``x``.
+
+A :class:`ConeProjection` is the one record of a projection's blocks
+that the Newton solver and the Jacobian share.  Its producer hands it
+the block starts where it holds them: the PAVA pass, or the Newton
+solve writing ``x`` off its own blocks, which also hands over each
+positive block's sum of the weights ``lam``.  Where no PAVA pass ran,
+or a tie repair (see :func:`repair_ties`) tied a block with its
+neighbour, the starts are read off ``x`` on first use, and a reader
+sums ``lam`` itself (:func:`positive_block_sums`).
 
 A nonincreasing vector skips the PAVA pass: its projection is
 ``max(d, 0)``.  The dual solvers start from such a vector (the sorted
@@ -42,11 +50,12 @@ from scipy.optimize import isotonic_regression
 from .core import all_finite, pairs_hold, span_members
 
 __all__ = ["ConeProjection", "project_cone", "strictly_decreasing", "reduce_spans",
-           "positive_block_sums", "tied_spans"]
+           "positive_block_sums", "repair_ties"]
 
 class ConeProjection:
-    """Result of :func:`project_cone`: ``x``, and its blocks, which are
-    its runs of equal entries, read off it on first use.
+    """A cone projection ``x`` and its blocks, which are its runs of
+    equal entries: the result of :func:`project_cone`, or of the Newton
+    solve's write of ``x`` off its blocks (:func:`owlball.ssn.write_cone`).
 
     Attributes
     ----------
@@ -56,9 +65,14 @@ class ConeProjection:
         First index of each constant block: each index where ``x``
         changes, after 0.  Blocks are half-open ``[block_starts[k],
         block_starts[k+1])`` runs partitioning ``range(n)``; values
-        strictly decrease across blocks.  Read off ``x`` on first use and
-        kept; :func:`project_cone` sets it from its PAVA pass instead
-        where that already holds them.
+        strictly decrease across blocks.  Given by the producer where it
+        holds them (a PAVA pass, the Newton solve's blocks); else read
+        off ``x`` on first use and kept.
+    lam_sums : ndarray or None
+        Per block with a positive value (all but a zero tail), its sum
+        of the weights ``lam``, where the Newton solve wrote ``x`` off
+        its blocks; None otherwise, and a reader then sums ``lam``
+        itself (:func:`positive_block_sums`).
     block_lengths : ndarray of int
         Length of each block, computed on first use and kept.
     zero_tail : bool
@@ -68,9 +82,13 @@ class ConeProjection:
         First index of the zero block, ``n`` when there is none.
     """
 
-    def __init__(self, x):
+    def __init__(self, x, block_starts=None, lam_sums=None):
         self.x = x
         x.flags.writeable = False
+        if block_starts is not None:
+            block_starts.flags.writeable = False
+            self.block_starts = block_starts
+        self.lam_sums = lam_sums
 
     @property
     def n(self) -> int:
@@ -82,7 +100,7 @@ class ConeProjection:
 
     @cached_property
     def zero_start(self) -> int:
-        return bisect_left(self.x, True, key=lambda v: v <= 0.0)
+        return _first_nonpositive(self.x)
 
     @property
     def zero_tail(self) -> bool:
@@ -155,7 +173,7 @@ def project_cone(d, n: int | None = None, weights=None) -> ConeProjection:
     if _nonincreasing(d):
         # The projection is max(d, 0): d up to its first entry <= 0, +0.0
         # from there on, as on the PAVA route.
-        j = bisect_left(d, True, key=lambda v: v <= 0.0)
+        j = _first_nonpositive(d)
         x = np.empty(n)
         x[:j] = d[:j]
         x[j:] = 0.0
@@ -173,48 +191,60 @@ def project_cone(d, n: int | None = None, weights=None) -> ConeProjection:
     head += 0.0
     x[k:] = 0.0
 
-    # Repair pooled runs of identical entries to the exact common value.
-    # Singletons are exact already, and a pooled block whose end points
-    # differ is no such run, so only the remaining candidates are checked.
-    # Neighbours that then tie are one run of x, and so one block.
-    bounds = np.asarray(res.blocks, dtype=np.intp)
-    pooled = np.flatnonzero(np.diff(bounds) > 1)
-    first, stop = bounds[pooled], bounds[pooled + 1]
-    tied = tied_spans(d.__getitem__, first, stop)
-    if tied.size:
-        first, stop = first[tied], stop[tied]
-        repaired = np.maximum(d[first], 0.0)
-        repaired += 0.0
-        x[span_members(first, stop - first)] = np.repeat(repaired, stop - first)
+    starts = np.asarray(res.blocks[:-1], dtype=np.intp)
+    if repair_ties(x, d.__getitem__, starts, np.diff(res.blocks)):
         return ConeProjection(x)
-    # Unrepaired, scipy's blocks are the runs of x, since their means
-    # strictly decrease, except that the clamp pools those from the zero
+    # Unless a repair tied two of them, scipy's blocks are the runs of x,
+    # since their means strictly decrease, except that the clamp pools those from the zero
     # start on into one zero block.  So no pass over x is needed for them.
-    p = ConeProjection(x)
-    starts = bounds[:-1]
-    zero = p.zero_start
+    zero = _first_nonpositive(x)
     if zero < n:
         starts = np.append(starts[:np.searchsorted(starts, zero)], zero)
-    starts.flags.writeable = False
-    p.__dict__["block_starts"] = starts
-    return p
+    return ConeProjection(x, starts)
 
 
-def tied_spans(d_at, first, stop) -> np.ndarray:
-    """Indices of the spans ``[first[j], stop[j])`` of a vector ``d``
-    over which ``d`` is one bitwise value; ``d_at(i)`` gives the entries
-    of ``d`` at the indices ``i``.
+def repair_ties(x, d_at, starts, lengths) -> bool:
+    """Give each pooled block of ``x`` over which the projected vector
+    ``d`` is one bitwise value that value, so a pooled run of identical
+    entries reads back bit for bit (no ``sum/k`` roundoff).
 
-    Only the spans whose two ends tie are read in full, so a caller can
-    hand in a ``d`` that it computes only where it is read.
+    ``x`` holds one value on each block ``[starts[j], starts[j] +
+    lengths[j])`` and ``d_at(i)`` gives ``d``'s entries at the indices
+    ``i``, so a caller can hand in a ``d`` that it computes only where it
+    is read; only the blocks whose two ends tie are read in full.  The
+    value is clipped between the neighbouring blocks' values (0 after
+    the last), so ``x`` stays exactly nonincreasing, and a zero is +0.0.
+    Returns whether a repaired block now ties with a neighbour: the
+    blocks are then no longer the runs of ``x``.
     """
-    cand = np.flatnonzero(d_at(first) == d_at(stop - 1))
-    if cand.size:
-        sizes = stop[cand] - first[cand]
-        d = d_at(span_members(first[cand], sizes))
-        offsets = np.cumsum(sizes) - sizes
-        cand = cand[np.minimum.reduceat(d, offsets) == np.maximum.reduceat(d, offsets)]
-    return cand
+    pooled = np.flatnonzero(lengths > 1)
+    first, size = starts[pooled], lengths[pooled]
+    tied = np.flatnonzero(d_at(first) == d_at(first + size - 1))
+    if tied.size:
+        d = d_at(span_members(first[tied], size[tied]))
+        offsets = np.cumsum(size[tied]) - size[tied]
+        tied = tied[np.minimum.reduceat(d, offsets) == np.maximum.reduceat(d, offsets)]
+    if not tied.size:
+        return False
+    first, size = first[tied], size[tied]
+    stop = first + size
+    entry = np.maximum(d_at(first), 0.0) + 0.0
+    upper = np.where(first > 0, x[first - 1], np.inf)
+    lower = np.where(stop < x.size, x[np.minimum(stop, x.size - 1)], 0.0)
+    # A repaired neighbour bounds by its entry: PAVA may split a run of
+    # one value into blocks whose means differ by roundoff.
+    joined = stop[:-1] == first[1:]
+    upper[1:][joined] = entry[:-1][joined]
+    lower[:-1][joined] = entry[1:][joined]
+    repaired = np.clip(entry, lower, upper)
+    x[span_members(first, size)] = np.repeat(repaired, size)
+    return bool(np.any((repaired == lower) | (repaired == upper)))
+
+
+def _first_nonpositive(v: np.ndarray) -> int:
+    """Index of the first entry ``<= 0`` of a nonincreasing ``v``
+    (``v.size`` if none), by bisection."""
+    return bisect_left(v, True, key=lambda e: e <= 0.0)
 
 
 def _nonincreasing(d: np.ndarray) -> bool:
@@ -230,8 +260,8 @@ def strictly_decreasing(d: np.ndarray) -> bool:
 def reduce_spans(ufunc, v, starts, stops) -> np.ndarray:
     """``ufunc.reduce(v[s:t])`` for each span ``[s, t)`` of ``starts, stops``.
 
-    The spans must be nonempty, ascending and disjoint, and there must be
-    at least one.  One ``reduceat`` over the interleaved bounds does the
+    The spans must be nonempty, ascending and disjoint; with none, the
+    result is empty.  One ``reduceat`` over the interleaved bounds does the
     work: its even slots are the spans, its odd slots the gaps between
     them, which are discarded.  Unlike a ``reduceat`` over every block,
     the gaps cost no per-slot overhead however many singletons they hold.
@@ -239,7 +269,7 @@ def reduce_spans(ufunc, v, starts, stops) -> np.ndarray:
     and the last slot runs to the end of ``v`` anyway.
     """
     bounds = np.column_stack((starts, stops)).ravel()
-    if bounds[-1] == v.size:
+    if bounds.size and bounds[-1] == v.size:
         bounds = bounds[:-1]
     return ufunc.reduceat(v, bounds)[::2]
 
@@ -256,7 +286,6 @@ def positive_block_sums(p: ConeProjection, v) -> tuple[np.ndarray, np.ndarray]:
     starts, lengths = p.block_starts[:live], p.block_lengths[:live]
     sums = v[starts]
     pooled = np.flatnonzero(lengths > 1)
-    if pooled.size:
-        first = starts[pooled]
-        sums[pooled] = reduce_spans(np.add, v, first, first + lengths[pooled])
+    first = starts[pooled]
+    sums[pooled] = reduce_spans(np.add, v, first, first + lengths[pooled])
     return sums, pooled

@@ -13,8 +13,13 @@ So ``H = D + U U.T`` with ``D`` a 0/1 diagonal (the positive singletons)
 and one column of ``U`` per positive pooled block of length ``L``,
 holding ``1/sqrt(L)`` on it.  ``H`` is never formed: the
 :class:`~owlball.isotonic.ConeProjection` is its own representation.
-The Newton curvature (:func:`owlball.ssn.block_curvature`) and
-:func:`ball_jacobian` read ``lam.T H lam`` and ``H lam`` off its blocks.
+On a positive block, ``H lam`` is the block's sum of ``lam`` over its
+length, and ``H`` is an orthogonal projector, so ``||H lam||**2`` is the
+Newton curvature ``lam.T H lam`` (:func:`owlball.ssn.blocks_curvature`).
+:func:`ball_jacobian` takes each pooled block's sum of ``lam`` from the
+solve's final projection, which carries them where a block step reached
+it, and sums ``lam`` over the pooled blocks itself only where it
+carries none; a singleton's sum is its own weight.
 
 The ball projector's Jacobian is ``S = P.T (H - u u.T) P``, with ``P``
 the signed sort of the input and ``u = H lam / ||H lam||``.  Through
@@ -56,6 +61,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy
+
+from .isotonic import reduce_spans
+from .ssn import blocks_curvature
 
 __all__ = [
     "BallJacobian",
@@ -118,8 +126,9 @@ def ball_jacobian(inst, report) -> BallJacobian:
         A non-trivial instance (norm of ``b`` exceeds the radius).
     report : SsnReport
         The report of :func:`owlball.project_ball` on this same
-        ``inst``; its sort and final cone projection are reused, so
-        building costs O(n) with no sort.
+        ``inst``; its sort and final cone projection, with that
+        projection's blocks and sums of ``lam``, are reused, so building
+        costs O(n) with no sort.
 
     Raises
     ------
@@ -146,27 +155,28 @@ def ball_jacobian(inst, report) -> BallJacobian:
         raise ValueError("report is of another instance: its sort holds "
                          "another b than inst.b")
 
-    # Sorted-order labels: 2j for pooled block j, 2m for the zero block,
-    # and first_single for every singleton until they are renumbered
-    # below.  Each pooled block's sum of lam is a direct sum, in one
-    # sequential pass that stops at the end of the last pooled block:
-    # the singletons and the zero block after it add no pooled sum.
+    # Sorted-order labels, in segments: 2j on pooled block j,
+    # first_single on the singletons between pooled blocks until they are
+    # renumbered below, and 2m on the zero block, so one np.repeat over
+    # the segments, not over every block, writes them.
     lam = inst.weights.values
     lengths = cone.block_lengths
     live = lengths.size - int(cone.zero_tail)
     pooled = np.flatnonzero(lengths[:live] > 1)
-    m = pooled.size
-    singles = live - m
-    zero = 2 * m
+    zero, singles = 2 * pooled.size, live - pooled.size
     first_single = zero + 2
-    block_label = np.full(lengths.size, first_single, dtype=np.intp)
-    block_label[pooled] = np.arange(0, zero, 2)
-    block_label[live:] = zero
-    sorted_label = np.repeat(block_label, lengths)
-    stop = int(cone.block_starts[pooled[-1]] + lengths[pooled[-1]]) if m else 0
-    pooled_sums = np.bincount(sorted_label[:stop], weights=lam[:stop],
-                              minlength=zero)[:zero:2]
+    first = cone.block_starts[pooled]
+    stop = first + lengths[pooled]
+    bounds = np.concatenate(([0], np.column_stack((first, stop)).ravel(), [cone.zero_start, n]))
+    segment_label = np.full(bounds.size - 1, first_single, dtype=np.intp)
+    segment_label[1:-1:2] = np.arange(0, zero, 2)
+    segment_label[-1] = zero
+    sorted_label = np.repeat(segment_label, np.diff(bounds))
     pooled_inv = 1.0 / lengths[pooled]
+    # Each pooled block's sum of lam: the cone's own, where the solve
+    # wrote it off its blocks, else a direct sum.
+    pooled_sums = (reduce_spans(np.add, lam, first, stop) if cone.lam_sums is None
+                   else cone.lam_sums[pooled])
 
     # Scatter the labels through the sort.  Adding 1 where b has its
     # sign bit set then moves each coordinate to the bin of its sign, in
@@ -179,7 +189,6 @@ def ball_jacobian(inst, report) -> BallJacobian:
     label += np.signbit(sort.b)
     at_single = np.flatnonzero(label >= first_single)
     hb = np.empty(first_single + singles)
-    single_hb = hb[first_single:]
     label[at_single] = np.arange(first_single, hb.size)
     if 4 * singles <= n:
         # Few singletons: write each weight, with its sign, straight
@@ -192,17 +201,18 @@ def ball_jacobian(inst, report) -> BallJacobian:
         # signs of b, and read them in original order.  (``clip`` as in
         # :func:`apply_ball_jacobian`: every index is in range.)
         moved = sort.apply_inverse(lam)
-        np.take(moved, at_single, out=single_hb, mode="clip")
+        np.take(moved, at_single, out=hb[first_single:], mode="clip")
         del moved
     del at_single
 
-    # ||H lam||^2: (sum of lam)^2 / L per pooled block, lam^2 per singleton.
-    means = pooled_sums * pooled_inv
-    norm = math.sqrt(float(np.dot(pooled_sums, means))
-                     + float(np.dot(single_hb, single_hb)))
+    # ||H lam||^2 is the curvature M, over the pooled blocks and the
+    # singletons, whose sums of lam (up to sign) hb holds already.
+    norm = math.sqrt(blocks_curvature(pooled_sums, lengths[pooled])
+                     + blocks_curvature(hb[first_single:]))
     if norm == 0.0:
         raise ValueError("H lam = 0: the report's cone projection is zero, "
                          "so it is no solution on the ball's boundary")
+    means = pooled_sums * pooled_inv
     hb[:zero:2] = means
     np.negative(means, out=hb[1:zero:2])
     hb[zero:first_single] = 0.0

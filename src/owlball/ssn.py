@@ -57,7 +57,10 @@ all n coordinates.  ``phi'`` is read off the projection a point took:
 ``M`` is read off the positive blocks either way, and a point projected
 on coordinates builds them only when it steps on.  The answer ``x`` is
 written once, at the final point: by its projection, or off the blocks
-where a block step reached it.  The two readings of ``phi'`` differ by
+where a block step reached it, whose starts and sums of ``lam`` the
+report's projection then carries for the Jacobian (:func:`write_cone`).
+Each block carries its first coordinate through the steps, so the write
+needs no pass over the lengths to place it.  The two readings of ``phi'`` differ by
 roundoff, so a stop that roundoff decides is not taken off blocks: where
 a block step's reading makes the next step a no-op or sends it out of
 the bracket (or, for ``eps`` below ``eps_mach``, reads within
@@ -97,9 +100,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SignedSort, Weights, all_finite, span_members, sorted_dual_norm
-from .isotonic import (ConeProjection, positive_block_sums, project_cone, strictly_decreasing,
-                       tied_spans)
+from .core import SignedSort, Weights, all_finite, sorted_dual_norm
+from .isotonic import (ConeProjection, positive_block_sums, project_cone, repair_ties,
+                       strictly_decreasing)
 
 __all__ = [
     "SsnParams",
@@ -107,7 +110,6 @@ __all__ = [
     "SsnReport",
     "dual_gradient",
     "residual",
-    "block_curvature",
     "solve",
 ]
 
@@ -198,8 +200,9 @@ class SsnReport:
     :func:`solve` leaves it None.  It holds only ``perm`` and the
     instance's ``b``, by reference (``b`` is read-only, and must not
     change while the sort is in use), and reads the signs off ``b``.
-    Together with ``cone`` it is all that :func:`owlball.ball_jacobian`
-    needs.
+    Together with ``cone``, which carries its blocks (and their sums of
+    ``lam`` where a block step reached ``y_star``), it is all that
+    :func:`owlball.ball_jacobian` needs.
     """
 
     y_star: float
@@ -240,8 +243,7 @@ def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = N
     w = np.asarray(w, dtype=np.float64)
     lam = weights.values
     top = lam.size if top is None else top
-    p = project_cone(y * lam[:top] + w[:top], lam.size)
-    return float(np.dot(p.x, lam)) - tau, p
+    return project_coordinates(np.empty(top), y, lam, w, top, tau)
 
 
 def residual(grad: float, tau: float) -> float:
@@ -253,23 +255,28 @@ def residual(grad: float, tau: float) -> float:
 
 class Blocks(NamedTuple):
     """The blocks with a positive value of a projection ``Pi_C(y lam + w)``,
-    in order: each one's value, its sum of ``lam`` and its length (a
-    float).  ``M`` is read off them at every point the solve steps from
+    in order: each one's first coordinate, its value, its sum of ``lam``
+    and its length (a float, the weight of its entry in a block step).
+    ``M`` is read off them at every point the solve steps from
     (:func:`blocks_curvature`), ``phi'`` at every point a block step lands
-    on (:func:`blocks_gradient`), and a block step below the point
-    projects them (module docstring)."""
+    on (:func:`blocks_gradient`), a block step below the point projects
+    them (module docstring), and where a block step reached the final
+    point, its ``x`` is written off them (:func:`write_cone`)."""
 
+    starts: np.ndarray
     values: np.ndarray
     sums: np.ndarray
     lengths: np.ndarray
 
 
 def coordinate_blocks(p: ConeProjection, lam) -> Blocks:
-    """The positive blocks of ``p``, a projection of the coordinates; each
+    """The positive blocks of ``p``, a projection of the coordinates, with
+    ``p``'s own block starts (its PAVA pass's, or read off ``x``); each
     pooled block's sum of ``lam`` is summed directly
     (:func:`positive_block_sums`).  O(n)."""
     live = p.num_blocks - int(p.zero_tail)
-    return Blocks(p.x[p.block_starts[:live]], positive_block_sums(p, lam)[0],
+    starts = p.block_starts[:live]
+    return Blocks(starts, p.x[starts], positive_block_sums(p, lam)[0],
                   p.block_lengths[:live].astype(np.float64))
 
 
@@ -279,8 +286,9 @@ def blocks_gradient(blocks: Blocks, tau: float) -> float:
     return float(np.dot(blocks.values, blocks.sums)) - tau
 
 
-def blocks_curvature(blocks: Blocks) -> float:
-    """Curvature ``M = lam.T H lam``, read off the positive blocks.
+def blocks_curvature(sums, lengths=None) -> float:
+    """Curvature ``M = lam.T H lam``, read off the positive blocks' sums
+    of ``lam`` and their lengths (singletons all, if no lengths are given).
 
     ``H``, the cone projector's Jacobian on the piece of the point,
     averages each block with a positive value and zeroes the zero block,
@@ -289,20 +297,17 @@ def blocks_curvature(blocks: Blocks) -> float:
         M = sum over blocks with value > 0 of (sum of lam over block)**2 / length.
 
     Each block enters the dot as ``sum / sqrt(length)``, which is a
-    singleton's own sum; O(number of blocks).
+    singleton's own sum, so only the pooled sums are divided; O(number
+    of blocks).  ``H`` is an orthogonal projector, so ``M`` is also
+    ``||H lam||**2``, which :func:`owlball.ball_jacobian` takes from here.
     """
-    terms = np.sqrt(blocks.lengths)
-    np.divide(blocks.sums, terms, out=terms)
+    terms = sums
+    if lengths is not None:
+        terms = sums.copy()
+        pooled = np.flatnonzero(lengths > 1)
+        terms[pooled] /= np.sqrt(lengths[pooled])
     with np.errstate(over="ignore"):    # inf past about 1e154; solve checks
         return float(np.dot(terms, terms))
-
-
-def block_curvature(p: ConeProjection, lam) -> float:
-    """Curvature ``M = lam.T H lam`` at the cone projection ``p``, read
-    off its blocks (:func:`blocks_curvature`); O(n).  Equals
-    ``lam @ H lam`` up to roundoff, and is exactly ``0.0`` when ``p.x``
-    is all zero."""
-    return blocks_curvature(coordinate_blocks(p, np.asarray(lam, dtype=np.float64)))
 
 
 def block_step(at_hi: Blocks, y_hi: float, y: float) -> Blocks:
@@ -311,53 +316,50 @@ def block_step(at_hi: Blocks, y_hi: float, y: float) -> Blocks:
     plus ``(y - y_hi)`` times its mean of ``lam``, projected with its
     length as weight.  A pooled block's sums add those of its entries;
     when nothing pooled, the arrays at ``y_hi`` are kept.  O(number of
-    blocks at ``y_hi``); the module docstring says why it is exact."""
+    blocks at ``y_hi``); the module docstring says why it is exact.  The
+    new blocks' first coordinates are those of the first blocks at
+    ``y_hi`` that they pool, read through ``q.block_starts``."""
     d = at_hi.sums / at_hi.lengths
     d *= y - y_hi
     d += at_hi.values
     q = project_cone(d, weights=at_hi.lengths)
     live = q.num_blocks - int(q.zero_tail)
     if q.num_blocks == q.n:
-        return Blocks(q.x[:live], at_hi.sums[:live], at_hi.lengths[:live])
-    return Blocks(q.x[q.block_starts[:live]], positive_block_sums(q, at_hi.sums)[0],
+        return Blocks(at_hi.starts[:live], q.x[:live], at_hi.sums[:live], at_hi.lengths[:live])
+    starts = q.block_starts[:live]
+    return Blocks(at_hi.starts[starts], q.x[starts], positive_block_sums(q, at_hi.sums)[0],
                   positive_block_sums(q, at_hi.lengths)[0])
 
 
-def project_coordinates(buf: np.ndarray, y: float, lam, w, top: int) -> ConeProjection:
-    """``Pi_C(y lam + w)`` at full length, projecting only the first
-    ``top`` coordinates, as :func:`dual_gradient` does, with
-    ``y lam + w`` formed in ``buf``."""
+def project_coordinates(buf: np.ndarray, y: float, lam, w, top: int, tau: float):
+    """:func:`dual_gradient`'s ``phi'(y)`` and ``Pi_C(y lam + w)``, with
+    ``y lam + w`` formed in ``buf``: the projection at full length,
+    projecting only the first ``top`` coordinates, and ``phi'`` its dot
+    with all of ``lam``."""
     d = np.multiply(y, lam[:top], out=buf[:top])
     d += w[:top]
-    return project_cone(d, lam.size)
+    p = project_cone(d, lam.size)
+    return float(np.dot(p.x, lam)) - tau, p
 
 
 def write_cone(x: np.ndarray, blocks: Blocks, y: float, w, lam) -> ConeProjection:
     """``Pi_C(y lam + w)`` from its positive blocks, written into ``x``:
     each block's value on its coordinates, +0.0 after them.
 
-    As :func:`project_cone` does, a pooled block over which ``y lam + w``
-    is one bitwise value gets that value (kept between its neighbours'
-    values, so ``x`` stays nonincreasing); neighbours that then tie are
-    one run of ``x``, and so one block.
+    The projection takes the blocks' starts and their sums of ``lam``,
+    so no reader sums ``lam`` again.  As in :func:`project_cone`, a
+    pooled block over which ``y lam + w`` is one bitwise value gets that
+    value (:func:`repair_ties`); where that ties it with a neighbour, the
+    projection takes neither, and its blocks are read off ``x``.
     """
-    values = blocks.values
     lengths = blocks.lengths.astype(np.intp)
-    ends = np.cumsum(lengths)
-    top = int(ends[-1]) if ends.size else 0
-    x[:top] = np.repeat(values, lengths)
+    top = int(blocks.starts[-1] + lengths[-1]) if lengths.size else 0
+    x[:top] = np.repeat(blocks.values, lengths)
     x[top:] = 0.0
-    pooled = np.flatnonzero(lengths > 1)
-    first = ends[pooled] - lengths[pooled]
-    tied = tied_spans(lambda i: y * lam[i] + w[i], first, ends[pooled])
-    if tied.size:
-        j, first = pooled[tied], first[tied]
-        upper = np.append(np.inf, values)[j]
-        lower = np.append(values, 0.0)[j + 1]
-        repaired = np.clip(y * lam[first] + w[first], lower, upper)
-        repaired += 0.0
-        x[span_members(first, lengths[j])] = np.repeat(repaired, lengths[j])
-    return ConeProjection(x)
+    if repair_ties(x, lambda i: y * lam[i] + w[i], blocks.starts, lengths):
+        return ConeProjection(x)
+    starts = blocks.starts if top == x.size else np.append(blocks.starts, top)
+    return ConeProjection(x, starts, blocks.sums)
 
 
 def plateau_model_root(w, v, weights: Weights, tau: float) -> float:
@@ -449,11 +451,9 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         # zero, as a step below any such hi does.
         grad = float(np.dot(w, lam)) - tau
         w_top = w.size - int(w[-1] == 0.0)
-        with np.errstate(over="ignore"):        # M = inf: see the no-op test
-            m = float(np.dot(lam[:w_top], lam[:w_top]))
+        m = blocks_curvature(lam[:w_top])       # M = inf: see the no-op test
     else:
-        cone = project_coordinates(buf, y, lam, w, w.size)
-        grad = float(np.dot(cone.x, lam)) - tau
+        grad, cone = project_coordinates(buf, y, lam, w, w.size, tau)
     eta = residual(grad, tau)
     lo, hi = -np.inf, np.inf
     at_hi = None            # the positive blocks of the projection at hi, if any pooled
@@ -471,7 +471,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         if m is None:
             if blocks is None:
                 blocks = coordinate_blocks(cone, lam)
-            m = blocks_curvature(blocks)
+            m = blocks_curvature(blocks.sums, blocks.lengths)
         # M = 0 iff the projection is zero (lam[0] > 0 forces a live block
         # otherwise).  phi' is -tau up to the flat piece's closed end, so a
         # gradient step from there leaves the piece at once.
@@ -494,9 +494,8 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
             # coordinates by roundoff, so the solve does not stop on it:
             # the step stays at y and projects the coordinates there.
             trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=REREAD, projected=top))
-            cone, blocks = project_coordinates(buf, y, lam, w, top), None
-            grad = float(np.dot(cone.x, lam)) - tau
-            eta, m, on_blocks = residual(grad, tau), None, False
+            grad, cone = project_coordinates(buf, y, lam, w, top, tau)
+            eta, m, on_blocks, blocks = residual(grad, tau), None, False, None
             continue
         if noop:
             stop = NOOP
@@ -516,20 +515,18 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         on_blocks = at_hi is not None
         projected = at_hi.values.size if on_blocks else top
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind, projected=projected))
-        y = y_next
+        y, blocks = y_next, None
         if on_blocks:
             cone, blocks = None, block_step(at_hi, hi, y)
             grad = blocks_gradient(blocks, tau)
         else:
-            cone, blocks = project_coordinates(buf, y, lam, w, top), None
-            grad = float(np.dot(cone.x, lam)) - tau
-        eta = residual(grad, tau)
-        m = None
+            grad, cone = project_coordinates(buf, y, lam, w, top, tau)
+        eta, m = residual(grad, tau), None
 
     if cone is None:
         # An in-cone start that needed no step costs one projection, for
         # the report; a point a block step reached is written off its blocks.
-        cone = (project_coordinates(buf, y, lam, w, w.size) if blocks is None
+        cone = (project_coordinates(buf, y, lam, w, w.size, tau)[1] if blocks is None
                 else write_cone(buf, blocks, y, w, lam))
     if stop is None:
         stop = RESIDUAL if eta <= params.eps else CAP

@@ -13,8 +13,9 @@ also lives here, with the map from a tight set to a cone projection on
 its piece, which is what the implicit Jacobian in
 :mod:`owlball.jacobian` reads its blocks from.  So do the readers that
 only tests call: a projection's tight set (:func:`active_set`), its
-block values (:func:`block_values`) and the cone Jacobian's block-form
-matvec (:func:`apply_cone_jacobian`), which read the production blocks
+block values (:func:`block_values`), the cone Jacobian's block-form
+matvec (:func:`apply_cone_jacobian`) and the Newton curvature at a cone
+projection (:func:`block_curvature`), which read the production blocks
 and are checked against the dense forms here, and the forward signed
 sort ``P v`` (:func:`apply_signed_sort`), whose inverse alone the
 package needs.
@@ -39,6 +40,7 @@ import numpy as np
 
 from owlball.core import Instance, SignedSort, Weights, owl_norm, signed_sort
 from owlball.isotonic import ConeProjection, positive_block_sums, project_cone
+from owlball.ssn import blocks_curvature
 
 __all__ = [
     "KktCertificate",
@@ -49,6 +51,7 @@ __all__ = [
     "block_tuples",
     "active_set",
     "apply_cone_jacobian",
+    "block_curvature",
     "oracle_cone",
     "cone_certificate",
     "oracle_ball",
@@ -199,6 +202,15 @@ def apply_cone_jacobian(p: ConeProjection, v) -> np.ndarray:
     if pooled.size:
         block_hv[pooled] /= lengths[pooled]
     return np.repeat(block_hv, lengths)
+
+
+def block_curvature(p: ConeProjection, lam) -> float:
+    """Curvature ``M = lam.T H lam`` at the cone projection ``p``, read
+    off its blocks by the solver's own :func:`owlball.ssn.blocks_curvature`;
+    O(n).  Equals ``lam @ H lam`` up to roundoff, and is exactly ``0.0``
+    when ``p.x`` is all zero."""
+    live = p.num_blocks - int(p.zero_tail)
+    return blocks_curvature(positive_block_sums(p, lam)[0], p.block_lengths[:live])
 
 
 def _subsets(n: int):

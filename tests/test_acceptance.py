@@ -25,11 +25,12 @@ from owlball import (
 from owlball.bench import ExperimentConfig, cell_rng, generate_instance, run_experiment
 from owlball.core import signed_sort
 from owlball.isotonic import project_cone
-from owlball.ssn import block_curvature, dual_gradient
+from owlball.ssn import dual_gradient
 
 from oracle import (
     active_set,
     apply_cone_jacobian,
+    block_curvature,
     dense_cone_jacobian,
     difference_matrix,
     oracle_ball,

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from owlball import isotonic
-from owlball.isotonic import ConeProjection, positive_block_sums, project_cone, reduce_spans
+from scipy.optimize import isotonic_regression
+
+from owlball import isotonic, ssn
+from owlball.isotonic import (ConeProjection, positive_block_sums, project_cone, reduce_spans,
+                              repair_ties)
 
 from oracle import active_set, block_tuples, block_values, oracle_cone
 
@@ -64,7 +67,10 @@ def test_identity_with_alternating_pooled_and_singleton_runs(tail):
 def test_pava_route_repairs_pooled_runs_in_x_and_values():
     # The runs above, then a violation that sends the vector through
     # PAVA: each repaired run reads back its entry bit for bit in x as
-    # well as in block_values, and x is its blocks repeated.
+    # well as in block_values, and x is its blocks repeated.  The Newton
+    # solve's write of x off a block step's blocks shares the repair: fed
+    # PAVA's block means, whose pooled runs are off their entries, it
+    # gives the same x, exactly nonincreasing.
     runs = np.array([2.2] * 6 + [1.5] + [1.1] * 6 + [0.9] + [0.7] * 3
                     + [0.5] + [0.1] * 3)
     assert any(np.mean(runs[s:s + 6]) != runs[s] for s in (0, 7))
@@ -74,6 +80,40 @@ def test_pava_route_repairs_pooled_runs_in_x_and_values():
     assert p.x[runs.size:].tolist() == [0.055, 0.055]
     assert p.x.tobytes() == np.repeat(block_values(p), p.block_lengths).tobytes()
     assert np.array_equal(p.block_lengths, np.diff(p.block_starts, append=d.size))
+
+    res = isotonic_regression(d, increasing=False)
+    starts, lengths = res.blocks[:-1], np.diff(res.blocks).astype(np.float64)
+    assert np.any(res.x[starts] != d[starts])
+    blocks = ssn.Blocks(starts=starts, values=res.x[starts], sums=lengths, lengths=lengths)
+    written = ssn.write_cone(np.empty(d.size), blocks, 0.0, d, np.ones(d.size))
+    for q in (p, written):
+        assert q.x.tobytes() == p.x.tobytes()
+        assert np.all(np.diff(q.x) <= 0.0)
+
+
+def test_tie_repair_clips_between_neighbours_and_reports_ties():
+    # A repaired block keeps x exactly nonincreasing: its entry is
+    # clipped to its neighbours' values, and a neighbour repaired too
+    # bounds it by its own entry.  The repair reports whether a repaired
+    # block now ties with a neighbour.
+    def repaired(x, d, starts, lengths):
+        x = np.array(x)
+        tied = repair_ties(x, np.asarray(d).__getitem__, np.array(starts), np.array(lengths))
+        return x.tolist(), tied
+
+    # Off by an ulp, the entry between its neighbours: no tie.
+    up = float(np.nextafter(1.0, 2.0))
+    assert repaired([2.0, up, up, 0.5], [2.0, 1.0, 1.0, 0.5], [0, 1, 3], [1, 2, 1]) == (
+        [2.0, 1.0, 1.0, 0.5], False)
+    # An entry above the block before is clipped to it, and ties.
+    assert repaired([1.0, 0.9, 0.9], [1.0, 1.2, 1.2], [0, 1], [1, 2]) == ([1.0] * 3, True)
+    # A run split into two blocks: both get the run's entry.
+    c = 0.7
+    x = [np.nextafter(c, 1.0)] * 2 + [np.nextafter(c, 0.0)] * 2
+    assert repaired(x, [c] * 4, [0, 2], [2, 2]) == ([c] * 4, True)
+    # A negative entry is +0.0, and ties with the zero after it.
+    x, tied = repaired([1.0, 1e-17, 1e-17, 0.0], [1.0, -0.0, -0.0, -1.0], [0, 1, 3], [1, 2, 1])
+    assert x == [1.0, 0.0, 0.0, 0.0] and tied and not np.signbit(x).any()
 
 
 def _cone_inputs():

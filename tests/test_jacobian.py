@@ -16,13 +16,14 @@ from owlball import (
     project_ball,
 )
 from owlball.core import SignedSort, signed_sort
-from owlball.isotonic import project_cone
-from owlball.ssn import block_curvature, solve
+from owlball.isotonic import ConeProjection, project_cone
+from owlball.ssn import solve
 
 from oracle import (
     DENSE_CAP,
     active_set,
     apply_cone_jacobian,
+    block_curvature,
     block_tuples,
     block_values,
     dense_cone_jacobian,
@@ -551,6 +552,15 @@ class TestBallJacobianFromReport:
         assert np.array_equal(s.label, label)
         assert np.array_equal(s.inv_sizes, inv_sizes)
         assert np.max(np.abs(s.hb - cone_hb(cone, other, w.values))) <= 4 * EPS
+        # The report's own cone carries its sums of lam, which the
+        # Jacobian reads; the same x with no sums gives the same bins
+        # from direct sums.
+        assert report.cone.lam_sums is not None
+        s = ball_jacobian(inst, report)
+        bare = ball_jacobian(inst, replace(report, cone=ConeProjection(report.x_star.copy())))
+        assert s.label.tobytes() == bare.label.tobytes()
+        assert s.inv_sizes.tobytes() == bare.inv_sizes.tobytes()
+        assert np.max(np.abs(s.hb - bare.hb)) <= 4 * EPS
 
     def test_rejects_the_missing_report_of_a_feasible_input(self):
         inst = Instance([3.0, 2.0, 1.0], Weights([1.0, 1.0, 1.0]), 10.0)

@@ -58,6 +58,17 @@ def test_step_record_fields_are_pinned():
         "y", "grad", "curvature", "kind", "projected"]
 
 
+def test_cone_projection_record_is_pinned():
+    # As SsnReport's fields: the one block record that a projection hands
+    # the solver and the Jacobian, and the isotonic module's names, cannot
+    # grow unnoticed.
+    assert list(inspect.signature(owlball.isotonic.ConeProjection).parameters) == [
+        "x", "block_starts", "lam_sums"]
+    assert owlball.isotonic.__all__ == [
+        "ConeProjection", "project_cone", "strictly_decreasing", "reduce_spans",
+        "positive_block_sums", "repair_ties"]
+
+
 def test_ball_jacobian_holds_one_array_of_length_n():
     # As the knobs above: a second per-coordinate array cannot come back
     # unnoticed.  This instance has 5 coordinates, 1 pooled block and 7
@@ -72,11 +83,13 @@ def test_ball_jacobian_holds_one_array_of_length_n():
 
 
 def test_test_only_readers_stay_out_of_the_package():
-    # Only tests read a projection's tight set, its block values or the
-    # cone Jacobian's matvec; their references live in tests/oracle.py.
+    # Only tests read a projection's tight set, its block values, the
+    # cone Jacobian's matvec or the curvature at a projection; their
+    # references live in tests/oracle.py.
     assert not hasattr(owlball.jacobian, "apply_cone_jacobian")
     assert not hasattr(owlball.isotonic, "active_set")
     assert not hasattr(owlball.isotonic.ConeProjection, "block_values")
+    assert not hasattr(owlball.ssn, "block_curvature")
 
 
 def test_demos_found():

@@ -9,12 +9,13 @@ import owlball.ssn as ssn_mod
 from owlball import Instance, SsnParams, Weights, project_ball, solve_root
 from owlball.bench import cell_rng, generate_instance
 from owlball.core import sorted_dual_norm
-from owlball.isotonic import project_cone
-from owlball.ssn import block_curvature, dual_gradient, solve
+from owlball.isotonic import ConeProjection, positive_block_sums, project_cone
+from owlball.ssn import dual_gradient, solve
 
 from oracle import (
     apply_cone_jacobian,
     ball_certificate,
+    block_curvature,
     block_values,
     dual_value,
     oracle_ball,
@@ -219,6 +220,81 @@ class TestBlockStep:
             assert np.all(np.diff(x) <= 0.0) and not np.signbit(x).any()
             chained += sum(weighted for *_, weighted in calls) >= 2
         assert chained >= 100
+
+
+class TestBlockRecord:
+    """The final cone projection is the one block record: its block
+    starts are those of its own x, and where a block step reached the
+    final point, it carries each positive block's sum of lam."""
+
+    @staticmethod
+    def assert_record(cone, lam):
+        assert np.array_equal(cone.block_starts, ConeProjection(cone.x.copy()).block_starts)
+        if cone.lam_sums is not None:
+            # Sums of sums after block steps, direct sums here: each is
+            # off the exact sum of its L nonnegative terms by (L - 1) eps.
+            exact, _ = positive_block_sums(cone, lam)
+            lengths = cone.block_lengths[:exact.size]
+            assert np.all(np.abs(cone.lam_sums - exact) <= 2 * lengths * EPS * exact)
+
+    def test_solves_end_on_a_record_of_their_blocks(self, monkeypatch):
+        # Sorted |N|, OSCAR and SLOPE weights end on a block step, L1
+        # weights on a coordinate step (no block at hi pools).  A
+        # block-written cone takes its starts and sums from the blocks; a
+        # coordinate projection takes the starts of its PAVA pass, or
+        # reads them off x, and carries no sums.
+        writes = []
+        inner = ssn_mod.write_cone
+
+        def counted(*args):
+            writes.append(inner(*args))
+            return writes[-1]
+
+        monkeypatch.setattr(ssn_mod, "write_cone", counted)
+        rng = np.random.default_rng(73)
+        ends = {"block": 0, "coordinate": 0}
+        for k in range(240):
+            n = int(rng.integers(2, 301))
+            w = np.sort(np.abs(rng.standard_normal(n)))[::-1]
+            if k % 3 == 1:
+                w = np.round(w, int(rng.integers(0, 3)))
+            if k % 5 == 0:
+                w[int(rng.integers(1, n + 1)):] = 0.0
+            lam = [np.sort(np.abs(rng.standard_normal(n)))[::-1] + 0.01,
+                   np.linspace(2.0, 1.0, n),
+                   np.sqrt(2.0 * np.log(n / np.arange(1.0, n + 1.0))) + 1e-3,
+                   np.ones(n)][k % 4]
+            tau = float(rng.uniform(0.01, 0.95)) * float(np.dot(w, lam))
+            writes.clear()
+            report = solve(w, Weights(lam), tau)
+            assert report.converged
+            self.assert_record(report.cone, lam)
+            if writes:
+                assert writes == [report.cone] and report.cone.lam_sums is not None
+                ends["block"] += 1
+            else:
+                assert report.cone.lam_sums is None
+                ends["coordinate"] += 1
+        assert ends["block"] >= 150 and ends["coordinate"] >= 40
+
+    def test_write_whose_tie_repair_merges_neighbours(self):
+        # PAVA may split a run of one value into blocks whose means differ
+        # by roundoff.  The repair gives both the run's entry, so they are
+        # one run of x: the projection reads its starts off x and carries
+        # no sums.
+        c = 0.7
+        w = np.array([1.0, c, c, c, c, 0.2])
+        lam = np.ones(w.size)
+        lengths = np.array([1.0, 2.0, 2.0, 1.0])
+        blocks = ssn_mod.Blocks(starts=np.array([0, 1, 3, 5]),
+                                values=np.array([1.0, np.nextafter(c, 1.0),
+                                                 np.nextafter(c, 0.0), 0.2]),
+                                sums=lengths.copy(), lengths=lengths)
+        cone = ssn_mod.write_cone(np.empty(w.size), blocks, 0.0, w, lam)
+        assert cone.x.tobytes() == w.tobytes()
+        assert cone.lam_sums is None
+        assert cone.block_starts.tolist() == [0, 1, 5]
+        self.assert_record(cone, lam)
 
 
 class TestDualGradient:
