@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, Weights, owl_norm
+from .core import Instance, Weights, dot, owl_norm
 from .projector import project_ball
 from .rootfind import solve_root
 from .ssn import SsnParams
@@ -187,7 +187,7 @@ def _run_cell(cfg: ExperimentConfig, i_beta: int, i_n: int, i_sigma: int) -> Cel
             else:
                 converged, iters, eta = (res.report.converged, res.report.iterations,
                                          res.report.residual_eta)
-            obj = 0.5 * float(np.dot(res.x - inst.b, res.x - inst.b))
+            obj = 0.5 * dot(res.x - inst.b, res.x - inst.b)
             cell.records.append(RepRecord(
                 solver=solver, rep=rep, time_s=dt, iters_or_evals=iters,
                 eta=eta, objective=obj, converged=converged))

@@ -197,7 +197,7 @@ def owl_norm(x, weights) -> float:
     if x.shape != lam.shape:
         raise ValueError(f"x must be a vector of length {lam.size}, got shape {x.shape}")
     mags = np.sort(np.abs(x))[::-1]
-    return float(np.dot(mags, lam))
+    return dot(mags, lam)
 
 
 def signed_sort(b) -> tuple[SignedSort, np.ndarray]:
@@ -314,11 +314,29 @@ def _sort_collisions(order, w, k: int, inverted) -> None:
     w[members] = w[src]
 
 
+def dot(a, b) -> float:
+    """``<a, b>``, the one dot product of every answer the package gives:
+    the same bits whatever the BLAS thread count.
+
+    OpenBLAS (0.3, its ddot) splits ``np.dot``'s sum across its threads
+    from 10001 entries on, and the split moves the bits.  There
+    ``np.einsum``, which sums without BLAS, takes the dot; it sums a
+    strided view (such as ``v[::-1]``) in another order than a
+    contiguous array, so a strided operand is copied first.  Up to that
+    size ``np.dot`` runs on one thread whatever the setting, is faster,
+    and keeps the bits it gave before.  An overflow gives inf, with a
+    RuntimeWarning from ``np.dot`` only.
+    """
+    if np.size(a) <= 10_000:
+        return float(np.dot(a, b))
+    return float(np.einsum("i,i->", np.ascontiguousarray(a), np.ascontiguousarray(b)))
+
+
 def all_finite(x: np.ndarray) -> bool:
     """True when every entry of ``x`` is finite.  ``<x, x>`` is finite
     only then, and costs one streaming pass with no temporary; only when
     it overflows, with entries from about 1e154 on, are the entries
-    tested one by one."""
+    tested one by one.  Its bits reach no answer, so it may use BLAS."""
     with np.errstate(over="ignore"):
         squares = np.dot(x, x)
     return bool(np.isfinite(squares)) or bool(np.isfinite(x).all())
@@ -361,7 +379,7 @@ def inside_ball(w: np.ndarray, lam: np.ndarray, radius: float) -> bool:
     inequality on the first k entries, and ``sum(lam[:k]) >= lam[0]``).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.dot(w, lam))
+        norm = dot(w, lam)
         if norm <= radius:
             return True
         if not (np.isfinite(norm) and (np.isfinite(w.size * norm / lam[0] / lam[0])

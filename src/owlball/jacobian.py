@@ -62,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import daxpy
 
+from .core import dot
 from .isotonic import reduce_spans
 from .ssn import blocks_curvature
 
@@ -169,8 +170,7 @@ def ball_jacobian(inst, report) -> BallJacobian:
     stop = first + lengths[pooled]
     bounds = np.concatenate(([0], np.column_stack((first, stop)).ravel(), [cone.zero_start, n]))
     segment_label = np.full(bounds.size - 1, first_single, dtype=np.intp)
-    segment_label[1:-1:2] = np.arange(0, zero, 2)
-    segment_label[-1] = zero
+    segment_label[1::2] = np.arange(0, zero + 1, 2)
     sorted_label = np.repeat(segment_label, np.diff(bounds))
     pooled_inv = 1.0 / lengths[pooled]
     # Each pooled block's sum of lam: the cone's own, where the solve
@@ -212,9 +212,8 @@ def ball_jacobian(inst, report) -> BallJacobian:
     if norm == 0.0:
         raise ValueError("H lam = 0: the report's cone projection is zero, "
                          "so it is no solution on the ball's boundary")
-    means = pooled_sums * pooled_inv
-    hb[:zero:2] = means
-    np.negative(means, out=hb[1:zero:2])
+    hb[:zero:2] = pooled_sums * pooled_inv
+    np.negative(hb[:zero:2], out=hb[1:zero:2])
     hb[zero:first_single] = 0.0
     hb /= norm
     return BallJacobian(label=label, inv_sizes=pooled_inv, hb=hb)
@@ -233,7 +232,7 @@ def apply_ball_jacobian(s: BallJacobian, v) -> np.ndarray:
     # freed on return, leave no hole in the heap under it.
     out = np.empty(s.n)
     sums = np.bincount(s.label, weights=v, minlength=s.hb.size)
-    c = float(np.dot(s.hb, sums))
+    c = dot(s.hb, sums)
     zero = 2 * s.inv_sizes.size
     pairs = sums[:zero].reshape(-1, 2)
     pairs[:, 0] -= pairs[:, 1]

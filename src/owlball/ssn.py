@@ -100,7 +100,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SignedSort, Weights, all_finite, sorted_dual_norm
+from .core import SignedSort, Weights, all_finite, dot, sorted_dual_norm
 from .isotonic import (ConeProjection, positive_block_sums, project_cone, repair_ties,
                        strictly_decreasing)
 
@@ -283,7 +283,7 @@ def coordinate_blocks(p: ConeProjection, lam) -> Blocks:
 def blocks_gradient(blocks: Blocks, tau: float) -> float:
     """``phi' = <Pi_C(y lam + w), lam> - tau``, read off the positive
     blocks as the sum of value times sum of ``lam``."""
-    return float(np.dot(blocks.values, blocks.sums)) - tau
+    return dot(blocks.values, blocks.sums) - tau
 
 
 def blocks_curvature(sums, lengths=None) -> float:
@@ -301,13 +301,12 @@ def blocks_curvature(sums, lengths=None) -> float:
     of blocks).  ``H`` is an orthogonal projector, so ``M`` is also
     ``||H lam||**2``, which :func:`owlball.ball_jacobian` takes from here.
     """
-    terms = sums
     if lengths is not None:
-        terms = sums.copy()
         pooled = np.flatnonzero(lengths > 1)
-        terms[pooled] /= np.sqrt(lengths[pooled])
+        sums = sums.copy()                  # each block's sum / sqrt(length)
+        sums[pooled] /= np.sqrt(lengths[pooled])
     with np.errstate(over="ignore"):    # inf past about 1e154; solve checks
-        return float(np.dot(terms, terms))
+        return dot(sums, sums)
 
 
 def block_step(at_hi: Blocks, y_hi: float, y: float) -> Blocks:
@@ -339,7 +338,7 @@ def project_coordinates(buf: np.ndarray, y: float, lam, w, top: int, tau: float)
     d = np.multiply(y, lam[:top], out=buf[:top])
     d += w[:top]
     p = project_cone(d, lam.size)
-    return float(np.dot(p.x, lam)) - tau, p
+    return dot(p.x, lam) - tau, p
 
 
 def write_cone(x: np.ndarray, blocks: Blocks, y: float, w, lam) -> ConeProjection:
@@ -449,7 +448,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         # the last singleton and adds no curvature.  Nothing pooled, so
         # the first step below 0 projects the coordinates ahead of that
         # zero, as a step below any such hi does.
-        grad = float(np.dot(w, lam)) - tau
+        grad = dot(w, lam) - tau
         w_top = w.size - int(w[-1] == 0.0)
         m = blocks_curvature(lam[:w_top])       # M = inf: see the no-op test
     else:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owlball import Instance, Weights, owl_norm
-from owlball.core import SignedSort, signed_sort
+from owlball.core import SignedSort, dot, signed_sort
 
 from oracle import apply_signed_sort
 
@@ -370,3 +371,24 @@ class TestOwlNorm:
             lhs = owl_norm(x + y, w)
             rhs = owl_norm(x, w) + owl_norm(y, w)
             assert lhs <= rhs * (1.0 + 1e-14)
+
+
+class TestDot:
+    @pytest.mark.parametrize("n", [1, 10_000, 10_001, 50_000])
+    def test_bits_depend_on_the_values_alone(self, n):
+        # A strided view gives the bits of its contiguous copy, on either
+        # side of the length from which einsum takes over from np.dot;
+        # up to that length the result is np.dot's own.
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((2, 2 * n))
+        got = dot(a[::-2], b[::-2])
+        assert np.float64(got).tobytes() == np.float64(
+            dot(a[::-2].copy(), b[::-2].copy())).tobytes()
+        if n <= 10_000:
+            assert np.float64(got).tobytes() == np.float64(np.dot(a[::-2], b[::-2])).tobytes()
+        terms = a[::-2] * b[::-2]
+        assert abs(got - math.fsum(terms)) <= n * np.finfo(float).eps * np.abs(terms).sum()
+
+    def test_overflow_gives_inf(self):
+        big = np.full(20_000, 1e300)
+        assert dot(big, big) == np.inf

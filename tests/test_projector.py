@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,3 +465,40 @@ class TestSignsReadOffB:
                   if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
         assert len(floats) == 1 and floats[0] is inst.b
         assert sort.perm.dtype == np.intp and sort.perm.size == inst.n
+
+
+THREAD_RUN = """
+import hashlib
+import numpy as np
+import owlball
+
+rng = np.random.default_rng(5)
+n = 200_000
+b = rng.standard_normal(n)
+w = owlball.Weights(np.sort(np.abs(rng.standard_normal(n)))[::-1])
+inst = owlball.Instance(b, w, 0.1 * owlball.owl_norm(b, w))
+res = owlball.project_ball(inst)
+s = owlball.ball_jacobian(inst, res.report)
+for a in (res.x, np.float64(res.report.y_star), s.label, s.inv_sizes, s.hb,
+          owlball.apply_ball_jacobian(s, rng.standard_normal(n)), owlball.solve_root(inst).x):
+    print(hashlib.sha256(np.asarray(a).tobytes()).hexdigest())
+"""
+
+
+def test_answers_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long np.dot across its threads, which changes
+    # the sum's bits; every dot that reaches an answer is an einsum
+    # (owlball.core.dot).  conftest.py only sets a default thread count,
+    # so each run sets its own.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        paths = [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        env["PYTHONPATH"] = os.pathsep.join(paths)
+        proc = subprocess.run([sys.executable, "-c", THREAD_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 7
+    assert digests[0] == digests[1]
