@@ -185,49 +185,53 @@ def project_cone(d, n: int | None = None, weights=None) -> ConeProjection:
     # x86 returns the second), so +0.0 is added to make every zero +0.0,
     # as the exit above does.  The result is allocated only now: an
     # n-sized array taken before scipy's call changes which memory scipy
-    # gets back, and at n = 1e6 that cost page faults.
+    # gets back, and at n = 1e6 that cost page faults.  scipy's x is not
+    # read again, so it is dropped before the tie repair's temporaries.
     x = np.empty(n)
     head = np.maximum(res.x, 0.0, out=x[:k])
     head += 0.0
     x[k:] = 0.0
+    res.x = None
 
-    starts = np.asarray(res.blocks[:-1], dtype=np.intp)
-    if repair_ties(x, d.__getitem__, starts, np.diff(res.blocks)):
+    if repair_ties(x, d.__getitem__, res.blocks):
         return ConeProjection(x)
     # Unless a repair tied two of them, scipy's blocks are the runs of x,
-    # since their means strictly decrease, except that the clamp pools those from the zero
-    # start on into one zero block.  So no pass over x is needed for them.
+    # since their means strictly decrease, except that the clamp pools
+    # those from the zero start on into one zero block.  So no pass over x
+    # is needed for them.
+    starts = np.asarray(res.blocks[:-1], dtype=np.intp)
     zero = _first_nonpositive(x)
     if zero < n:
         starts = np.append(starts[:np.searchsorted(starts, zero)], zero)
     return ConeProjection(x, starts)
 
 
-def repair_ties(x, d_at, starts, lengths) -> bool:
+def repair_ties(x, d_at, bounds) -> bool:
     """Give each pooled block of ``x`` over which the projected vector
     ``d`` is one bitwise value that value, so a pooled run of identical
     entries reads back bit for bit (no ``sum/k`` roundoff).
 
-    ``x`` holds one value on each block ``[starts[j], starts[j] +
-    lengths[j])`` and ``d_at(i)`` gives ``d``'s entries at the indices
-    ``i``, so a caller can hand in a ``d`` that it computes only where it
-    is read; only the blocks whose two ends tie are read in full.  The
-    value is clipped between the neighbouring blocks' values (0 after
-    the last), so ``x`` stays exactly nonincreasing, and a zero is +0.0.
-    Returns whether a repaired block now ties with a neighbour: the
-    blocks are then no longer the runs of ``x``.
+    ``x`` holds one value on each block ``[bounds[j], bounds[j + 1])``
+    and ``d_at(i)`` gives ``d``'s entries at the indices ``i``, so a
+    caller can hand in a ``d`` that it computes only where it is read;
+    only the blocks whose two ends tie are read in full.  The value is
+    clipped between the neighbouring blocks' values (0 after the last),
+    so ``x`` stays exactly nonincreasing, and a zero is +0.0.  Returns
+    whether a repaired block now ties with a neighbour: the blocks are
+    then no longer the runs of ``x``.
     """
-    pooled = np.flatnonzero(lengths > 1)
-    first, size = starts[pooled], lengths[pooled]
-    tied = np.flatnonzero(d_at(first) == d_at(first + size - 1))
-    if tied.size:
-        d = d_at(span_members(first[tied], size[tied]))
-        offsets = np.cumsum(size[tied]) - size[tied]
-        tied = tied[np.minimum.reduceat(d, offsets) == np.maximum.reduceat(d, offsets)]
-    if not tied.size:
+    pooled = np.flatnonzero(np.diff(bounds) > 1)
+    first, stop = bounds[pooled], bounds[pooled + 1]
+    tied = d_at(first) == d_at(stop - 1)
+    first, stop = first[tied], stop[tied]
+    if first.size:
+        size = stop - first
+        d = d_at(span_members(first, size))
+        offsets = np.cumsum(size) - size
+        tied = np.minimum.reduceat(d, offsets) == np.maximum.reduceat(d, offsets)
+        first, stop = first[tied], stop[tied]
+    if not first.size:
         return False
-    first, size = first[tied], size[tied]
-    stop = first + size
     entry = np.maximum(d_at(first), 0.0) + 0.0
     upper = np.where(first > 0, x[first - 1], np.inf)
     lower = np.where(stop < x.size, x[np.minimum(stop, x.size - 1)], 0.0)
@@ -237,7 +241,7 @@ def repair_ties(x, d_at, starts, lengths) -> bool:
     upper[1:][joined] = entry[:-1][joined]
     lower[:-1][joined] = entry[1:][joined]
     repaired = np.clip(entry, lower, upper)
-    x[span_members(first, size)] = np.repeat(repaired, size)
+    x[span_members(first, stop - first)] = np.repeat(repaired, stop - first)
     return bool(np.any((repaired == lower) | (repaired == upper)))
 
 

@@ -60,13 +60,13 @@ written once, at the final point: by its projection, or off the blocks
 where a block step reached it, whose starts and sums of ``lam`` the
 report's projection then carries for the Jacobian (:func:`write_cone`).
 Each block carries its first coordinate through the steps, so the write
-needs no pass over the lengths to place it.  The two readings of ``phi'`` differ by
-roundoff, so a stop that roundoff decides is not taken off blocks: where
-a block step's reading makes the next step a no-op or sends it out of
-the bracket (or, for ``eps`` below ``eps_mach``, reads within
-``eps_mach * tau`` of 0), the solve takes a ``"reread"`` step, which
-stays at ``y`` and projects the coordinates there, and the stop rule
-judges that reading.  With constant weights every point projected is
+needs no pass over the lengths to place it.  The two readings of
+``phi'`` differ by roundoff, so a stop that roundoff decides is not
+taken off blocks: where a block step's reading makes the next step a
+no-op or sends it out of the bracket (or, for ``eps`` below
+``eps_mach``, reads within ``eps_mach * tau`` of 0), the solve takes a
+``"reread"`` step, which stays at ``y`` and projects the coordinates
+there, and the stop rule judges that reading.  With constant weights every point projected is
 nonincreasing and costs no PAVA pass.
 
 The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
@@ -240,7 +240,6 @@ def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = N
     ``top`` coordinates are projected.  The projection is still returned
     at full length, and ``phi'`` is its dot with all of ``lam``.
     """
-    w = np.asarray(w, dtype=np.float64)
     lam = weights.values
     top = lam.size if top is None else top
     return project_coordinates(np.empty(top), y, lam, w, top, tau)
@@ -351,14 +350,13 @@ def write_cone(x: np.ndarray, blocks: Blocks, y: float, w, lam) -> ConeProjectio
     value (:func:`repair_ties`); where that ties it with a neighbour, the
     projection takes neither, and its blocks are read off ``x``.
     """
-    lengths = blocks.lengths.astype(np.intp)
-    top = int(blocks.starts[-1] + lengths[-1]) if lengths.size else 0
-    x[:top] = np.repeat(blocks.values, lengths)
+    top = int(blocks.starts[-1] + blocks.lengths[-1]) if blocks.starts.size else 0
+    x[:top] = np.repeat(blocks.values, blocks.lengths.astype(np.intp))
     x[top:] = 0.0
-    if repair_ties(x, lambda i: y * lam[i] + w[i], blocks.starts, lengths):
+    bounds = np.append(blocks.starts, top)
+    if repair_ties(x, lambda i: y * lam[i] + w[i], bounds):
         return ConeProjection(x)
-    starts = blocks.starts if top == x.size else np.append(blocks.starts, top)
-    return ConeProjection(x, starts, blocks.sums)
+    return ConeProjection(x, bounds if top < x.size else blocks.starts, blocks.sums)
 
 
 def plateau_model_root(w, v, weights: Weights, tau: float) -> float:

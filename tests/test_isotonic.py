@@ -96,23 +96,23 @@ def test_tie_repair_clips_between_neighbours_and_reports_ties():
     # clipped to its neighbours' values, and a neighbour repaired too
     # bounds it by its own entry.  The repair reports whether a repaired
     # block now ties with a neighbour.
-    def repaired(x, d, starts, lengths):
+    def repaired(x, d, bounds):
         x = np.array(x)
-        tied = repair_ties(x, np.asarray(d).__getitem__, np.array(starts), np.array(lengths))
+        tied = repair_ties(x, np.asarray(d).__getitem__, np.array(bounds))
         return x.tolist(), tied
 
     # Off by an ulp, the entry between its neighbours: no tie.
     up = float(np.nextafter(1.0, 2.0))
-    assert repaired([2.0, up, up, 0.5], [2.0, 1.0, 1.0, 0.5], [0, 1, 3], [1, 2, 1]) == (
+    assert repaired([2.0, up, up, 0.5], [2.0, 1.0, 1.0, 0.5], [0, 1, 3, 4]) == (
         [2.0, 1.0, 1.0, 0.5], False)
     # An entry above the block before is clipped to it, and ties.
-    assert repaired([1.0, 0.9, 0.9], [1.0, 1.2, 1.2], [0, 1], [1, 2]) == ([1.0] * 3, True)
+    assert repaired([1.0, 0.9, 0.9], [1.0, 1.2, 1.2], [0, 1, 3]) == ([1.0] * 3, True)
     # A run split into two blocks: both get the run's entry.
     c = 0.7
     x = [np.nextafter(c, 1.0)] * 2 + [np.nextafter(c, 0.0)] * 2
-    assert repaired(x, [c] * 4, [0, 2], [2, 2]) == ([c] * 4, True)
+    assert repaired(x, [c] * 4, [0, 2, 4]) == ([c] * 4, True)
     # A negative entry is +0.0, and ties with the zero after it.
-    x, tied = repaired([1.0, 1e-17, 1e-17, 0.0], [1.0, -0.0, -0.0, -1.0], [0, 1, 3], [1, 2, 1])
+    x, tied = repaired([1.0, 1e-17, 1e-17, 0.0], [1.0, -0.0, -0.0, -1.0], [0, 1, 3, 4])
     assert x == [1.0, 0.0, 0.0, 0.0] and tied and not np.signbit(x).any()
 
 
