@@ -23,8 +23,9 @@ the block starts where it holds them: the PAVA pass, or the Newton
 solve writing ``x`` off its own blocks, which also hands over each
 positive block's sum of the weights ``lam``.  Where no PAVA pass ran,
 or a tie repair (see :func:`repair_ties`) tied a block with its
-neighbour, the starts are read off ``x`` on first use, and a reader
-sums ``lam`` itself (:func:`positive_block_sums`).
+neighbour, the starts are read off ``x`` on first use.  Where it
+carries no sums, a reader sums ``lam`` over the blocks itself (see
+:func:`positive_block_sums`).
 
 A nonincreasing vector skips the PAVA pass: its projection is
 ``max(d, 0)``.  The dual solvers start from such a vector (the sorted

@@ -156,10 +156,12 @@ def ball_jacobian(inst, report) -> BallJacobian:
         raise ValueError("report is of another instance: its sort holds "
                          "another b than inst.b")
 
-    # Sorted-order labels, in segments: 2j on pooled block j,
-    # first_single on the singletons between pooled blocks until they are
-    # renumbered below, and 2m on the zero block, so one np.repeat over
-    # the segments, not over every block, writes them.
+    # Sorted-order labels, in segments: first_single on the run of
+    # singletons before each pooled block and before the zero start
+    # (until they are renumbered below), 2j on pooled block j, and 2m on
+    # the zero block.  The odd segments are the pooled blocks and, last,
+    # the zero block, and one np.repeat over the segments, not over every
+    # block, writes the labels.
     lam = inst.weights.values
     lengths = cone.block_lengths
     live = lengths.size - int(cone.zero_tail)
