@@ -30,13 +30,15 @@ roundoff, in a handful of iterations regardless of n.  *Stop rule:*
 converged once ``|phi'| / tau <= eps``, or once the Newton step is a
 no-op, ``|step| <= 8 * eps_mach * |y|`` with ``0 < M < inf`` (finite
 termination, which also holds where the roundoff of ``phi'`` exceeds
-``eps * tau``); both tests are scale-free.  The solve stops unconverged
-at the iteration cap or when a step would leave the sign bracket
-``lo < y* < hi`` of the points evaluated so far, which only roundoff
-can cause, or an ``M`` that overflowed to inf: with weights from about
-1e154 on, the zero step it gives is no no-op and leaves the bracket.
-No step is ever rejected, so an iteration costs exactly one cone
-projection (a no-op costs none).
+``eps * tau``); both tests are scale-free.  A step that would leave the
+sign bracket ``lo < y* < hi`` of the points evaluated so far, which only
+roundoff can cause, ends the solve: converged (``"roundoff"``) if
+``|phi'|`` is within the a-priori error of its reading
+(:func:`gradient_error`), else not (``"bracket"``), as where ``M``
+overflowed to inf (weights from about 1e154 on) and gave a zero step.
+The solve also stops unconverged at the iteration cap.  No step is ever
+rejected, so an iteration costs exactly one cone projection (a no-op
+costs none).
 
 *Block steps.*  Every step lands below ``hi``, the lowest point so far
 with ``phi' >= 0``, and by the lemma no block of the projection at
@@ -61,13 +63,10 @@ where a block step reached it, whose starts and sums of ``lam`` the
 report's projection then carries for the Jacobian (:func:`write_cone`).
 Each block carries its first coordinate through the steps, so the write
 needs no pass over the lengths to place it.  The two readings of
-``phi'`` differ by roundoff, so a stop that roundoff decides is not
-taken off blocks: where a block step's reading makes the next step a
-no-op or sends it out of the bracket (or, for ``eps`` below
-``eps_mach``, reads within ``eps_mach * tau`` of 0), the solve takes a
-``"reread"`` step, which stays at ``y`` and projects the coordinates
-there, and the stop rule judges that reading.  With constant weights every point projected is
-nonincreasing and costs no PAVA pass.
+``phi'`` differ by roundoff, within the error bound that the stop rule
+allows either reading, so both go through the same tests.  With
+constant weights every point projected is nonincreasing and costs no
+PAVA pass.
 
 The usual start is ``y = 0`` with ``w`` the sorted magnitudes, which lie
 in the cone.  When they strictly decrease, every block there is a
@@ -109,6 +108,7 @@ __all__ = [
     "StepRecord",
     "SsnReport",
     "dual_gradient",
+    "gradient_error",
     "residual",
     "solve",
 ]
@@ -116,15 +116,15 @@ __all__ = [
 # Step kinds recorded in StepRecord.kind.
 NEWTON = "newton"          # -phi'/M
 GRADIENT = "gradient"      # -phi' from the flat piece's end, where M = 0
-REREAD = "reread"          # stays at y and reads phi' off the coordinates there
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 NOOP_RTOL = 8.0 * _EPS_MACH     # a Newton step below this * |y| is a no-op
 
-# Stops recorded in SsnReport.stop; the first two count as converged.
+# Stops recorded in SsnReport.stop; the first three count as converged.
 RESIDUAL = "residual"      # residual(phi', tau) <= eps
 NOOP = "noop"              # the next Newton step is a no-op
-BRACKET = "bracket"        # roundoff sent a step out of the sign bracket
+ROUNDOFF = "roundoff"      # a step left the sign bracket, |phi'| within its error
+BRACKET = "bracket"        # a step left the sign bracket, |phi'| beyond its error
 CAP = "cap"                # _MAX_ITER steps taken
 
 # Iteration cap; hitting it is reported, not raised.  A solve takes a
@@ -135,7 +135,8 @@ _MAX_ITER = 100
 class SsnParams:
     """Solver knobs.
 
-    eps : converged when ``residual(phi'(y), tau) <= eps`` (or on a no-op).
+    eps : converged when ``residual(phi'(y), tau) <= eps`` (or on a no-op,
+        or within roundoff where a step would leave the bracket).
     y0 : starting dual point.
 
     The iteration itself has no knobs (see the module docstring).
@@ -155,18 +156,16 @@ class SsnParams:
 class StepRecord:
     """One step: state at the step's start plus the kind of step taken.
 
-    ``kind`` is ``"newton"``, ``"gradient"`` on the flat piece where
-    ``M = 0``, or ``"reread"``, which stays at ``y`` and projects the
-    coordinates there, where a block step's reading of ``phi'`` would
-    have stopped the solve (see the module docstring); ``unit_step`` is
-    True for a Newton step.  With plateau weights, the first step from 0
-    goes on to the model root when that lies lower (the module
-    docstring's model start); it is a ``"newton"`` step too.
+    ``kind`` is ``"newton"``, or ``"gradient"`` on the flat piece where
+    ``M = 0``; ``unit_step`` is True for a Newton step.  With plateau
+    weights, the first step from 0 goes on to the model root when that
+    lies lower (the module docstring's model start); it is a
+    ``"newton"`` step too.
     ``projected`` is the number of entries that the projection at the
     step's landing point took: ``n`` for a step taken before any point
     with ``phi' >= 0``; below ``hi``, the number of positive blocks of
     the projection at ``hi`` for a block step, else (no block at ``hi``
-    pooled, or a reread) the coordinates ahead of its zero block.
+    pooled) the coordinates ahead of its zero block.
     """
 
     y: float
@@ -191,10 +190,12 @@ class SsnReport:
     ``eps``), ``"noop"`` (the next Newton step was a no-op; the residual
     may then exceed ``eps`` by the roundoff of ``phi'``; once ``x_star``
     has subnormal entries, each is off by up to one subnormal ulp, so it
-    can reach about ``5e-324 * n / tau``), ``"bracket"``
-    (roundoff sent a step out of the sign bracket) or ``"cap"`` (the
-    iteration cap).  ``converged`` is True for the first two; callers
-    decide whether the others are fatal.  ``iterations`` is
+    can reach about ``5e-324 * n / tau``), ``"roundoff"`` (a step would
+    have left the sign bracket, and ``|phi'|`` read within the error of
+    its reading, :func:`gradient_error`), ``"bracket"`` (the same step
+    with ``|phi'|`` beyond that error) or ``"cap"`` (the iteration cap).
+    ``converged`` is True for the first three; callers decide whether
+    the others are fatal.  ``iterations`` is
     ``len(step_trace)``.  ``sort`` is the signed sort that produced
     ``w``; :func:`owlball.project_ball` fills it in, a bare
     :func:`solve` leaves it None.  It holds only ``perm`` and the
@@ -214,7 +215,7 @@ class SsnReport:
 
     @property
     def converged(self) -> bool:
-        return self.stop in (RESIDUAL, NOOP)
+        return self.stop in (RESIDUAL, NOOP, ROUNDOFF)
 
     @property
     def x_star(self) -> np.ndarray:
@@ -277,6 +278,18 @@ def coordinate_blocks(p: ConeProjection, lam) -> Blocks:
     starts = p.block_starts[:live]
     return Blocks(starts, p.x[starts], positive_block_sums(p, lam)[0],
                   p.block_lengths[:live].astype(np.float64))
+
+
+def gradient_error(y: float, grad: float, w, lam, tau: float) -> float:
+    """A-priori bound on the roundoff of ``grad``, a reading of ``phi'(y)``
+    off coordinates or blocks (Higham 2002, ch. 3): ``eps_mach (n (phi' +
+    2 tau) + 2 sum(lam) (|y| lam[0] + max|w|))``.  The first term covers
+    ``<x, lam> - tau``, a dot of n nonnegative terms less ``tau``; the
+    second the rounding of ``y lam + w``, which ``Pi_C``, nonexpansive in
+    the max norm, passes on to ``x``.  O(n), so :func:`solve` takes it
+    only where a step would leave the bracket, and an inf bounds nothing."""
+    spread = abs(y) * float(lam[0]) + float(np.max(np.abs(w)))
+    return _EPS_MACH * (lam.size * (grad + 2.0 * tau) + 2.0 * float(np.sum(lam)) * spread)
 
 
 def blocks_gradient(blocks: Blocks, tau: float) -> float:
@@ -405,11 +418,12 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     for any finite vector; a NaN or an infinity raises ``ValueError``);
     the ball projector passes the sorted magnitudes.
 
-    Convergence is checked before stepping.  Each iteration performs
-    exactly one projection, at the point it steps to: of the positive
-    blocks of the projection at ``hi`` once the solve holds one with a
-    pooled block (module docstring), else of all n coordinates, or of
-    those ahead of the zero block at ``hi`` (a reread takes these too).
+    Convergence is checked before stepping, by the one stop rule of the
+    module docstring, whichever reading of ``phi'`` it judges.  Each
+    iteration performs exactly one projection, at the point it steps
+    to: of the positive blocks of the projection at ``hi`` once the
+    solve holds one with a pooled block (module docstring), else of all
+    n coordinates, or of those ahead of the zero block at ``hi``.
     ``StepRecord.projected`` says how many entries that was.  The start
     costs one more, except at ``y0 = 0`` with ``w`` strictly decreasing
     and ``w[-1] >= 0``, where ``phi'`` and ``M`` are read off ``w``
@@ -433,10 +447,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
     lam = weights.values
-    # Each coordinate projection forms y lam + w here, and the answer is
-    # written here when a block step reached it: the solve takes no other
-    # n-sized array of its own.
-    buf = np.empty(w.size)
+    buf = np.empty(w.size)  # the solve's one n-sized buffer (see the docstring)
 
     y = float(params.y0)
     top = w.size            # a coordinate step projects w[:top]; the rest stays 0
@@ -454,16 +465,11 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     eta = residual(grad, tau)
     lo, hi = -np.inf, np.inf
     at_hi = None            # the positive blocks of the projection at hi, if any pooled
-    on_blocks = False       # phi' at y was read off a block step's blocks
     trace: list[StepRecord] = []
     stop = None
 
     while len(trace) < _MAX_ITER:
-        # Below eps_mach the residual test asks for a reading within an
-        # ulp of tau; off blocks such a reading is roundoff's call, as the
-        # no-op is, and decides nothing.
-        fine = on_blocks and params.eps < _EPS_MACH and eta <= _EPS_MACH
-        if eta <= params.eps and not fine:
+        if eta <= params.eps:
             break
         if m is None:
             if blocks is None:
@@ -484,21 +490,13 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         # Finite termination.  A gradient step is never a no-op: it would
         # accept the zero projection of the flat piece.  Nor is a step
         # whose M overflowed to inf: -phi'/M is then 0 whatever phi' is.
-        noop = 0.0 < m < np.inf and abs(y_next - y) <= NOOP_RTOL * abs(y)
-        out = not (y < y_next < hi if grad < 0.0 else lo < y_next < y)
-        if on_blocks and (noop or out or fine):
-            # Read off blocks, phi' differs from its reading off the
-            # coordinates by roundoff, so the solve does not stop on it:
-            # the step stays at y and projects the coordinates there.
-            trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=REREAD, projected=top))
-            grad, cone = project_coordinates(buf, y, lam, w, top, tau)
-            eta, m, on_blocks, blocks = residual(grad, tau), None, False, None
-            continue
-        if noop:
+        if 0.0 < m < np.inf and abs(y_next - y) <= NOOP_RTOL * abs(y):
             stop = NOOP
             break
-        if out:
-            stop = BRACKET  # only roundoff sends a step out (module docstring)
+        if not (y < y_next < hi if grad < 0.0 else lo < y_next < y):
+            # Only roundoff sends a step out (module docstring).
+            within = abs(grad) <= gradient_error(y, grad, w, lam, tau) < np.inf
+            stop = ROUNDOFF if within else BRACKET
             break
         if grad < 0.0:
             lo = y
@@ -509,11 +507,10 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
             # Unpooled blocks are the coordinates ahead of the zero block,
             # and projecting those is the same step at less cost.
             at_hi = blocks if blocks.values.size < top else None
-        on_blocks = at_hi is not None
-        projected = at_hi.values.size if on_blocks else top
+        projected = at_hi.values.size if at_hi is not None else top
         trace.append(StepRecord(y=y, grad=grad, curvature=m, kind=kind, projected=projected))
         y, blocks = y_next, None
-        if on_blocks:
+        if at_hi is not None:
             cone, blocks = None, block_step(at_hi, hi, y)
             grad = blocks_gradient(blocks, tau)
         else:

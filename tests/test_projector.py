@@ -19,6 +19,7 @@ from owlball import (
     project_ball,
     prox_owl,
 )
+from owlball.bench import cell_rng, generate_instance
 from owlball.core import INSIDE_RTOL, signed_sort
 from owlball.isotonic import project_cone
 from owlball.rootfind import dual_norm, solve_root
@@ -185,6 +186,22 @@ class TestProjectBall:
             got = project_ball(inst).x
             want = oracle_ball(inst)
             assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_converges_at_radii_below_the_roundoff_of_phi_prime(self):
+        # Radii of 1e-16 and 3e-17 of the norm lie below the roundoff of
+        # reading phi', so no reading need meet eps and a step can leave
+        # the sign bracket on roundoff alone.  Every solve must still end
+        # converged, on an answer within a few ulps of max|b| of the oracle.
+        for n in (2, 3, 5):
+            for beta in (1e-16, 3e-17):
+                for seed in range(200):
+                    inst = generate_instance(n, 1.0, beta, cell_rng(seed, 0, 0, 0, 0))
+                    res = project_ball(inst)
+                    if res.trivial:
+                        continue
+                    assert res.report.converged, (n, beta, seed, res.report.stop)
+                    err = np.max(np.abs(res.x - oracle_ball(inst)))
+                    assert err <= 16.0 * EPS * np.max(np.abs(inst.b)), (n, beta, seed)
 
     def test_propagates_solver_report(self, monkeypatch):
         monkeypatch.setattr(ssn_mod, "_MAX_ITER", 1)

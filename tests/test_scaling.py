@@ -94,12 +94,14 @@ class TestWeightScale:
         # Scaling the weights and the radius together leaves the ball as
         # it is.  From about 1e154 on <lam, lam> overflows to inf, and the
         # Newton step -phi'/M is then 0 at y = 0: that must not pass as a
-        # converged no-op returning b, ten times the radius here.  The
-        # solve must be unconverged or feasible.
+        # converged no-op returning b, ten times the radius here.  At 1e305
+        # the roundoff bound on phi' overflows too, and must not pass the
+        # step out of the bracket as a converged roundoff stop.  The solve
+        # must be unconverged or feasible.
         from owlball.bench import cell_rng, generate_instance
 
         inst = generate_instance(1000, 1.0, 0.1, cell_rng(0, 0, 0, 0, 0))
-        for s in (1e160, 1e200):
+        for s in (1e160, 1e200, 1e305):
             weights = Weights(inst.weights.values * s)
             res = project_ball(Instance(inst.b, weights, inst.tau * s))
             assert not res.trivial
