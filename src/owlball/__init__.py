@@ -23,10 +23,10 @@ tight set of a cone projection, its block values and the cone
 Jacobian's matvec) live in the test suite (``tests/oracle.py``).
 """
 
-from .core import Instance, Weights, owl_norm
+from .core import Instance, Weights, dual_norm, owl_norm
 from .jacobian import BallJacobian, apply_ball_jacobian, ball_jacobian
 from .projector import ProjectionResult, project_ball, prox_owl
-from .rootfind import RootfindReport, dual_norm, solve_root
+from .rootfind import RootfindReport, solve_root
 from .ssn import SsnParams, SsnReport
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ __all__ = [
     "Instance",
     "SignedSort",
     "owl_norm",
+    "dual_norm",
     "signed_sort",
     "sorted_dual_norm",
 ]
@@ -82,7 +83,7 @@ class Weights:
         return self.values.size
 
     def __repr__(self) -> str:
-        return f"Weights({self.values.tolist()!r})"
+        return f"Weights(n={self.n}, plateau={self.plateau})"
 
 
 def _plateau_length(lam: np.ndarray) -> int | None:
@@ -173,6 +174,20 @@ class SignedSort:
         return np.copysign(out, self.b, out=out)
 
 
+def vector_and_weights(x, weights, name: str) -> tuple[np.ndarray, Weights]:
+    """``x`` as a float64 array and ``weights`` as :class:`Weights`, whose
+    checks raw values must pass; ``ValueError`` unless ``x`` is a vector
+    of the weights' length.  Finiteness is left to the caller: the norms
+    read a NaN as they find it, so a checker may take the norm of an
+    answer before it tests the answer for finiteness."""
+    if not isinstance(weights, Weights):
+        weights = Weights(weights)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (weights.n,):
+        raise ValueError(f"{name} must be a vector of length {weights.n}, got shape {x.shape}")
+    return x, weights
+
+
 def owl_norm(x, weights) -> float:
     """Evaluate the OWL1 norm: dot of sorted magnitudes with the weights.
 
@@ -190,14 +205,23 @@ def owl_norm(x, weights) -> float:
         ``sum(weights[i] * sorted(|x|, descending)[i])``; zero iff
         ``x`` has no nonzero entry under a positive weight.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not isinstance(weights, Weights):
-        weights = Weights(weights)
-    lam = weights.values
-    if x.shape != lam.shape:
-        raise ValueError(f"x must be a vector of length {lam.size}, got shape {x.shape}")
-    mags = np.sort(np.abs(x))[::-1]
-    return dot(mags, lam)
+    x, weights = vector_and_weights(x, weights, "x")
+    return dot(np.sort(np.abs(x))[::-1], weights.values)
+
+
+def dual_norm(y, weights) -> float:
+    """Dual of the ordered weighted L1 norm, with ``weights`` taken as by
+    :func:`owl_norm`.
+
+    The unit ball of the primal norm has extreme points supported on the
+    k largest magnitudes with equal weights ``1 / (lam_1 + ... + lam_k)``,
+    so the dual norm is the best ratio of leading-magnitude sums to
+    leading-weight sums (:func:`sorted_dual_norm`):
+
+        max_k (|y|^(1) + ... + |y|^(k)) / (lam_1 + ... + lam_k).
+    """
+    y, weights = vector_and_weights(y, weights, "y")
+    return sorted_dual_norm(np.sort(np.abs(y))[::-1], weights.values)
 
 
 def signed_sort(b) -> tuple[SignedSort, np.ndarray]:

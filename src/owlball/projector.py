@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import INSIDE_RTOL, Instance, Weights, all_finite, inside_ball, signed_sort
+from .core import (INSIDE_RTOL, Instance, Weights, all_finite, inside_ball, signed_sort,
+                   vector_and_weights)
 from .isotonic import project_cone
 from .ssn import SsnParams, SsnReport, solve
 
@@ -70,11 +71,7 @@ def prox_owl(v, weights: Weights, mu: float) -> np.ndarray:
     ``mu = 0`` is the identity; negative or non-finite ``mu`` and
     non-finite entries of ``v`` are rejected.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if not isinstance(weights, Weights):
-        weights = Weights(weights)
-    if v.ndim != 1 or v.size != weights.n:
-        raise ValueError(f"v must be a vector of length {weights.n}")
+    v, weights = vector_and_weights(v, weights, "v")
     if not all_finite(v):
         raise ValueError("v must contain only finite values")
     mu = float(mu)

@@ -30,7 +30,8 @@ dual norm the bound is zero up to roundoff, and a dual norm too small
 to kill ``b`` still shows as a ``"bracket"`` stop.
 Every later point projects only the coordinates ahead of the zero block
 at the bracket's lower end in ``t``, as the Newton solver does below
-its ``hi``.
+its ``hi``.  A solve holds one n-sized buffer: every point forms
+``w - mu lam`` in it, the check at ``t = 1`` included.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import Instance, Weights, inside_ball, signed_sort, sorted_dual_norm
+from .core import Instance, inside_ball, signed_sort, sorted_dual_norm
 from .ssn import BRACKET, CAP, RESIDUAL, dual_gradient, residual
 
-__all__ = ["RootfindReport", "dual_norm", "solve_root"]
+__all__ = ["RootfindReport", "solve_root"]
 
 _MAX_EVALS = 200
 
@@ -79,24 +80,6 @@ class RootfindReport:
         return self.stop == RESIDUAL
 
 
-def dual_norm(y, weights: Weights) -> float:
-    """Dual of the ordered weighted L1 norm.
-
-    The unit ball of the primal norm has extreme points supported on the
-    k largest magnitudes with equal weights ``1 / (lam_1 + ... + lam_k)``,
-    so the dual norm is the best ratio of leading-magnitude sums to
-    leading-weight sums:
-
-        max_k (|y|^(1) + ... + |y|^(k)) / (lam_1 + ... + lam_k).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if not isinstance(weights, Weights):
-        weights = Weights(weights)
-    if y.ndim != 1 or y.size != weights.n:
-        raise ValueError(f"y must be a vector of length {weights.n}")
-    return sorted_dual_norm(np.sort(np.abs(y))[::-1], weights.values)
-
-
 def solve_root(inst: Instance, tol: float = 1e-9) -> RootfindReport:
     """Brent's method on the radius equation ``owl_norm(prox_mu(b)) = tau``.
 
@@ -126,10 +109,11 @@ def solve_root(inst: Instance, tol: float = 1e-9) -> RootfindReport:
 
     hi = sorted_dual_norm(w, inst.weights.values)
     track = SimpleNamespace(evals=0, abs_grad=np.inf, t=0.0, cone=None, top=w.size)
+    buf = np.empty(w.size)      # the solve's one n-sized buffer (module docstring)
     try:
         _, info = brentq(_scaled_gap, 0.0, 1.0, xtol=4.0 * np.finfo(np.float64).eps,
                          maxiter=_MAX_EVALS - 2, full_output=True,
-                         disp=False, args=(w, inst.weights, tau, hi, tol, track))
+                         disp=False, args=(w, inst.weights, tau, hi, tol, track, buf))
         stop = COLLAPSE if info.converged else CAP
     except ValueError:      # the gap is positive at t = 0 and at t = 1
         stop = BRACKET
@@ -140,7 +124,7 @@ def solve_root(inst: Instance, tol: float = 1e-9) -> RootfindReport:
                           stop=RESIDUAL if eta <= tol else stop)
 
 
-def _scaled_gap(t, w, weights, tau, hi, tol, track):
+def _scaled_gap(t, w, weights, tau, hi, tol, track, buf):
     """brentq's function: ``phi'(-t * hi) / tau``, or exactly ``0.0``
     where the stop rule holds, which makes brentq stop there.
 
@@ -155,18 +139,19 @@ def _scaled_gap(t, w, weights, tau, hi, tol, track):
     is zero (module docstring): once its bound on ``rho`` is below
     ``tau``, which makes the gap negative, ``-1.0`` is returned
     unprojected and never kept as the best point, since it has no cone
-    and its ``|phi'|`` is all of ``tau``.  All state comes in through
+    and its ``|phi'|`` is all of ``tau``.  Every point forms ``w - mu
+    lam`` in ``buf``; no projection holds it.  All state comes in through
     brentq's ``args``: scipy's NaN guard keeps the function in a
     reference cycle after the call, so a closure would hold n-sized
     arrays until the next garbage collection.
     """
     track.evals += 1
     if t == 1.0:
-        sums = weights.values * -hi
+        sums = np.multiply(weights.values, -hi, out=buf)
         sums += w
         if weights.values[0] * np.cumsum(sums, out=sums).max() < tau:
             return -1.0
-    grad, p = dual_gradient(-t * hi, w, weights, tau, track.top)
+    grad, p = dual_gradient(-t * hi, w, weights, tau, track.top, buf)
     if grad > 0.0:
         track.top = p.zero_start
     if abs(grad) < track.abs_grad:

@@ -99,7 +99,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SignedSort, Weights, all_finite, dot, sorted_dual_norm
+from .core import SignedSort, Weights, all_finite, dot, sorted_dual_norm, vector_and_weights
 from .isotonic import (ConeProjection, positive_block_sums, project_cone, repair_ties,
                        strictly_decreasing)
 
@@ -226,13 +226,13 @@ class SsnReport:
         return len(self.step_trace)
 
 
-def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = None):
+def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = None,
+                  buf: np.ndarray | None = None):
     """``phi'(y)``, and the cone projection ``Pi_C(y lam + w)`` it was
-    read from, whose blocks give the curvature at the same ``y``.
-    :func:`owlball.solve_root` evaluates every point here.
-    :func:`solve` reads its points the same way, forming ``y lam + w``
-    in a buffer of its own, except those a block step reaches, which it
-    reads off their blocks.
+    read from, whose blocks give the curvature at the same ``y``: the one
+    reading of ``phi'`` off the coordinates.  :func:`owlball.solve_root`
+    evaluates every point here, and :func:`solve` every point but those
+    a block step reaches, which it reads off their blocks.
 
     ``top`` is where the zero block starts in the projection at some
     point at or above ``y`` (``n`` if omitted).  ``Pi_C`` is
@@ -240,10 +240,16 @@ def dual_gradient(y: float, w, weights: Weights, tau: float, top: int | None = N
     projection at ``y`` is zero from ``top`` on too, and only the first
     ``top`` coordinates are projected.  The projection is still returned
     at full length, and ``phi'`` is its dot with all of ``lam``.
+    ``y lam + w`` is formed in ``buf[:top]``, the caller's n-sized
+    buffer, or in a fresh array if none is given; the projection does
+    not hold it.
     """
     lam = weights.values
     top = lam.size if top is None else top
-    return project_coordinates(np.empty(top), y, lam, w, top, tau)
+    d = np.multiply(y, lam[:top], out=None if buf is None else buf[:top])
+    d += w[:top]
+    p = project_cone(d, lam.size)
+    return dot(p.x, lam) - tau, p
 
 
 def residual(grad: float, tau: float) -> float:
@@ -259,9 +265,10 @@ class Blocks(NamedTuple):
     and its length (a float, the weight of its entry in a block step).
     ``M`` is read off them at every point the solve steps from
     (:func:`blocks_curvature`), ``phi'`` at every point a block step lands
-    on (:func:`blocks_gradient`), a block step below the point projects
-    them (module docstring), and where a block step reached the final
-    point, its ``x`` is written off them (:func:`write_cone`)."""
+    on (the sum of value times sum of ``lam``, less ``tau``), a block step
+    below the point projects them (module docstring), and where a block
+    step reached the final point, its ``x`` is written off them
+    (:func:`write_cone`)."""
 
     starts: np.ndarray
     values: np.ndarray
@@ -290,12 +297,6 @@ def gradient_error(y: float, grad: float, w, lam, tau: float) -> float:
     only where a step would leave the bracket, and an inf bounds nothing."""
     spread = abs(y) * float(lam[0]) + float(np.max(np.abs(w)))
     return _EPS_MACH * (lam.size * (grad + 2.0 * tau) + 2.0 * float(np.sum(lam)) * spread)
-
-
-def blocks_gradient(blocks: Blocks, tau: float) -> float:
-    """``phi' = <Pi_C(y lam + w), lam> - tau``, read off the positive
-    blocks as the sum of value times sum of ``lam``."""
-    return dot(blocks.values, blocks.sums) - tau
 
 
 def blocks_curvature(sums, lengths=None) -> float:
@@ -340,17 +341,6 @@ def block_step(at_hi: Blocks, y_hi: float, y: float) -> Blocks:
     starts = q.block_starts[:live]
     return Blocks(at_hi.starts[starts], q.x[starts], positive_block_sums(q, at_hi.sums)[0],
                   positive_block_sums(q, at_hi.lengths)[0])
-
-
-def project_coordinates(buf: np.ndarray, y: float, lam, w, top: int, tau: float):
-    """:func:`dual_gradient`'s ``phi'(y)`` and ``Pi_C(y lam + w)``, with
-    ``y lam + w`` formed in ``buf``: the projection at full length,
-    projecting only the first ``top`` coordinates, and ``phi'`` its dot
-    with all of ``lam``."""
-    d = np.multiply(y, lam[:top], out=buf[:top])
-    d += w[:top]
-    p = project_cone(d, lam.size)
-    return dot(p.x, lam) - tau, p
 
 
 def write_cone(x: np.ndarray, blocks: Blocks, y: float, w, lam) -> ConeProjection:
@@ -435,11 +425,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
     """
     if params is None:
         params = SsnParams()
-    if not isinstance(weights, Weights):
-        weights = Weights(weights)
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size != weights.n:
-        raise ValueError(f"w must be a vector of length {weights.n}")
+    w, weights = vector_and_weights(w, weights, "w")
     if not all_finite(w):
         raise ValueError("w must contain only finite values")
     tau = float(tau)
@@ -461,7 +447,7 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         w_top = w.size - int(w[-1] == 0.0)
         m = blocks_curvature(lam[:w_top])       # M = inf: see the no-op test
     else:
-        grad, cone = project_coordinates(buf, y, lam, w, w.size, tau)
+        grad, cone = dual_gradient(y, w, weights, tau, buf=buf)
     eta = residual(grad, tau)
     lo, hi = -np.inf, np.inf
     at_hi = None            # the positive blocks of the projection at hi, if any pooled
@@ -512,15 +498,15 @@ def solve(w, weights: Weights, tau: float, params: SsnParams | None = None) -> S
         y, blocks = y_next, None
         if at_hi is not None:
             cone, blocks = None, block_step(at_hi, hi, y)
-            grad = blocks_gradient(blocks, tau)
+            grad = dot(blocks.values, blocks.sums) - tau
         else:
-            grad, cone = project_coordinates(buf, y, lam, w, top, tau)
+            grad, cone = dual_gradient(y, w, weights, tau, top, buf)
         eta, m = residual(grad, tau), None
 
     if cone is None:
         # An in-cone start that needed no step costs one projection, for
         # the report; a point a block step reached is written off its blocks.
-        cone = (project_coordinates(buf, y, lam, w, w.size, tau)[1] if blocks is None
+        cone = (dual_gradient(y, w, weights, tau, buf=buf)[1] if blocks is None
                 else write_cone(buf, blocks, y, w, lam))
     if stop is None:
         stop = RESIDUAL if eta <= params.eps else CAP

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from owlball import Instance, Weights, owl_norm
+from owlball import Instance, Weights, dual_norm, owl_norm
 from owlball.core import SignedSort, dot, signed_sort
 
 from oracle import apply_signed_sort
@@ -24,6 +24,13 @@ class TestWeights:
         w = Weights(raw)
         raw[0] = 99.0
         assert w.values[0] == 2.0
+
+    def test_repr_is_short_at_any_length(self):
+        # Not every weight: at n = 1e6 that was a 20 MB string, 0.7 s to build.
+        w = Weights(np.ones(1_000_000))
+        assert repr(w) == "Weights(n=1000000, plateau=1000000)"
+        assert len(repr(w)) < 100
+        assert repr(Weights([3.0, 2.0, 0.0])) == "Weights(n=3, plateau=None)"
 
     @pytest.mark.parametrize("bad", [
         [1.0, 2.0],          # increasing
@@ -326,13 +333,21 @@ class TestOwlNorm:
             assert owl_norm(x, w) == pytest.approx(np.sum(np.abs(x)), rel=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            owl_norm([1.0, 2.0, 3.0], Weights([1.0, 1.0]))
-        # An x that is not one-dimensional is rejected by its shape, even
-        # with as many entries as weights.
-        for shape in [(1, 3), (3, 1)]:
-            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-                owl_norm(np.ones(shape), Weights([1.0, 1.0, 1.0]))
+        # The norm and its dual share one check of the vector.
+        for norm in (owl_norm, dual_norm):
+            with pytest.raises(ValueError):
+                norm([1.0, 2.0, 3.0], Weights([1.0, 1.0]))
+            # An x that is not one-dimensional is rejected by its shape,
+            # even with as many entries as weights.
+            for shape in [(1, 3), (3, 1)]:
+                with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                    norm(np.ones(shape), Weights([1.0, 1.0, 1.0]))
+
+    def test_a_nan_is_read_not_rejected(self):
+        # A checker may take the norm of an answer before it tests the
+        # answer for finiteness, so neither norm raises on a NaN.
+        for norm in (owl_norm, dual_norm):
+            assert np.isnan(norm([np.nan, 1.0], Weights([1.0, 0.5])))
 
     @pytest.mark.parametrize("lam", [[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]])
     def test_rejects_raw_weights_that_define_no_norm(self, lam):

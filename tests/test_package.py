@@ -37,6 +37,21 @@ def test_public_solvers_settable_values_are_pinned():
         "eps", "y0"]
 
 
+def test_dual_gradient_parameters_are_pinned():
+    # The one reader of phi' off the coordinates, for both solvers.
+    assert list(inspect.signature(owlball.ssn.dual_gradient).parameters) == [
+        "y", "w", "weights", "tau", "top", "buf"]
+
+
+def test_each_formula_has_one_home():
+    # The dual norm lives beside the norm; phi' is read off coordinates by
+    # dual_gradient alone, and off blocks inline in the solve.
+    assert owlball.dual_norm is owlball.core.dual_norm
+    assert not hasattr(owlball.rootfind, "dual_norm")
+    assert not hasattr(owlball.ssn, "project_coordinates")
+    assert not hasattr(owlball.ssn, "blocks_gradient")
+
+
 def test_rootfind_report_fields_are_pinned():
     # As the knobs above: both solvers report a stop, and a field
     # cannot be added or dropped unnoticed.

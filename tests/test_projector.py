@@ -20,9 +20,9 @@ from owlball import (
     prox_owl,
 )
 from owlball.bench import cell_rng, generate_instance
-from owlball.core import INSIDE_RTOL, signed_sort
+from owlball.core import INSIDE_RTOL, dual_norm, signed_sort
 from owlball.isotonic import project_cone
-from owlball.rootfind import dual_norm, solve_root
+from owlball.rootfind import solve_root
 
 from oracle import block_values, oracle_ball
 

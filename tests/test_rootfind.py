@@ -7,9 +7,9 @@ from owlball import Instance, Weights, owl_norm, project_ball, prox_owl
 from owlball import rootfind as rootfind_mod
 from owlball import ssn as ssn_mod
 from owlball.bench import cell_rng, generate_instance
-from owlball.core import signed_sort, sorted_dual_norm
+from owlball.core import dual_norm, signed_sort, sorted_dual_norm
 from owlball.isotonic import ConeProjection
-from owlball.rootfind import dual_norm, solve_root
+from owlball.rootfind import solve_root
 
 from oracle import oracle_dual_norm
 
@@ -117,13 +117,30 @@ class TestSolveRoot:
         fast = [solve_root(inst, tol=1e-12) for inst in cases]
         assert sum(lengths) >= 20
         inner = rootfind_mod.dual_gradient
-        monkeypatch.setattr(rootfind_mod, "dual_gradient",
-                            lambda y, w, weights, tau, top=None: inner(y, w, weights, tau))
+
+        def full_length(y, w, weights, tau, top=None, buf=None):
+            return inner(y, w, weights, tau)
+
+        monkeypatch.setattr(rootfind_mod, "dual_gradient", full_length)
         for inst, report in zip(cases, fast):
             slow = solve_root(inst, tol=1e-12)
             assert report.evaluations == slow.evaluations
             assert report.mu_star == slow.mu_star
             assert report.x.tobytes() == slow.x.tobytes()
+
+    def test_every_evaluation_forms_its_point_in_one_buffer(self, monkeypatch):
+        # A solve takes one n-sized buffer, and every vector it projects
+        # is a prefix of it; no evaluation allocates one of its own.
+        rng = np.random.default_rng(94)
+        seen = []
+        inner = ssn_mod.project_cone
+        monkeypatch.setattr(ssn_mod, "project_cone",
+                            lambda d, n=None: seen.append(d) or inner(d, n))
+        for _ in range(20):
+            seen.clear()
+            report = solve_root(random_instance(rng, int(rng.integers(2, 300))), tol=1e-12)
+            assert len(seen) >= 2 and len(seen) >= report.evaluations - 1
+            assert all(np.shares_memory(d, seen[0]) for d in seen[1:])
 
     def test_dual_norm_endpoint_costs_no_projection(self, monkeypatch):
         # The prox at t = 1 is zero, so every evaluation but that one

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import owlball.ssn as ssn_mod
 from owlball import Instance, SsnParams, Weights, project_ball, solve_root
 from owlball.bench import cell_rng, generate_instance
-from owlball.core import sorted_dual_norm
+from owlball.core import dot, sorted_dual_norm
 from owlball.isotonic import ConeProjection, positive_block_sums, project_cone
 from owlball.ssn import dual_gradient, gradient_error, solve
 
@@ -174,7 +174,7 @@ class TestBlockStep:
         inherited = np.max(np.abs(p_hi.x - rounded_means(hi * lam + w, p_hi)))
         bound = 4.0 * EPS * max(w[0], abs(y) * lam[0]) + inherited
         assert np.all(np.abs(x - exact) <= bound)
-        grad = ssn_mod.blocks_gradient(blocks, tau)
+        grad = dot(blocks.values, blocks.sums) - tau
         exact_grad = math.fsum(exact * lam) - tau
         assert abs(grad - exact_grad) <= (2 * w.size * EPS * (np.dot(full.x, lam) + tau)
                                           + inherited * lam.sum())
